@@ -149,9 +149,9 @@ def cmd_build_kg(args, cfg: dict) -> None:
 def cmd_pretrain(args, cfg: dict) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    pcfg = _pretrain_config(cfg)
     tset = graph.load_triples(args.triples or out / "triples.tsv")
     g = graph.Graph(tset)
-    pcfg = _pretrain_config(cfg)
     result = pretrain_mod.pretrain(tset, g, pcfg, RngStream(args.seed).child("pretrain"))
     pretrain_mod.export_checkpoint(result.checkpoint, out / "ckge.bin")
     graph.save_vocab(tset, out / "ckge.vocab.tsv")
@@ -176,8 +176,8 @@ def _load_train_inputs(args, out: Path):
 def cmd_train(args, cfg: dict) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    split, ckpt, entities, item_meta = _load_train_inputs(args, out)
     tcfg = _train_config(cfg, args.seed)
+    split, ckpt, entities, item_meta = _load_train_inputs(args, out)
     result = model_mod.fit(
         split.train, split.valid, ckpt, tcfg, RngStream(args.seed).child("train"),
         entities, item_meta,

@@ -43,3 +43,7 @@ class FormatError(KdcnError):
 
 class MetricError(KdcnError):
     """A metric is undefined for the given inputs (e.g. single-class AUC)."""
+
+
+class ConfigError(KdcnError, ValueError):
+    """A configuration value is out of range or names an unknown option."""

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, IngestionError, ParseError, SchemaError
-from .rng import RngStream
+from .errors import IngestionError, ParseError, SchemaError
 
 DENSE_ADJACENCY_GUARD = 10_000
 
@@ -225,54 +224,6 @@ class Graph:
 
     def max_degree(self) -> int:
         return int(self.degrees.max()) if self.n_entities else 0
-
-
-def normalized_adjacency(g: Graph, self_loops: bool = True, kind: str = "sym") -> np.ndarray:
-    """Dense normalized adjacency for small graphs.
-
-    kind="sym" gives the symmetric normalization D^-1/2 (A + I) D^-1/2;
-    kind="mean" gives row normalization D^-1 (A + I), the dense counterpart
-    of mean-of-neighbors aggregation. Degree-zero rows stay all-zero.
-    """
-    n = g.n_entities
-    if n > DENSE_ADJACENCY_GUARD:
-        raise CapacityError(
-            f"graph has {n} entities, above the dense guard of {DENSE_ADJACENCY_GUARD}"
-        )
-    if kind not in ("sym", "mean"):
-        raise ValueError(f"unknown normalization kind '{kind}'")
-    a = np.zeros((n, n), dtype=np.float64)
-    for i, neigh in enumerate(g.adjacency):
-        a[i, neigh] = 1.0
-    if self_loops:
-        np.fill_diagonal(a, 1.0)
-    deg = a.sum(axis=1)
-    if kind == "sym":
-        with np.errstate(divide="ignore"):
-            dinv = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-        return dinv[:, None] * a * dinv[None, :]
-    with np.errstate(divide="ignore"):
-        dinv = np.where(deg > 0, 1.0 / deg, 0.0)
-    return dinv[:, None] * a
-
-
-def sample_neighbors(g: Graph, entity: int, fanout: int, rng: RngStream) -> np.ndarray:
-    """Draw exactly fanout neighbor ids for one entity.
-
-    Degree >= fanout samples uniformly without replacement; a smaller positive
-    degree samples with replacement up to fanout; an isolated entity falls
-    back to itself repeated fanout times.
-    """
-    if not 0 <= entity < g.n_entities:
-        raise IndexError(f"entity {entity} out of range [0, {g.n_entities})")
-    if fanout < 1:
-        raise ValueError("fanout must be >= 1")
-    neigh = g.adjacency[entity]
-    if len(neigh) == 0:
-        return np.full(fanout, entity, dtype=np.int64)
-    if len(neigh) >= fanout:
-        return rng.choice(neigh, size=fanout, replace=False).astype(np.int64)
-    return rng.choice(neigh, size=fanout, replace=True).astype(np.int64)
 
 
 TRIPLES_HEADER = "head\trelation\ttail"

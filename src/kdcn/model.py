@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, FormatError, SchemaError, TrainingError
+from .errors import (
+    CapacityError,
+    ConfigError,
+    DimensionError,
+    FormatError,
+    SchemaError,
+    TrainingError,
+)
 from .features import AttentionParams, ConvParams, extract_keywords
 from .graph import EntityRef
 from .metrics import auc
@@ -55,9 +62,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (self.use_cross or self.use_deep):
-            raise ValueError("at least one of use_cross/use_deep must be on")
+            raise ConfigError("at least one of use_cross/use_deep must be on")
         if self.n_cross < 0 or self.deep_layers < 0:
-            raise ValueError("layer counts must be >= 0")
+            raise ConfigError("layer counts must be >= 0")
 
 
 # named ablations used by the evaluation report

@@ -7,12 +7,16 @@ more plausible). The encoder output is the entity table the scorer sees, so
 one margin ranking loss drives both. Gradients are hand-derived per layer;
 the whole loss is checkable against finite differences.
 
-Encoding runs in one of two modes:
-  full    - dense/sparse normalized-adjacency product over the whole graph
-            (guarded by the dense size limit);
-  sampled - per-entity mean over a bounded sample of neighbors, the scalable
-            path. With fanout >= max degree the sample covers every neighbor
-            and sampled mode reproduces full mode under mean normalization.
+Each encoder layer l is one sparse operator S_l over all entities: forward
+is sigmoid(S_l @ x @ W_l) and backward is S_l.T @ (...). The mode only
+decides how S_l is built:
+  full    - the normalized adjacency (sym or mean), the same for every layer
+            and built once per pretrain call (guarded by the dense size
+            limit);
+  sampled - per batch and layer, row i averages a bounded sample of the
+            entity's neighbors (rows scaled by 1/count), the scalable path.
+            With fanout >= max degree the sample covers every neighbor and
+            sampled mode reproduces full mode under mean normalization.
 """
 
 from __future__ import annotations
@@ -23,7 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CapacityError, DimensionError, FormatError, SamplingError, TrainingError
+from .errors import (
+    CapacityError,
+    ConfigError,
+    DimensionError,
+    FormatError,
+    SamplingError,
+    TrainingError,
+)
 from .graph import DENSE_ADJACENCY_GUARD, Graph, Triple, TripleSet
 from .numeric import ParamStore, adam_step, sigmoid
 from .rng import RngStream
@@ -45,13 +56,13 @@ class PretrainConfig:
 
     def __post_init__(self):
         if self.dim < 1 or self.layers < 1 or self.fanout < 1:
-            raise ValueError("dim, layers and fanout must all be >= 1")
+            raise ConfigError("dim, layers and fanout must all be >= 1")
         if self.margin <= 0:
-            raise ValueError("margin must be positive")
+            raise ConfigError("margin must be positive")
         if self.mode not in ("full", "sampled"):
-            raise ValueError(f"unknown mode '{self.mode}'")
+            raise ConfigError(f"unknown mode '{self.mode}'")
         if self.aggregation not in ("sym", "mean"):
-            raise ValueError(f"unknown aggregation '{self.aggregation}'")
+            raise ConfigError(f"unknown aggregation '{self.aggregation}'")
 
 
 class PretrainParams:
@@ -85,33 +96,15 @@ def init_params(n_entities: int, n_relations: int, cfg: PretrainConfig, rng: Rng
     return PretrainParams(store, cfg.layers)
 
 
-def gcn_layer(x: np.ndarray, a_norm: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One propagation step: sigmoid(a_norm @ x @ w)."""
-    n = a_norm.shape[0]
-    if a_norm.shape != (n, n):
-        raise DimensionError(f"a_norm must be square, got {a_norm.shape}")
-    if x.shape[0] != n:
-        raise DimensionError(f"x has {x.shape[0]} rows, adjacency has {n}")
-    if w.shape != (x.shape[1], x.shape[1]):
-        raise DimensionError(f"w shape {w.shape} does not match feature dim {x.shape[1]}")
-    return sigmoid(a_norm @ x @ w)
-
-
 def _sparse_norm_adjacency(g: Graph, self_loops: bool, kind: str):
     """Sparse normalized adjacency and its transpose (CSR)."""
-    rows, cols = [], []
-    for i, neigh in enumerate(g.adjacency):
-        rows.extend([i] * len(neigh))
-        cols.extend(neigh)
-    if self_loops:
-        rows.extend(range(g.n_entities))
-        cols.extend(range(g.n_entities))
     n = g.n_entities
-    a = sp.csr_matrix(
-        (np.ones(len(rows)), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(n, n),
-        dtype=np.float64,
-    )
+    rows = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
+    cols = np.concatenate(g.adjacency) if n else np.zeros(0, dtype=np.int64)
+    if self_loops:
+        rows = np.concatenate([rows, np.arange(n, dtype=np.int64)])
+        cols = np.concatenate([cols, np.arange(n, dtype=np.int64)])
+    a = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n), dtype=np.float64)
     deg = np.asarray(a.sum(axis=1)).ravel()
     if kind == "sym":
         with np.errstate(divide="ignore"):
@@ -125,73 +118,69 @@ def _sparse_norm_adjacency(g: Graph, self_loops: bool, kind: str):
     return norm, norm.T.tocsr()
 
 
-def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream) -> list[dict]:
-    """Draw the neighbor index sets used by one sampled-mode forward pass.
-
-    Per entity the draw covers all neighbors when degree <= fanout, otherwise
-    a uniform fanout-sized subset without replacement; the entity itself is
-    appended when self-loops are on (isolated entities fall back to just
-    themselves). One draw list per layer, entities visited in id order.
-    """
-    draws = []
-    for _ in range(cfg.layers):
-        src, owner = [], []
-        counts = np.zeros(g.n_entities, dtype=np.int64)
-        for i in range(g.n_entities):
-            neigh = g.adjacency[i]
-            if len(neigh) == 0:
-                chosen = [i]
-            else:
-                if len(neigh) <= cfg.fanout:
-                    chosen = list(neigh)
-                else:
-                    chosen = list(rng.choice(neigh, size=cfg.fanout, replace=False))
-                if cfg.self_loops:
-                    chosen.append(i)
-            src.extend(chosen)
-            owner.extend([i] * len(chosen))
-            counts[i] = len(chosen)
-        draws.append(
-            {
-                "src": np.array(src, dtype=np.int64),
-                "owner": np.array(owner, dtype=np.int64),
-                "counts": counts,
-            }
+def _full_operators(g: Graph, cfg: PretrainConfig) -> list:
+    """Full mode's per-layer (S, S.T): the normalized adjacency, shared by every layer."""
+    if g.n_entities > DENSE_ADJACENCY_GUARD:
+        raise CapacityError(
+            f"full mode on {g.n_entities} entities exceeds the guard of "
+            f"{DENSE_ADJACENCY_GUARD}; use sampled mode"
         )
-    return draws
+    return [_sparse_norm_adjacency(g, cfg.self_loops, cfg.aggregation)] * cfg.layers
 
 
-def _encode_forward(params: PretrainParams, g: Graph, cfg: PretrainConfig, draws=None):
-    """Run the encoder; returns (output, cache) for the matching backward."""
-    x = params.entity_table
-    cache: dict = {"mode": cfg.mode, "inputs": [], "outputs": []}
-    if cfg.mode == "full":
-        if g.n_entities > DENSE_ADJACENCY_GUARD:
-            raise CapacityError(
-                f"full mode on {g.n_entities} entities exceeds the guard of "
-                f"{DENSE_ADJACENCY_GUARD}; use sampled mode"
+def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream) -> list:
+    """Draw the per-layer operators (S, S.T) of one sampled-mode forward pass.
+
+    Row i of S averages the entity's draw: all neighbors when degree <=
+    fanout, otherwise a uniform fanout-sized subset without replacement, plus
+    the entity itself when self-loops are on (isolated entities fall back to
+    just themselves). Each row is scaled by 1/count. Only entities above the
+    fanout consume randomness, one draw each, in id order, layer by layer.
+    """
+    n, deg = g.n_entities, g.degrees
+    ids = np.arange(n, dtype=np.int64)
+    has_self = (deg == 0) | cfg.self_loops
+    counts = np.minimum(deg, cfg.fanout) + has_self
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    data = np.repeat(1.0 / counts, counts)
+
+    # row slots of the neighbors of entities that keep their whole neighborhood
+    neighbors = np.concatenate(g.adjacency) if n else np.zeros(0, dtype=np.int64)
+    owner = np.repeat(ids, deg)
+    offset = np.arange(len(neighbors)) - np.repeat(np.cumsum(deg) - deg, deg)
+    keep = deg[owner] <= cfg.fanout
+    keep_slots = indptr[owner[keep]] + offset[keep]
+    big = np.flatnonzero(deg > cfg.fanout)
+    big_slots = (indptr[big, None] + np.arange(cfg.fanout)).ravel()
+    self_slots = indptr[1:][has_self] - 1
+
+    operators = []
+    for _ in range(cfg.layers):
+        indices = np.empty(indptr[-1], dtype=np.int64)
+        indices[keep_slots] = neighbors[keep]
+        if len(big):
+            indices[big_slots] = np.concatenate(
+                [rng.choice(g.adjacency[i], size=cfg.fanout, replace=False) for i in big]
             )
-        norm, norm_t = _sparse_norm_adjacency(g, cfg.self_loops, cfg.aggregation)
-        cache["norm_t"] = norm_t
-        for w in params.gcn_weights:
-            propagated = norm @ x
-            out = sigmoid(propagated @ w)
-            cache["inputs"].append(propagated)
-            cache["outputs"].append(out)
-            x = out
-    else:
-        if draws is None:
-            raise ValueError("sampled mode requires precomputed draws")
-        cache["draws"] = draws
-        for layer, w in enumerate(params.gcn_weights):
-            d = draws[layer]
-            agg = np.zeros_like(x)
-            np.add.at(agg, d["owner"], x[d["src"]])
-            agg /= d["counts"][:, None]
-            out = sigmoid(agg @ w)
-            cache["inputs"].append(agg)
-            cache["outputs"].append(out)
-            x = out
+        indices[self_slots] = ids[has_self]
+        s = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        operators.append((s, s.T.tocsr()))
+    return operators
+
+
+def _encode_forward(params: PretrainParams, operators: list):
+    """Run the encoder, layer l computing sigmoid(S_l @ x @ W_l).
+
+    Returns (output, cache) for the matching backward.
+    """
+    x = params.entity_table
+    cache: dict = {"operators": operators, "inputs": [], "outputs": []}
+    for (s, _), w in zip(operators, params.gcn_weights):
+        propagated = s @ x
+        x = sigmoid(propagated @ w)
+        cache["inputs"].append(propagated)
+        cache["outputs"].append(x)
     return x, cache
 
 
@@ -204,27 +193,34 @@ def _encode_backward(params: PretrainParams, cache: dict, d_out: np.ndarray):
         out = cache["outputs"][layer]
         pre = grad * out * (1.0 - out)
         d_ws[layer] = cache["inputs"][layer].T @ pre
-        d_agg = pre @ weights[layer].T
-        if cache["mode"] == "full":
-            grad = cache["norm_t"] @ d_agg
-        else:
-            d = cache["draws"][layer]
-            d_agg = d_agg / d["counts"][:, None]
-            grad = np.zeros_like(d_agg)
-            np.add.at(grad, d["src"], d_agg[d["owner"]])
+        grad = cache["operators"][layer][1] @ (pre @ weights[layer].T)
     return grad, d_ws
 
 
+def _operators(g: Graph, cfg: PretrainConfig, draws, rng: RngStream | None = None) -> list:
+    """The given per-layer operators, else full mode's or a fresh draw from rng."""
+    if draws is not None:
+        return draws
+    if cfg.mode == "full":
+        return _full_operators(g, cfg)
+    if rng is None:
+        raise ConfigError("sampled mode needs precomputed draws or an rng stream")
+    return sample_layer_draws(g, cfg, rng)
+
+
 def encode_entities(
-    params: PretrainParams, g: Graph, cfg: PretrainConfig, rng: RngStream | None = None
+    params: PretrainParams,
+    g: Graph,
+    cfg: PretrainConfig,
+    rng: RngStream | None = None,
+    draws=None,
 ) -> np.ndarray:
-    """Entity embeddings from the encoder stack, shape n_entities x dim."""
-    draws = None
-    if cfg.mode == "sampled":
-        if rng is None:
-            raise ValueError("sampled mode needs an rng stream")
-        draws = sample_layer_draws(g, cfg, rng)
-    out, _ = _encode_forward(params, g, cfg, draws)
+    """Entity embeddings from the encoder stack, shape n_entities x dim.
+
+    Uses the given per-layer operators; without them, full mode builds its
+    own and sampled mode draws them from rng.
+    """
+    out, _ = _encode_forward(params, _operators(g, cfg, draws, rng))
     return out
 
 
@@ -286,7 +282,7 @@ def pretrain_loss(
     draws=None,
 ) -> float:
     """Margin ranking loss of fixed positive/negative pairs (pure forward)."""
-    x, _ = _encode_forward(params, g, cfg, draws)
+    x, _ = _encode_forward(params, _operators(g, cfg, draws))
     _, _, s_p, s_n = _pair_scores(x, params.relation_table, pos, neg)
     return margin_loss(s_p, s_n, cfg.margin)
 
@@ -300,7 +296,7 @@ def pretrain_loss_grads(
     draws=None,
 ) -> float:
     """Compute the pair loss and accumulate analytic grads into the store."""
-    x, cache = _encode_forward(params, g, cfg, draws)
+    x, cache = _encode_forward(params, _operators(g, cfg, draws))
     rel = params.relation_table
     diff_p, diff_n, s_p, s_n = _pair_scores(x, rel, pos, neg)
     margins = s_p + cfg.margin - s_n
@@ -357,8 +353,10 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
 
     Each batch corrupts its positives, encodes the graph with the current
     parameters, applies the margin ranking loss, and steps all parameters.
-    Per-epoch mean loss (per positive pair) is recorded. The returned
-    checkpoint holds the encoder output as the entity table.
+    Full mode builds its propagation operator once per call; sampled mode
+    draws new operators for every batch. Per-epoch mean loss (per positive
+    pair) is recorded. The returned checkpoint holds the encoder output as
+    the entity table.
     """
     rng_init = rng.child("init")
     rng_shuffle = rng.child("shuffle")
@@ -370,6 +368,7 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
         [[tr.head, tr.relation, tr.tail] for tr in tset.triples], dtype=np.int64
     )
     npp = cfg.negatives_per_positive
+    full = _full_operators(g, cfg) if cfg.mode == "full" else None
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         order = rng_shuffle.permutation(len(triples))
@@ -381,9 +380,7 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
             for i, row in enumerate(pos):
                 corrupted = negative_sample(Triple(*row), g, rng_negative)
                 neg[i] = (corrupted.head, corrupted.relation, corrupted.tail)
-            draws = (
-                sample_layer_draws(g, cfg, rng_encode) if cfg.mode == "sampled" else None
-            )
+            draws = _operators(g, cfg, full, rng_encode)
             loss = pretrain_loss_grads(params, g, cfg, pos, neg, draws)
             if not np.isfinite(loss):
                 raise TrainingError(
@@ -394,7 +391,7 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
             adam_step(params.store, cfg.lr)
         losses.append(total / max(pairs, 1))
 
-    entity_out = encode_entities(params, g, cfg, rng_encode)
+    entity_out = encode_entities(params, g, cfg, rng_encode, full)
     ckpt = PretrainCheckpoint(entity_out, params.relation_table.copy())
     return PretrainResult(ckpt, losses, params)
 

@@ -76,6 +76,24 @@ class TestExitCodes:
         (tmp_path / "events.jsonl").write_text("{not json}\n")
         assert main(["build-kg", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "command, lines, named",
+        [
+            ("pretrain", ["mode = dense"], "mode"),
+            ("pretrain", ["fanout = 0"], "fanout"),
+            ("train", ["use_cross = false", "use_deep = false"], "use_cross"),
+        ],
+    )
+    def test_bad_config_value_is_data_error(self, workdir, capsys, command, lines, named):
+        out, cfg = workdir
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+        bad = out / "bad.txt"
+        bad.write_text(TINY_CONFIG + "\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0], err
+
 
 class TestPipeline:
     def test_full_pipeline_writes_artifacts(self, workdir):

@@ -9,13 +9,12 @@ from kdcn.graph import (
     ingest_events,
     load_triples,
     load_vocab,
-    normalized_adjacency,
     prune_triples,
-    sample_neighbors,
     save_triples,
     save_vocab,
 )
 from kdcn.rng import RngStream
+from oracles import normalized_adjacency, sample_neighbors
 
 
 def two_node_graph():

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 import kdcn.pretrain as pt
 from kdcn.datagen import WorldConfig, generate_world
-from kdcn.errors import DimensionError, FormatError, SamplingError
-from kdcn.graph import Graph, Triple, TripleSet, normalized_adjacency
+from kdcn.errors import ConfigError, DimensionError, FormatError, SamplingError
+from kdcn.graph import Graph, Triple, TripleSet
 from kdcn.numeric import finite_diff_check, sigmoid
 from kdcn.rng import RngStream
+from oracles import gcn_layer, layer_draws, normalized_adjacency
 
 
 def small_world(seed=2, **overrides):
@@ -22,25 +23,25 @@ def small_world(seed=2, **overrides):
 
 class TestGcnLayer:
     def test_zero_row_gives_half(self):
-        out = pt.gcn_layer(np.zeros((1, 3)), np.array([[1.0]]), np.eye(3))
+        out = gcn_layer(np.zeros((1, 3)), np.array([[1.0]]), np.eye(3))
         assert np.allclose(out, 0.5, atol=1e-15)
 
     def test_identical_rows_stay_identical(self):
         x = np.array([[0.3, -0.7], [0.3, -0.7]])
         a = np.array([[0.5, 0.5], [0.5, 0.5]])
-        out = pt.gcn_layer(x, a, RngStream(0).uniform(-1, 1, (2, 2)))
+        out = gcn_layer(x, a, RngStream(0).uniform(-1, 1, (2, 2)))
         assert np.allclose(out[0], out[1], atol=1e-15)
 
     def test_hand_product(self):
         x = np.eye(2)
         a = np.array([[0.5, 0.5], [0.5, 0.5]])
-        out = pt.gcn_layer(x, a, np.eye(2))
+        out = gcn_layer(x, a, np.eye(2))
         assert np.allclose(out, sigmoid(np.full((2, 2), 0.5)), atol=1e-15)
         assert out[0, 0] == pytest.approx(0.62245933, abs=1e-7)
 
     def test_shape_checks(self):
         with pytest.raises(DimensionError):
-            pt.gcn_layer(np.zeros((2, 3)), np.zeros((3, 3)), np.eye(3))
+            gcn_layer(np.zeros((2, 3)), np.zeros((3, 3)), np.eye(3))
 
 
 class TestEncode:
@@ -51,7 +52,7 @@ class TestEncode:
         params = pt.init_params(g.n_entities, 9, cfg, RngStream(1))
         out = pt.encode_entities(params, g, cfg)
         dense = normalized_adjacency(g, self_loops=True, kind="sym")
-        expected = pt.gcn_layer(params.entity_table, dense, params.gcn_weights[0])
+        expected = gcn_layer(params.entity_table, dense, params.gcn_weights[0])
         assert np.abs(out - expected).max() < 1e-12
 
     def test_isolated_nodes_no_mixing(self):
@@ -99,6 +100,30 @@ class TestEncode:
         full = pt.encode_entities(params, g, cfg_full)
         samp = pt.encode_entities(params, g, cfg_samp, RngStream(4))
         assert np.abs(full - samp).max() < 1e-9
+
+
+class TestSampleLayerDraws:
+    """The array-built operators match the per-entity reference draw for draw."""
+
+    @pytest.mark.parametrize("fanout", [3, 10, 12])  # below, at and above the max degree 10
+    @pytest.mark.parametrize("self_loops", [True, False])
+    @pytest.mark.parametrize("isolated", [0, 3])
+    def test_matches_per_entity_reference(self, fanout, self_loops, isolated):
+        w = small_world(seed=2)
+        for i in range(isolated):
+            w.tset.entity_id("user", f"lonely{i}", create=True)
+        g = Graph(w.tset)
+        assert g.max_degree() == 10 and int((g.degrees == 0).sum()) == isolated
+        cfg = pt.PretrainConfig(dim=4, layers=2, mode="sampled", fanout=fanout, self_loops=self_loops)
+        rng_new, rng_ref = RngStream(21), RngStream(21)
+        operators = pt.sample_layer_draws(g, cfg, rng_new)
+        reference = layer_draws(g, cfg, rng_ref)
+        assert len(operators) == len(reference) == cfg.layers
+        for (s, s_t), ref in zip(operators, reference):
+            assert np.array_equal(s.toarray(), ref)
+            assert np.array_equal(s_t.toarray(), ref.T)
+        # both consumed exactly the same draws
+        assert rng_new.integers(0, 2**62) == rng_ref.integers(0, 2**62)
 
 
 class TestTranseScore:
@@ -262,6 +287,42 @@ class TestPretrainLoop:
             if np.all(diffs <= 1e-9):
                 ok += 1
         assert ok >= 4
+
+    def test_full_mode_builds_adjacency_once(self, monkeypatch):
+        w = small_world()
+        g = Graph(w.tset)
+        cfg = pt.PretrainConfig(dim=6, epochs=2, batch_size=40, lr=0.01)
+        assert len(w.tset) > 2 * cfg.batch_size  # at least 3 batches per epoch
+        calls = []
+        build = pt._sparse_norm_adjacency
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(pt, "_sparse_norm_adjacency", counting)
+        pt.pretrain(w.tset, g, cfg, RngStream(12))
+        assert len(calls) == 1
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "kwargs", [{"mode": "dense"}, {"fanout": 0}, {"aggregation": "max"}, {"margin": 0.0}]
+    )
+    def test_bad_values_are_config_errors(self, kwargs):
+        with pytest.raises(ConfigError):
+            pt.PretrainConfig(**kwargs)
+
+    def test_sampled_mode_without_rng_or_draws(self):
+        w = small_world()
+        g = Graph(w.tset)
+        cfg = pt.PretrainConfig(dim=4, mode="sampled")
+        params = pt.init_params(g.n_entities, 9, cfg, RngStream(0))
+        pos = np.array([[t.head, t.relation, t.tail] for t in w.tset.triples[:2]])
+        with pytest.raises(ConfigError):
+            pt.encode_entities(params, g, cfg)
+        with pytest.raises(ConfigError):
+            pt.pretrain_loss_grads(params, g, cfg, pos, pos)
 
 
 class TestCheckpointFormat:
