@@ -3,7 +3,7 @@
 from .datagen import ClickModel, Sample, SampleSplit, WorldConfig, generate_samples, generate_world
 from .graph import Graph, Triple, TripleSet, ingest_events, load_triples, save_triples
 from .metrics import auc, epochs_to_threshold
-from .model import FitResult, KdcnModel, TrainConfig, fit, log_loss, predict, rank_candidates
+from .model import FitResult, KdcnModel, TrainConfig, fit, log_loss, rank_candidates
 from .numeric import ParamStore, adam_step, finite_diff_check
 from .pretrain import (
     PretrainCheckpoint,
@@ -51,7 +51,6 @@ __all__ = [
     "metrics",
     "model",
     "numeric",
-    "predict",
     "pretrain",
     "rank_candidates",
     "rng",

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,9 @@ def cmd_rank(args, cfg: dict) -> None:
             break
     if args.candidates:
         candidates = args.candidates.split(",")
+        repeated = sorted(name for name, n in Counter(candidates).items() if n > 1)
+        if repeated:
+            raise KdcnError(f"--candidates lists {', '.join(repeated)} more than once")
     else:
         candidates = sorted(item_meta, key=lambda n: featurizer.item_id(n))
         candidates = candidates[: tcfg.candidate_cap]

@@ -7,17 +7,28 @@ scalar x'w and adds f*scalar + bias back onto a residual path) and a deep
 ReLU network; their outputs concatenate into a single logits dot product.
 
 Training is batched numpy with hand-written backward passes; the per-sample
-operations in kdcn.features are the reference semantics and the batched
-paths are tested to match them. Ablation flags remove feature blocks or
-towers structurally, so a disabled block contributes no parameters at all.
+operations in kdcn.features and tests/oracles.py are the reference semantics
+and the batched paths are tested to match them. Ablation flags remove feature
+blocks or towers structurally, so a disabled block contributes no parameters
+at all.
+
+Behavior pooling is one sparse operator. A Dataset holds a CSR matrix P with
+one row per (sample, behavior kind) and 1/count at that list's item ids, so
+the per-kind mean embeddings are P @ table and, when the entity table is
+fine-tuned, its gradient is P.T @ dmean; frozen and fine-tuned runs share
+that path. rank_candidates featurizes a request's behaviors and query once,
+repeats the k pooling rows for every candidate, and fills only the
+per-candidate title keywords, categories and dense statistics.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     CapacityError,
@@ -27,7 +38,7 @@ from .errors import (
     SchemaError,
     TrainingError,
 )
-from .features import AttentionParams, ConvParams, extract_keywords
+from .features import extract_keywords
 from .graph import EntityRef
 from .metrics import auc
 from .numeric import ParamStore, adam_step, relu, sigmoid
@@ -118,10 +129,7 @@ class Batch:
     """Index arrays and constants for one minibatch."""
 
     n: int
-    bmat: np.ndarray | None  # (n, d, k) precomputed behavior matrices (frozen mode)
-    beh_src: np.ndarray | None  # flat item ids (finetune mode)
-    beh_owner: np.ndarray | None  # flat row index into n*k
-    beh_counts: np.ndarray | None  # (n*k,)
+    pool: sp.csr_matrix  # (n*k, entities): pool @ table gives the per-kind behavior means
     kw_ids: np.ndarray  # (n, P) int, 0 where padded
     kw_mask: np.ndarray  # (n, P) float64, 1 for real keywords
     cat_idx: np.ndarray  # (n, S) int, -1 where padded
@@ -130,76 +138,46 @@ class Batch:
 
 
 class Dataset:
-    """Featurized samples, sliceable into batches by index."""
+    """Featurized samples, sliceable into batches by index.
+
+    Row i*k + kind of the pooling operator belongs to sample i's behaviors
+    of that kind; see Featurizer.pooling_operator.
+    """
 
     def __init__(self, featurizer: "Featurizer", samples):
         f = featurizer
         self.featurizer = f
         self.n = len(samples)
-        cfg = f.cfg
-        p_total = cfg.max_query_keywords + cfg.max_title_keywords
-        self.kw_ids = np.zeros((self.n, p_total), dtype=np.int64)
-        self.kw_mask = np.zeros((self.n, p_total), dtype=np.float64)
-        self.cat_idx = np.full((self.n, cfg.n_cat_slots), -1, dtype=np.int64)
-        self.dense = np.zeros((self.n, f.n_dense), dtype=np.float64)
-        self.labels = np.zeros(self.n, dtype=np.float64)
-        self.behavior_ids: list[list[np.ndarray]] = []
-        k_eff = max(f.n_behavior_kinds, max(cfg.conv_widths))
-        self.bmat = np.zeros((self.n, f.dim, k_eff), dtype=np.float64)
-        for i, s in enumerate(samples):
-            ids = f.sample_keyword_ids(s)
-            self.kw_ids[i, : len(ids)] = ids
-            self.kw_mask[i, : len(ids)] = 1.0
-            for slot, cname in enumerate(s.categories[: cfg.n_cat_slots]):
-                self.cat_idx[i, slot] = f.category_index[cname]
-            if len(s.dense) != f.n_dense:
-                raise SchemaError(
-                    f"sample {i}: dense vector has {len(s.dense)} values, expected {f.n_dense}"
-                )
-            self.dense[i] = (np.asarray(s.dense, dtype=np.float64) - f.dense_mean) / f.dense_std
-            self.labels[i] = float(s.label)
-            per_kind = [
-                np.array([f.item_id(name) for name in beh], dtype=np.int64)
-                for beh in s.behaviors
-            ]
-            if len(per_kind) != f.n_behavior_kinds:
-                raise SchemaError(
-                    f"sample {i}: {len(per_kind)} behavior kinds, expected {f.n_behavior_kinds}"
-                )
-            self.behavior_ids.append(per_kind)
-            for kind, ids_k in enumerate(per_kind):
-                if len(ids_k):
-                    self.bmat[i, :, kind] = f.table[ids_k].mean(axis=0)
+        query_ids = {q: f.query_keyword_ids(q) for q in {s.query for s in samples}}
+        self.kw_ids, self.kw_mask = f.keyword_slots(
+            [query_ids[s.query] for s in samples], [s.candidate_item for s in samples]
+        )
+        self.cat_idx = f.category_slots([s.categories for s in samples])
+        self.dense = f.standardize([s.dense for s in samples])
+        self.pool = f.pooling_operator([s.behaviors for s in samples])
+        self.labels = np.array([s.label for s in samples], dtype=np.float64)
 
-    def batch(self, idx: np.ndarray, finetune: bool = False) -> Batch:
+    def batch(self, idx: np.ndarray) -> Batch:
         idx = np.asarray(idx, dtype=np.int64)
-        beh_src = beh_owner = beh_counts = None
-        bmat = self.bmat[idx]
-        if finetune:
-            k = self.featurizer.n_behavior_kinds
-            src, owner = [], []
-            counts = np.zeros(len(idx) * k, dtype=np.int64)
-            for row, i in enumerate(idx):
-                for kind, ids_k in enumerate(self.behavior_ids[i]):
-                    src.extend(ids_k.tolist())
-                    owner.extend([row * k + kind] * len(ids_k))
-                    counts[row * k + kind] = len(ids_k)
-            beh_src = np.array(src, dtype=np.int64)
-            beh_owner = np.array(owner, dtype=np.int64)
-            beh_counts = counts
-            bmat = None
+        k = self.featurizer.n_behavior_kinds
         return Batch(
             n=len(idx),
-            bmat=bmat,
-            beh_src=beh_src,
-            beh_owner=beh_owner,
-            beh_counts=beh_counts,
+            pool=self.pool[(idx[:, None] * k + np.arange(k)).ravel()],
             kw_ids=self.kw_ids[idx],
             kw_mask=self.kw_mask[idx],
             cat_idx=self.cat_idx[idx],
             dense=self.dense[idx],
             labels=self.labels[idx],
         )
+
+
+def _pad_rows(rows: list[list[int]], width: int, fill: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left-align ragged rows of at most width ints; returns (array, real-entry mask)."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    mask = np.arange(width) < lengths[:, None]
+    out = np.full((len(rows), width), fill, dtype=np.int64)
+    out[mask] = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
+    return out, mask
 
 
 class Featurizer:
@@ -220,7 +198,7 @@ class Featurizer:
         self.table = np.asarray(checkpoint.entity_table, dtype=np.float64)
         self.dim = checkpoint.dim
         self.item_meta = item_meta
-        self._entity_ids = {(e.kind, e.name): e.id for e in entities}
+        self._item_ids = {e.name: e.id for e in entities if e.kind == "item"}
         self.keyword_vocab = {e.name: e.id for e in entities if e.kind == "keyword"}
         cat_names = sorted(e.name for e in entities if e.kind == "category")
         self.category_index = {name: i for i, name in enumerate(cat_names)}
@@ -232,10 +210,9 @@ class Featurizer:
         self.dense_std: np.ndarray | None = None
 
     def item_id(self, name: str) -> int:
-        key = ("item", name)
-        if key not in self._entity_ids:
+        if name not in self._item_ids:
             raise KeyError(f"unknown item '{name}'")
-        return self._entity_ids[key]
+        return self._item_ids[name]
 
     def title_keyword_ids(self, item_name: str) -> list[int]:
         cached = self._title_ids_cache.get(item_name)
@@ -253,9 +230,55 @@ class Featurizer:
     def query_keyword_ids(self, query: str) -> list[int]:
         return extract_keywords(query, self.keyword_vocab, self.cfg.max_query_keywords)
 
-    def sample_keyword_ids(self, sample) -> list[int]:
-        return self.query_keyword_ids(sample.query) + self.title_keyword_ids(
-            sample.candidate_item
+    def keyword_slots(
+        self, query_ids: list[list[int]], items: list[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the query keyword ids then the item's title keyword ids.
+
+        Returns (kw_ids, kw_mask), both (rows, max_query + max_title).
+        """
+        rows = [q + self.title_keyword_ids(item) for q, item in zip(query_ids, items)]
+        width = self.cfg.max_query_keywords + self.cfg.max_title_keywords
+        ids, mask = _pad_rows(rows, width, 0)
+        return ids, mask.astype(np.float64)
+
+    def category_slots(self, categories: list[list[str]]) -> np.ndarray:
+        """Category indices of the first n_cat_slots categories per row, -1 padded."""
+        slots = self.cfg.n_cat_slots
+        index = self.category_index
+        return _pad_rows([[index[c] for c in cats[:slots]] for cats in categories], slots, -1)[0]
+
+    def standardize(self, dense: list[list[float]]) -> np.ndarray:
+        """(rows, n_dense) dense statistics scaled by the training-split mean and std."""
+        for i, row in enumerate(dense):
+            if len(row) != self.n_dense:
+                raise SchemaError(
+                    f"sample {i}: dense vector has {len(row)} values, expected {self.n_dense}"
+                )
+        raw = np.array(dense, dtype=np.float64).reshape(len(dense), self.n_dense)
+        return (raw - self.dense_mean) / self.dense_std
+
+    def pooling_operator(self, behaviors: list[list[list[str]]]) -> sp.csr_matrix:
+        """The (rows*k, entities) behavior-pooling operator P.
+
+        Row i*k + kind holds 1/count at the ids of row i's behavior items of
+        that kind (repeats add up), so P @ table is their mean embedding and
+        an empty behavior list gives a zero row.
+        """
+        k = self.n_behavior_kinds
+        for i, per_kind in enumerate(behaviors):
+            if len(per_kind) != k:
+                raise SchemaError(f"sample {i}: {len(per_kind)} behavior kinds, expected {k}")
+        lists = list(chain.from_iterable(behaviors))
+        counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+        try:
+            ids = [self._item_ids[name] for name in chain.from_iterable(lists)]
+        except KeyError as exc:
+            raise KeyError(f"unknown item '{exc.args[0]}'") from None
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        weights = np.repeat(1.0 / np.maximum(counts, 1), counts)
+        return sp.csr_matrix(
+            (weights, np.array(ids, dtype=np.int64), indptr), shape=(len(lists), len(self.table))
         )
 
     def fit_stats(self, train_samples) -> None:
@@ -356,36 +379,16 @@ class KdcnModel:
             return self.store.value("entity_table")
         return self.frozen_table
 
-    def conv_params(self) -> ConvParams:
-        cfg = self.cfg
-        filters = {
-            w: self.store.value(f"conv_w{w}").reshape(cfg.conv_filters, self.dim, w)
-            for w in cfg.conv_widths
-        }
-        biases = {w: self.store.value(f"conv_b{w}")[:, 0] for w in cfg.conv_widths}
-        return ConvParams(self.n_behavior_kinds, filters, biases)
-
-    def attention_params(self) -> AttentionParams:
-        return AttentionParams(
-            self.cfg.attention_heads,
-            self.store.value("attn_query"),
-            self.store.value("attn_key"),
-            self.store.value("attn_value"),
-        )
-
     # ---- batched forward -------------------------------------------------
 
-    def _behavior_matrices(self, batch: Batch, table: np.ndarray):
-        if batch.bmat is not None:
-            return batch.bmat, None
+    def _behavior_matrices(self, batch: Batch, table: np.ndarray) -> np.ndarray:
+        """(n, d, k_eff) per-kind behavior means, zero-padded to the widest filter."""
         k = self.n_behavior_kinds
         k_eff = max(k, max(self.cfg.conv_widths))
-        mean = np.zeros((batch.n * k, self.dim))
-        np.add.at(mean, batch.beh_owner, table[batch.beh_src])
-        mean /= np.maximum(batch.beh_counts, 1)[:, None]
+        mean = batch.pool @ table
         bmat = np.zeros((batch.n, self.dim, k_eff))
         bmat[:, :, :k] = mean.reshape(batch.n, k, self.dim).transpose(0, 2, 1)
-        return bmat, mean
+        return bmat
 
     def _user_state_forward(self, bmat: np.ndarray, cache: dict) -> np.ndarray:
         cfg = self.cfg
@@ -444,9 +447,8 @@ class KdcnModel:
         gathered *= (batch.cat_idx >= 0)[:, :, None]
         parts = [gathered.reshape(batch.n, -1), batch.dense]
         if cfg.use_user_state:
-            bmat, mean = self._behavior_matrices(batch, table)
+            bmat = self._behavior_matrices(batch, table)
             cache["bmat"] = bmat
-            cache["beh_mean"] = mean
             parts.append(self._user_state_forward(bmat, cache))
         if cfg.use_dialogue:
             parts.append(self._dialogue_forward(batch, table, cache))
@@ -581,8 +583,7 @@ class KdcnModel:
             if finetune:
                 k = self.n_behavior_kinds
                 dmean = dbmat[:, :, :k].transpose(0, 2, 1).reshape(batch.n * k, self.dim)
-                dmean = dmean / np.maximum(batch.beh_counts, 1)[:, None]
-                np.add.at(dtable, batch.beh_src, dmean[batch.beh_owner])
+                dtable += batch.pool.T @ dmean
 
         if cfg.use_dialogue:
             dd = df[:, offset : offset + self.d_dim]
@@ -617,52 +618,6 @@ class KdcnModel:
                 dx += dv_all.reshape(-1, self.dim) @ store.value("attn_value")
                 dx = dx.reshape(x.shape) * batch.kw_mask[:, :, None]
                 np.add.at(dtable, batch.kw_ids, dx)
-
-
-def cross_forward(f: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Stacked cross layers on one vector: x <- f * (x . w) + b + x, x0 = f."""
-    f = np.asarray(f, dtype=np.float64).ravel()
-    x = f
-    for w, b in layers:
-        w = np.asarray(w, dtype=np.float64).ravel()
-        b = np.asarray(b, dtype=np.float64).ravel()
-        if w.shape != f.shape or b.shape != f.shape:
-            raise DimensionError(
-                f"cross layer shapes {w.shape}/{b.shape} do not match input {f.shape}"
-            )
-        x = f * float(x @ w) + b + x
-    return x
-
-
-def deep_forward(f: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Fully-connected ReLU stack on one vector."""
-    x = np.asarray(f, dtype=np.float64).ravel()
-    for w, b in layers:
-        b = np.asarray(b, dtype=np.float64).ravel()
-        if w.shape[1] != x.shape[0] or w.shape[0] != b.shape[0]:
-            raise DimensionError(f"deep layer shape {w.shape} does not chain from {x.shape}")
-        x = relu(w @ x + b)
-    return x
-
-
-def predict(f: np.ndarray, model: KdcnModel) -> float:
-    """Probability for one assembled feature vector (reference path)."""
-    cfg = model.cfg
-    towers = []
-    if cfg.use_cross:
-        layers = [
-            (model.store.value(f"cross_w{i}").ravel(), model.store.value(f"cross_b{i}").ravel())
-            for i in range(cfg.n_cross)
-        ]
-        towers.append(cross_forward(f, layers))
-    if cfg.use_deep:
-        layers = [
-            (model.store.value(f"deep_w{i}"), model.store.value(f"deep_b{i}").ravel())
-            for i in range(cfg.deep_layers)
-        ]
-        towers.append(deep_forward(f, layers))
-    z = np.concatenate(towers)
-    return float(sigmoid(z @ model.store.value("logits_w").ravel()))
 
 
 def log_loss(p, y) -> float:
@@ -710,7 +665,7 @@ def fit(
         total = 0.0
         for start in range(0, train_set.n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch = train_set.batch(idx, finetune=cfg.finetune_embeddings)
+            batch = train_set.batch(idx)
             try:
                 loss, _ = model.loss_and_grads(batch)
             except TrainingError as exc:
@@ -761,24 +716,29 @@ def save_model(model: KdcnModel, path) -> None:
 def load_model_values(path) -> dict[str, np.ndarray]:
     """Read a model file back into name -> float64 array (f32 precision)."""
     with open(path, "rb") as fh:
+
+        def read(n: int, what: str) -> bytes:
+            raw = fh.read(n)
+            if len(raw) != n:
+                raise FormatError(f"{path}: truncated {what}")
+            return raw
+
         magic = fh.read(4)
         if magic != MODEL_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", read(4, "header"))
         if version != MODEL_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        (n_slots,) = struct.unpack("<I", fh.read(4))
+        (n_slots,) = struct.unpack("<I", read(4, "header"))
         manifest = []
         for _ in range(n_slots):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            rows, cols = struct.unpack("<II", fh.read(8))
+            (name_len,) = struct.unpack("<H", read(2, "manifest"))
+            name = read(name_len, "manifest").decode("utf-8")
+            rows, cols = struct.unpack("<II", read(8, "manifest"))
             manifest.append((name, rows, cols))
         values = {}
         for name, rows, cols in manifest:
-            raw = fh.read(4 * rows * cols)
-            if len(raw) != 4 * rows * cols:
-                raise FormatError(f"{path}: truncated payload for slot '{name}'")
+            raw = read(4 * rows * cols, f"payload for slot '{name}'")
             values[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(rows, cols)
     return values
 
@@ -804,6 +764,8 @@ def rank_candidates(
 ) -> list[tuple[str, float]]:
     """Score candidate items for one context; descending probability.
 
+    The behaviors and the query are featurized once per request; only the
+    title keywords, categories and dense statistics vary per candidate.
     Ties break by ascending item entity id, so the ordering is deterministic
     and invariant to the input candidate order.
     """
@@ -811,34 +773,28 @@ def rank_candidates(
         raise CapacityError(
             f"{len(candidates)} candidates exceed the cap of {model.cfg.candidate_cap}"
         )
-    from .datagen import Sample  # avoid a module cycle at import time
-
     for name in candidates:
         if name not in featurizer.item_meta:
             raise KeyError(f"unknown candidate item '{name}'")
+    ids = [featurizer.item_id(name) for name in candidates]
     # score in a canonical order so results are bit-identical under any
     # permutation of the input list
-    canonical = sorted(range(len(candidates)), key=lambda i: featurizer.item_id(candidates[i]))
-    pseudo = []
-    for i in canonical:
-        meta = featurizer.item_meta[candidates[i]]
-        pseudo.append(
-            Sample(
-                user_id="",
-                behaviors=behaviors,
-                query=query,
-                candidate_item=candidates[i],
-                categories=meta.categories,
-                dense=meta.dense,
-                label=0,
-            )
-        )
-    dataset = featurizer.prepare(pseudo)
-    canonical_scores = model.predict_batch(dataset.batch(np.arange(dataset.n)))
-    scores = np.empty(len(candidates))
-    scores[np.array(canonical, dtype=np.int64)] = canonical_scores
-    order = sorted(
-        range(len(candidates)),
-        key=lambda i: (-scores[i], featurizer.item_id(candidates[i])),
+    canonical = sorted(range(len(candidates)), key=ids.__getitem__)
+    names = [candidates[i] for i in canonical]
+    metas = [featurizer.item_meta[name] for name in names]
+    context = featurizer.pooling_operator([behaviors])
+    query_ids = featurizer.query_keyword_ids(query)
+    kw_ids, kw_mask = featurizer.keyword_slots([query_ids] * len(names), names)
+    batch = Batch(
+        n=len(names),
+        pool=context[np.tile(np.arange(context.shape[0]), len(names))],
+        kw_ids=kw_ids,
+        kw_mask=kw_mask,
+        cat_idx=featurizer.category_slots([meta.categories for meta in metas]),
+        dense=featurizer.standardize([meta.dense for meta in metas]),
+        labels=np.zeros(len(names)),
     )
+    scores = np.empty(len(candidates))
+    scores[np.array(canonical, dtype=np.int64)] = model.predict_batch(batch)
+    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], ids[i]))
     return [(candidates[i], float(scores[i])) for i in order]

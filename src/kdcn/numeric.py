@@ -34,10 +34,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, stable on both tails."""
+    """Elementwise logistic function, stable on both tails.
+
+    With e = exp(-|x|) it is 1/(1+e) for x >= 0 and e/(1+e) below; one
+    shared division keeps the two-branch form's exact values.
+    """
     x = np.asarray(x, dtype=np.float64)
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_grad(y: np.ndarray) -> np.ndarray:

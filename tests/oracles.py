@@ -1,8 +1,8 @@
 """Reference semantics the library's batched code is checked against.
 
-These are the direct, per-entity or dense forms of operations that
-``kdcn`` implements with sparse operators. Nothing under ``src/`` uses
-them; the tests compare the library against them.
+These are the direct, per-entity, per-sample or dense forms of operations
+that ``kdcn`` implements with batched arrays and sparse operators. Nothing
+under ``src/`` uses them; the tests compare the library against them.
 """
 
 from __future__ import annotations
@@ -10,8 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from kdcn.errors import CapacityError, DimensionError
+from kdcn.features import AttentionParams, BehaviorLog, ConvParams, behavior_matrix
 from kdcn.graph import DENSE_ADJACENCY_GUARD, Graph
-from kdcn.numeric import sigmoid
+from kdcn.model import Featurizer, KdcnModel
+from kdcn.numeric import relu, sigmoid
 from kdcn.pretrain import PretrainConfig
 from kdcn.rng import RngStream
 
@@ -102,3 +104,107 @@ def layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream) -> list[np.ndarra
             s[i, chosen] = 1.0 / len(chosen)
         operators.append(s)
     return operators
+
+
+def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function from one exp of -|x|, split on the sign of x."""
+    x = np.asarray(x, dtype=np.float64)
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def cross_forward(f: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Stacked cross layers on one vector: x <- f * (x . w) + b + x, x0 = f."""
+    f = np.asarray(f, dtype=np.float64).ravel()
+    x = f
+    for w, b in layers:
+        w = np.asarray(w, dtype=np.float64).ravel()
+        b = np.asarray(b, dtype=np.float64).ravel()
+        if w.shape != f.shape or b.shape != f.shape:
+            raise DimensionError(
+                f"cross layer shapes {w.shape}/{b.shape} do not match input {f.shape}"
+            )
+        x = f * float(x @ w) + b + x
+    return x
+
+
+def deep_forward(f: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Fully-connected ReLU stack on one vector."""
+    x = np.asarray(f, dtype=np.float64).ravel()
+    for w, b in layers:
+        b = np.asarray(b, dtype=np.float64).ravel()
+        if w.shape[1] != x.shape[0] or w.shape[0] != b.shape[0]:
+            raise DimensionError(f"deep layer shape {w.shape} does not chain from {x.shape}")
+        x = relu(w @ x + b)
+    return x
+
+
+def predict(f: np.ndarray, model: KdcnModel) -> float:
+    """Probability for one assembled feature vector."""
+    cfg = model.cfg
+    towers = []
+    if cfg.use_cross:
+        layers = [
+            (model.store.value(f"cross_w{i}").ravel(), model.store.value(f"cross_b{i}").ravel())
+            for i in range(cfg.n_cross)
+        ]
+        towers.append(cross_forward(f, layers))
+    if cfg.use_deep:
+        layers = [
+            (model.store.value(f"deep_w{i}"), model.store.value(f"deep_b{i}").ravel())
+            for i in range(cfg.deep_layers)
+        ]
+        towers.append(deep_forward(f, layers))
+    z = np.concatenate(towers)
+    return float(sigmoid(z @ model.store.value("logits_w").ravel()))
+
+
+def conv_params(model: KdcnModel) -> ConvParams:
+    """The model's user-state filter banks in per-sample form."""
+    cfg = model.cfg
+    filters = {
+        w: model.store.value(f"conv_w{w}").reshape(cfg.conv_filters, model.dim, w)
+        for w in cfg.conv_widths
+    }
+    biases = {w: model.store.value(f"conv_b{w}")[:, 0] for w in cfg.conv_widths}
+    return ConvParams(model.n_behavior_kinds, filters, biases)
+
+
+def attention_params(model: KdcnModel) -> AttentionParams:
+    """The model's dialogue attention projections in per-sample form."""
+    return AttentionParams(
+        model.cfg.attention_heads,
+        model.store.value("attn_query"),
+        model.store.value("attn_key"),
+        model.store.value("attn_value"),
+    )
+
+
+def sample_features(featurizer: Featurizer, sample) -> tuple[np.ndarray, list, list, np.ndarray]:
+    """One sample's (d x k behavior matrix, keyword ids, category slots, dense row)."""
+    f = featurizer
+    blog = BehaviorLog([[f.item_id(name) for name in beh] for beh in sample.behaviors])
+    kw = f.query_keyword_ids(sample.query) + f.title_keyword_ids(sample.candidate_item)
+    cats = [f.category_index[c] for c in sample.categories[: f.cfg.n_cat_slots]]
+    dense = (np.asarray(sample.dense, dtype=np.float64) - f.dense_mean) / f.dense_std
+    return behavior_matrix(blog, f.table), kw, cats, dense
+
+
+def behavior_scatter(featurizer: Featurizer, samples) -> tuple[np.ndarray, ...]:
+    """Flat behavior item ids, their owner rows (i*k + kind) and per-row counts."""
+    k = featurizer.n_behavior_kinds
+    src, owner = [], []
+    counts = np.zeros(len(samples) * k, dtype=np.int64)
+    for row, s in enumerate(samples):
+        for kind, beh in enumerate(s.behaviors):
+            src.extend(featurizer.item_id(name) for name in beh)
+            owner.extend([row * k + kind] * len(beh))
+            counts[row * k + kind] = len(beh)
+    return np.array(src, dtype=np.int64), np.array(owner, dtype=np.int64), counts
+
+
+def scatter_dtable(src, owner, counts, dmean: np.ndarray, n_entities: int) -> np.ndarray:
+    """Fine-tuning gradient of the entity table from per-row mean gradients."""
+    dtable = np.zeros((n_entities, dmean.shape[1]))
+    np.add.at(dtable, src, (dmean / np.maximum(counts, 1)[:, None])[owner])
+    return dtable

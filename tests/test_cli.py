@@ -171,6 +171,33 @@ class TestPipeline:
         assert code == 2
 
 
+class TestRankInputErrors:
+    @pytest.fixture()
+    def trained(self, workdir, capsys):
+        out, cfg = workdir
+        base = ["--seed", "0", "--config", str(cfg), "--out", str(out)]
+        for cmd in ("gen-data", "build-kg", "pretrain", "train"):
+            assert main([cmd] + base) == 0, cmd
+        capsys.readouterr()
+        return out
+
+    def rank_errors(self, out, capsys, *extra) -> list[str]:
+        code = main(["rank", "--out", str(out), "--user", "user0", "--query", "kw0", *extra])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(err) == 1 and err[0].startswith("error:"), (code, err)
+        return err
+
+    def test_duplicate_candidates(self, trained, capsys):
+        err = self.rank_errors(trained, capsys, "--candidates", "item1,item0,item1")
+        assert "item1" in err[0] and "item0" not in err[0]
+
+    def test_truncated_model_file(self, trained, capsys):
+        model = trained / "kdcn.bin"
+        model.write_bytes(model.read_bytes()[:30])
+        err = self.rank_errors(trained, capsys, "--candidates", "item0")
+        assert "kdcn.bin" in err[0] and "truncated" in err[0]
+
+
 def _masked_report(path: Path) -> str:
     # wall-clock time is the one legitimately non-reproducible column
     lines = path.read_text().splitlines()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +7,21 @@ from hypothesis import strategies as st
 
 import kdcn.model as km
 import kdcn.pretrain as pt
-from kdcn.datagen import ClickModel, WorldConfig, generate_samples, generate_world
-from kdcn.errors import CapacityError, DimensionError, FormatError
+from kdcn.datagen import ClickModel, Sample, WorldConfig, generate_samples, generate_world
+from kdcn.errors import CapacityError, DimensionError, FormatError, SchemaError
 from kdcn.graph import Graph
 from kdcn.numeric import finite_diff_check, sigmoid
 from kdcn.rng import RngStream
+from oracles import (
+    attention_params,
+    behavior_scatter,
+    conv_params,
+    cross_forward,
+    deep_forward,
+    predict,
+    sample_features,
+    scatter_dtable,
+)
 
 
 def small_setup(seed=2, n_samples=60, **cfg_overrides):
@@ -38,33 +50,33 @@ def small_setup(seed=2, n_samples=60, **cfg_overrides):
 
 class TestCrossForward:
     def test_hand_example(self):
-        out = km.cross_forward([1.0, 0.0], [(np.array([1.0, 0.0]), np.zeros(2))])
+        out = cross_forward([1.0, 0.0], [(np.array([1.0, 0.0]), np.zeros(2))])
         assert np.array_equal(out, [2.0, 0.0])
 
     def test_zero_params_identity(self):
         f = RngStream(0).uniform(-1, 1, 5)
         layers = [(np.zeros(5), np.zeros(5))] * 3
-        assert np.array_equal(km.cross_forward(f, layers), f)
+        assert np.array_equal(cross_forward(f, layers), f)
 
     def test_zero_input_sums_biases(self):
         rng = RngStream(1)
         layers = [(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)) for _ in range(3)]
-        out = km.cross_forward(np.zeros(4), layers)
+        out = cross_forward(np.zeros(4), layers)
         assert np.allclose(out, sum(b for _, b in layers), atol=1e-12)
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionError):
-            km.cross_forward(np.zeros(3), [(np.zeros(4), np.zeros(3))])
+            cross_forward(np.zeros(3), [(np.zeros(4), np.zeros(3))])
 
 
 class TestDeepForward:
     def test_zero_params_zero_output(self):
-        out = km.deep_forward(np.ones(4), [(np.zeros((3, 4)), np.zeros(3))])
+        out = deep_forward(np.ones(4), [(np.zeros((3, 4)), np.zeros(3))])
         assert np.array_equal(out, np.zeros(3))
 
     def test_positive_region_is_linear(self):
         w = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        out = km.deep_forward([2.0, 3.0, 9.0], [(w, np.zeros(2))])
+        out = deep_forward([2.0, 3.0, 9.0], [(w, np.zeros(2))])
         assert np.array_equal(out, [2.0, 3.0])
 
     def test_against_loop_oracle(self):
@@ -74,7 +86,7 @@ class TestDeepForward:
             (rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, 4)),
             (rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, 3)),
         ]
-        out = km.deep_forward(x, layers)
+        out = deep_forward(x, layers)
         cur = x
         for w, b in layers:
             nxt = np.zeros(w.shape[0])
@@ -88,7 +100,7 @@ class TestDeepForward:
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionError):
-            km.deep_forward(np.zeros(3), [(np.zeros((2, 4)), np.zeros(2))])
+            deep_forward(np.zeros(3), [(np.zeros((2, 4)), np.zeros(2))])
 
 
 class TestLogLoss:
@@ -123,32 +135,32 @@ class TestPredict:
         model, _, _ = self.build()
         model.store.value("logits_w")[...] = 0.0
         f = RngStream(4).uniform(-1, 1, model.f_width)
-        assert km.predict(f, model) == 0.5
+        assert predict(f, model) == 0.5
 
     def test_negated_logits_flip_probability(self):
         model, _, _ = self.build()
         f = RngStream(5).uniform(-1, 1, model.f_width)
-        p = km.predict(f, model)
+        p = predict(f, model)
         model.store.value("logits_w")[...] *= -1.0
-        assert km.predict(f, model) == pytest.approx(1.0 - p, rel=1e-9)
+        assert predict(f, model) == pytest.approx(1.0 - p, rel=1e-9)
 
     def test_strictly_inside_unit_interval(self):
         model, _, _ = self.build()
         f = RngStream(6).uniform(-1, 1, model.f_width)
-        assert 0.0 < km.predict(f, model) < 1.0
+        assert 0.0 < predict(f, model) < 1.0
 
     def test_matches_composed_oracle(self):
         model, _, _ = self.build()
         cfg = model.cfg
         f = RngStream(7).uniform(-1, 1, model.f_width)
-        x_c = km.cross_forward(
+        x_c = cross_forward(
             f,
             [
                 (model.store.value(f"cross_w{i}").ravel(), model.store.value(f"cross_b{i}").ravel())
                 for i in range(cfg.n_cross)
             ],
         )
-        x_d = km.deep_forward(
+        x_d = deep_forward(
             f,
             [
                 (model.store.value(f"deep_w{i}"), model.store.value(f"deep_b{i}").ravel())
@@ -157,7 +169,7 @@ class TestPredict:
         )
         z = np.concatenate([x_c, x_d])
         expected = float(sigmoid(z @ model.store.value("logits_w").ravel()))
-        assert km.predict(f, model) == pytest.approx(expected, abs=1e-12)
+        assert predict(f, model) == pytest.approx(expected, abs=1e-12)
 
     def test_batched_equals_per_sample(self):
         model, feat, split = self.build()
@@ -166,7 +178,7 @@ class TestPredict:
         from kdcn.features import BehaviorLog, DialogueInput, FeatureBundle
         from kdcn.features import assemble_features, behavior_matrix, dialogue_interaction, user_state
 
-        conv, attn = model.conv_params(), model.attention_params()
+        conv, attn = conv_params(model), attention_params(model)
         for i, s in enumerate(split.train[:8]):
             blog = BehaviorLog([[feat.item_id(n) for n in b] for b in s.behaviors])
             u = user_state(behavior_matrix(blog, feat.table), conv)
@@ -184,7 +196,82 @@ class TestPredict:
                 [feat.category_index[c] for c in s.categories], dense, u, d.ravel()
             )
             f = assemble_features(bundle, model.store.value("cat_table"), model.cfg.n_cat_slots)
-            assert km.predict(f, model) == pytest.approx(p_batch[i], abs=1e-10)
+            assert predict(f, model) == pytest.approx(p_batch[i], abs=1e-10)
+
+
+def edge_samples(feat, samples):
+    """Copies of samples, the first few turned into featurization edge cases."""
+    out = [
+        dataclasses.replace(s, behaviors=[list(b) for b in s.behaviors], categories=list(s.categories))
+        for s in samples
+    ]
+    out[0].behaviors = [[] for _ in out[0].behaviors]
+    out[1].behaviors = [b if kind % 2 else [] for kind, b in enumerate(out[1].behaviors)]
+    out[2].query = "no known keyword here"
+    out[3].categories = sorted(feat.category_index)
+    out[4].categories = []
+    out[5].behaviors = [b[:1] * 3 for b in out[5].behaviors]
+    return out
+
+
+class TestDataset:
+    def build(self, **overrides):
+        world, ckpt, split, meta, cfg = small_setup(**overrides)
+        feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+        feat.fit_stats(split.train)
+        return feat, edge_samples(feat, split.train[:12])
+
+    @pytest.mark.parametrize("n_cat_slots", [1, 2])
+    def test_matches_per_sample_oracle(self, n_cat_slots):
+        feat, samples = self.build(n_cat_slots=n_cat_slots)
+        assert len(samples[3].categories) > n_cat_slots
+        ds = feat.prepare(samples)
+        k, width = feat.n_behavior_kinds, ds.kw_ids.shape[1]
+        means = (ds.pool @ feat.table).reshape(ds.n, k, feat.dim)
+        for i, s in enumerate(samples):
+            bmat, kw, cats, dense = sample_features(feat, s)
+            assert np.abs(means[i].T - bmat).max() <= 1e-15
+            assert ds.kw_ids[i].tolist() == kw + [0] * (width - len(kw))
+            assert ds.kw_mask[i].tolist() == [1.0] * len(kw) + [0.0] * (width - len(kw))
+            assert ds.cat_idx[i].tolist() == cats + [-1] * (n_cat_slots - len(cats))
+            assert np.abs(ds.dense[i] - dense).max() <= 1e-15
+        assert not means[0].any() and feat.query_keyword_ids(samples[2].query) == []
+        idx = np.array([7, 0, 5, 5, 2])
+        batch = ds.batch(idx)
+        assert np.array_equal(batch.pool @ feat.table, means[idx].reshape(-1, feat.dim))
+        assert np.array_equal(batch.kw_ids, ds.kw_ids[idx])
+
+    def test_empty_sample_list(self):
+        feat, _ = self.build()
+        ds = feat.prepare([])
+        assert ds.n == 0 and ds.pool.shape == (0, len(feat.table))
+        assert ds.dense.shape == (0, feat.n_dense)
+
+    def test_schema_errors_name_the_sample(self):
+        feat, samples = self.build()
+        short = list(samples)
+        short[5] = dataclasses.replace(samples[5], dense=samples[5].dense[:-1])
+        with pytest.raises(SchemaError, match="sample 5: dense"):
+            feat.prepare(short)
+        kinds = list(samples)
+        kinds[6] = dataclasses.replace(samples[6], behaviors=samples[6].behaviors[:-1])
+        with pytest.raises(SchemaError, match="sample 6: .* behavior kinds"):
+            feat.prepare(kinds)
+
+    def test_unknown_behavior_item_is_key_error(self):
+        feat, samples = self.build()
+        samples[8].behaviors[1] = ["no-such-item"]
+        with pytest.raises(KeyError, match="no-such-item"):
+            feat.prepare(samples)
+
+    def test_finetune_dtable_equals_scatter_add(self):
+        feat, samples = self.build()
+        idx = np.array([5, 0, 3, 3, 9, 1])
+        batch = feat.prepare(samples).batch(idx)
+        dmean = RngStream(21).uniform(-1, 1, (batch.n * feat.n_behavior_kinds, feat.dim))
+        src, owner, counts = behavior_scatter(feat, [samples[i] for i in idx])
+        expected = scatter_dtable(src, owner, counts, dmean, len(feat.table))
+        assert np.abs(batch.pool.T @ dmean - expected).max() <= 1e-15
 
 
 class TestGradients:
@@ -207,7 +294,7 @@ class TestGradients:
                     -0.05, 0.05, model.store.value(name).shape
                 )
             ds = feat.prepare(split.train[:10])
-            batch = ds.batch(np.arange(10), finetune=cfg.finetune_embeddings)
+            batch = ds.batch(np.arange(10))
             model.store.zero_grads()
             model.loss_and_grads(batch)
             errs = {
@@ -327,6 +414,27 @@ class TestRankCandidates:
         )
         assert a == b
 
+    @pytest.mark.parametrize("n_cands", [1, 7, 50])
+    @pytest.mark.parametrize("empty_behaviors", [False, True])
+    def test_matches_pseudo_sample_batch(self, n_cands, empty_behaviors):
+        world, split, result = self.build()
+        feat, s = result.featurizer, split.train[1]
+        behaviors = [[] for _ in s.behaviors] if empty_behaviors else s.behaviors
+        # a stride of 3 over 10 items: distinct up to 10 candidates, repeated beyond
+        cands = [world.items[(3 * j) % len(world.items)] for j in range(n_cands)]
+        ranked = km.rank_candidates(behaviors, s.query, cands, result.model, feat)
+        ordered = sorted(cands, key=feat.item_id)
+        pseudo = [
+            Sample("", behaviors, s.query, name, feat.item_meta[name].categories,
+                   feat.item_meta[name].dense, 0)
+            for name in ordered
+        ]
+        probs = result.model.predict_batch(feat.prepare(pseudo).batch(np.arange(len(pseudo))))
+        expected = dict(zip(ordered, probs))
+        assert sorted(name for name, _ in ranked) == sorted(cands)
+        for name, p in ranked:
+            assert abs(p - expected[name]) <= 1e-12
+
     def test_unknown_item(self):
         world, split, result = self.build()
         with pytest.raises(KeyError):
@@ -368,3 +476,19 @@ class TestModelFile:
         path.write_bytes(b"JUNKxxxxxxxx")
         with pytest.raises(FormatError, match="magic"):
             km.load_model_values(path)
+
+    def test_truncation_is_format_error(self, tmp_path):
+        world, ckpt, split, meta, cfg = small_setup(epochs=0)
+        feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+        feat.fit_stats(split.train)
+        model = km.KdcnModel.build(cfg, feat, RngStream(16))
+        path = tmp_path / "m.bin"
+        km.save_model(model, path)
+        data = path.read_bytes()
+        header = 12 + sum(2 + len(n.encode()) + 8 for n in model.store.names())
+        payload = len(data) - header
+        cuts = list(range(header + 1)) + [header + payload // 3, len(data) - 1]
+        for cut in cuts:
+            path.write_bytes(data[:cut])
+            with pytest.raises(FormatError, match=str(path)):
+                km.load_model_values(path)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from kdcn.numeric import (
     softmax_rows,
 )
 from kdcn.rng import RngStream
+from oracles import two_branch_sigmoid
 
 
 class TestMatmul:
@@ -54,6 +57,13 @@ class TestSigmoid:
     def test_saturates_without_overflow(self):
         y = sigmoid(np.array([[-1e4, 1e4]]))
         assert np.all(np.isfinite(y)) and np.all((y >= 0) & (y <= 1))
+
+    def test_matches_two_branch_formula(self):
+        x = np.linspace(-800.0, 800.0, 160_001).reshape(1, -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = sigmoid(x)
+        assert np.array_equal(y, two_branch_sigmoid(x))
 
 
 class TestSoftmaxRows:
