@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen, graph, model as model_mod, pretrain as pretrain_mod
-from .errors import KdcnError
+from .errors import ConfigError, KdcnError
 from .metrics import auc, epochs_to_threshold
 from .rng import RngStream
 
@@ -53,7 +53,10 @@ def _get(cfg: dict, key: str, cast, default):
     raw = cfg[key]
     if cast is bool:
         return raw.lower() in ("1", "true", "yes", "on")
-    return cast(raw)
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ConfigError(f"config key '{key}': {raw!r} is not a valid {cast.__name__}") from None
 
 
 def _world_config(cfg: dict, seed: int) -> datagen.WorldConfig:

@@ -144,8 +144,11 @@ def user_state(b: np.ndarray, conv: ConvParams) -> np.ndarray:
 def extract_keywords(text: str, vocab, cap: int = 8) -> list[int]:
     """Lowercase, split on non-alphanumerics, keep in-vocabulary tokens.
 
-    Deduplicates preserving first occurrence and truncates to cap ids.
+    Deduplicates preserving first occurrence and truncates to cap ids; a
+    cap of 0 or less keeps none.
     """
+    if cap <= 0:
+        return []
     seen: list[int] = []
     found: set[int] = set()
     for token in _TOKEN_RE.split(text.lower()):

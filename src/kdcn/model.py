@@ -6,6 +6,14 @@ Two parallel towers process f: a cross network (each layer computes the
 scalar x'w and adds f*scalar + bias back onto a residual path) and a deep
 ReLU network; their outputs concatenate into a single logits dot product.
 
+The cross tower runs in closed form. A cross layer only rescales f by one
+scalar per row and adds a bias, so after l layers x_l = f * c_l + B_l, with
+B_l the sum of the first l biases. cross_tower computes all L layer scalars
+from one (n, L) GEMM G = f @ [w_0 .. w_{L-1}] and a per-row recursion on
+c, then writes the n x F output once; cross_tower_backward mirrors that
+with one GEMM into df and one into the stacked weight gradient. The cache
+holds G, c and the bias prefix sums instead of L copies of the n x F x_l.
+
 Training is batched numpy with hand-written backward passes; the per-sample
 operations in kdcn.features and tests/oracles.py are the reference semantics
 and the batched paths are tested to match them. Ablation flags remove feature
@@ -23,6 +31,7 @@ per-candidate title keywords, categories and dense statistics.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from itertools import chain
@@ -379,6 +388,13 @@ class KdcnModel:
             return self.store.value("entity_table")
         return self.frozen_table
 
+    def _cross_stack(self, prefix: str) -> np.ndarray:
+        """The n_cross slots named prefix0, prefix1, ... as the columns of one (F, L) array."""
+        out = np.empty((self.f_width, self.cfg.n_cross))
+        for i in range(self.cfg.n_cross):
+            out[:, i] = self.store.value(f"{prefix}{i}")[:, 0]
+        return out
+
     # ---- batched forward -------------------------------------------------
 
     def _behavior_matrices(self, batch: Batch, table: np.ndarray) -> np.ndarray:
@@ -463,16 +479,9 @@ class KdcnModel:
         cache["f"] = f
         towers = []
         if cfg.use_cross:
-            x = f
-            cache["cross"] = []
-            for i in range(cfg.n_cross):
-                w = self.store.value(f"cross_w{i}")
-                b = self.store.value(f"cross_b{i}")
-                s = x @ w
-                cache["cross"].append({"x": x, "s": s})
-                x = f * s + b.T + x
+            w, b = self._cross_stack("cross_w"), self._cross_stack("cross_b")
+            x, cache["cross"] = cross_tower(f, w, b)
             towers.append(x)
-            cache["x_cross"] = x
         if cfg.use_deep:
             x = f
             cache["deep"] = []
@@ -515,21 +524,14 @@ class KdcnModel:
         store.grad("logits_w")[...] += z_out.T @ dlogit[:, None]
         dz = dlogit[:, None] @ w_logits.T
 
-        df = np.zeros_like(cache["f"])
+        df = 0.0
         offset = 0
         if cfg.use_cross:
-            dx = dz[:, : self.f_width]
             offset = self.f_width
-            f = cache["f"]
-            for i in range(cfg.n_cross - 1, -1, -1):
-                layer = cache["cross"][i]
-                w = store.value(f"cross_w{i}")
-                store.grad(f"cross_b{i}")[...] += dx.sum(axis=0)[:, None]
-                df += dx * layer["s"]
-                ds = (dx * f).sum(axis=1, keepdims=True)
-                store.grad(f"cross_w{i}")[...] += layer["x"].T @ ds
-                dx = dx + ds @ w.T
-            df += dx
+            df, dw, db = cross_tower_backward(cache["f"], dz[:, :offset], cache["cross"])
+            for i in range(cfg.n_cross):
+                store.grad(f"cross_w{i}")[:, 0] += dw[:, i]
+                store.grad(f"cross_b{i}")[:, 0] += db[:, i]
         if cfg.use_deep:
             dx = dz[:, offset:]
             for i in range(cfg.deep_layers - 1, -1, -1):
@@ -538,7 +540,7 @@ class KdcnModel:
                 store.grad(f"deep_w{i}")[...] += dzl.T @ layer["x"]
                 store.grad(f"deep_b{i}")[...] += dzl.sum(axis=0)[:, None]
                 dx = dzl @ store.value(f"deep_w{i}")
-            df += dx
+            df = df + dx
 
         self._assemble_backward(batch, cache, df)
         if not np.isfinite(loss):
@@ -618,6 +620,56 @@ class KdcnModel:
                 dx += dv_all.reshape(-1, self.dim) @ store.value("attn_value")
                 dx = dx.reshape(x.shape) * batch.kw_mask[:, :, None]
                 np.add.at(dtable, batch.kw_ids, dx)
+
+
+def cross_tower(f: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """All cross layers x <- f * (x @ w_l) + b_l + x from x_0 = f, in closed form.
+
+    w and b hold one layer per column, (F, L). Every layer only rescales f
+    by a per-row scalar and adds a bias, so x_l = f * c_l + B_l with c_0 = 1
+    and B_l = b_0 + ... + b_{l-1}. With G = f @ w (one GEMM),
+    c_{l+1} = c_l * (1 + G[:, l]) + B_l . w_l, and the n x F output is
+    written once. Returns (x_L, cache for cross_tower_backward).
+    """
+    n_layers = w.shape[1]
+    prefix = np.cumsum(np.concatenate([np.zeros((1, len(w))), b.T]), axis=0)  # rows B_0 .. B_L
+    offsets = np.einsum("lf,fl->l", prefix[:-1], w)
+    g = f @ w
+    c = np.ones((len(f), n_layers + 1))
+    for l in range(n_layers):
+        c[:, l + 1] = c[:, l] * (1.0 + g[:, l]) + offsets[l]
+    # in place: a second n x F temporary costs more than the arithmetic
+    x = f * c[:, -1:]
+    x += prefix[-1]
+    return x, (w, prefix, g, c)
+
+
+def cross_tower_backward(f: np.ndarray, dx: np.ndarray, cache) -> tuple[np.ndarray, ...]:
+    """Gradients (df, dw, db) of the cross tower from dx = dLoss/dx_L.
+
+    Runs the per-row scalar recursion of cross_tower backwards: dc_{l+1}
+    is the gradient of layer l's scalar x_l @ w_l, so dG[:, l] =
+    dc_{l+1} * c_l and B_l . w_l collects sum(dc_{l+1}), which reaches
+    w_l through B_l and every b_j (j < l) through w_l.
+    """
+    w, prefix, g, c = cache
+    n_layers = w.shape[1]
+    dc = np.einsum("ij,ij->i", dx, f)
+    dg = np.empty_like(g)
+    dw = np.empty_like(w)
+    db = np.empty_like(w)
+    db_acc = dx.sum(axis=0)
+    for l in range(n_layers - 1, -1, -1):
+        dg[:, l] = dc * c[:, l]
+        d_offset = dc.sum()
+        dw[:, l] = prefix[l] * d_offset
+        db[:, l] = db_acc
+        db_acc = db_acc + w[:, l] * d_offset
+        dc = dc * (1.0 + g[:, l])
+    df = dg @ w.T
+    df += dx * c[:, -1:]
+    dw += f.T @ dg
+    return df, dw, db
 
 
 def log_loss(p, y) -> float:
@@ -736,6 +788,14 @@ def load_model_values(path) -> dict[str, np.ndarray]:
             name = read(name_len, "manifest").decode("utf-8")
             rows, cols = struct.unpack("<II", read(8, "manifest"))
             manifest.append((name, rows, cols))
+        # check the declared sizes before reading: a corrupt manifest can
+        # declare far more payload than any file holds
+        declared = sum(4 * rows * cols for _, rows, cols in manifest)
+        present = os.fstat(fh.fileno()).st_size - fh.tell()
+        if declared != present:
+            raise FormatError(
+                f"{path}: manifest declares {declared} payload bytes, file holds {present}"
+            )
         values = {}
         for name, rows, cols in manifest:
             raw = read(4 * rows * cols, f"payload for slot '{name}'")

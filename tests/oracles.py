@@ -128,6 +128,35 @@ def cross_forward(f: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]]) ->
     return x
 
 
+def cross_layers(f: np.ndarray, ws: list[np.ndarray], bs: list[np.ndarray]):
+    """The cross tower one batched layer at a time: x <- f * (x @ w) + b.T + x.
+
+    ws and bs hold (F, 1) columns. Returns (x_L, per-layer (x_l, s_l) cache).
+    """
+    x = f
+    layers = []
+    for w, b in zip(ws, bs):
+        s = x @ w
+        layers.append((x, s))
+        x = f * s + b.T + x
+    return x, layers
+
+
+def cross_layers_backward(f: np.ndarray, dx: np.ndarray, ws: list[np.ndarray], layers):
+    """Gradients (df, dws, dbs) of cross_layers, layer by layer from the top."""
+    df = np.zeros_like(f)
+    dws, dbs = [None] * len(ws), [None] * len(ws)
+    for i in range(len(ws) - 1, -1, -1):
+        x, s = layers[i]
+        dbs[i] = dx.sum(axis=0)[:, None]
+        df += dx * s
+        ds = (dx * f).sum(axis=1, keepdims=True)
+        dws[i] = x.T @ ds
+        dx = dx + ds @ ws[i].T
+    df += dx
+    return df, dws, dbs
+
+
 def deep_forward(f: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Fully-connected ReLU stack on one vector."""
     x = np.asarray(f, dtype=np.float64).ravel()

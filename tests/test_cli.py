@@ -82,6 +82,9 @@ class TestExitCodes:
             ("pretrain", ["mode = dense"], "mode"),
             ("pretrain", ["fanout = 0"], "fanout"),
             ("train", ["use_cross = false", "use_deep = false"], "use_cross"),
+            ("train", ["epochs = abc"], "'epochs': 'abc'"),
+            ("train", ["lr = x"], "'lr': 'x'"),
+            ("gen-data", ["n_users = 1.5"], "'n_users': '1.5'"),
         ],
     )
     def test_bad_config_value_is_data_error(self, workdir, capsys, command, lines, named):

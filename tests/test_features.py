@@ -134,6 +134,10 @@ class TestExtractKeywords:
     def test_cap(self):
         assert extract_keywords("red dress silk", self.VOCAB, cap=2) == [3, 5]
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_nonpositive_cap_keeps_none(self, cap):
+        assert extract_keywords("red dress silk", self.VOCAB, cap=cap) == []
+
     def test_punctuation_split(self):
         assert extract_keywords("Red, dress! (silk)", self.VOCAB) == [3, 5, 9]
 

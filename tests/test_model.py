@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from oracles import (
     behavior_scatter,
     conv_params,
     cross_forward,
+    cross_layers,
+    cross_layers_backward,
     deep_forward,
     predict,
     sample_features,
@@ -67,6 +70,62 @@ class TestCrossForward:
     def test_width_mismatch(self):
         with pytest.raises(DimensionError):
             cross_forward(np.zeros(3), [(np.zeros(4), np.zeros(3))])
+
+
+def cross_case(n_cross, n=37, width=23, seed=0):
+    """Random input, (F, 1) cross slots with nonzero biases, and an upstream gradient."""
+    rng = RngStream(seed)
+    f = rng.uniform(-1, 1, (n, width))
+    ws = [rng.uniform(-0.4, 0.4, (width, 1)) for _ in range(n_cross)]
+    bs = [rng.uniform(-0.5, 0.5, (width, 1)) for _ in range(n_cross)]
+    return f, ws, bs, rng.uniform(-1, 1, (n, width))
+
+
+def close(a, b, tol=1e-12):
+    return np.abs(a - b).max() <= tol * max(1.0, np.abs(b).max())
+
+
+class TestCrossTower:
+    @pytest.mark.parametrize("n_cross", [0, 1, 4])
+    def test_matches_layer_reference(self, n_cross):
+        f, ws, bs, dx = cross_case(n_cross)
+        stack = lambda cols: np.concatenate(cols, axis=1) if cols else np.zeros((f.shape[1], 0))
+        x, cache = km.cross_tower(f, stack(ws), stack(bs))
+        x_ref, layers = cross_layers(f, ws, bs)
+        assert close(x, x_ref)
+        df, dw, db = km.cross_tower_backward(f, dx, cache)
+        df_ref, dws_ref, dbs_ref = cross_layers_backward(f, dx, ws, layers)
+        assert close(df, df_ref)
+        assert dw.shape == db.shape == (f.shape[1], n_cross)
+        for i in range(n_cross):
+            assert close(dw[:, i : i + 1], dws_ref[i])
+            assert close(db[:, i : i + 1], dbs_ref[i])
+        if n_cross == 0:
+            assert np.array_equal(x, f) and np.array_equal(df, dx)
+
+    def test_batched_equals_per_sample(self):
+        f, ws, bs, _ = cross_case(4, seed=1)
+        x, _ = km.cross_tower(f, np.concatenate(ws, axis=1), np.concatenate(bs, axis=1))
+        layers = [(w.ravel(), b.ravel()) for w, b in zip(ws, bs)]
+        for i, row in enumerate(f):
+            assert close(x[i], cross_forward(row, layers))
+
+    def test_model_cross_slots_match_finite_differences(self):
+        world, ckpt, split, meta, cfg = small_setup(n_cross=3)
+        feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+        feat.fit_stats(split.train)
+        model = km.KdcnModel.build(cfg, feat, RngStream(30))
+        rng = RngStream(31)
+        for i in range(cfg.n_cross):
+            model.store.value(f"cross_b{i}")[...] = rng.uniform(-0.5, 0.5, (model.f_width, 1))
+        batch = feat.prepare(split.train[:10]).batch(np.arange(10))
+        model.store.zero_grads()
+        model.loss_and_grads(batch)
+        # the cross slots act after f, past every ReLU and max-pool kink
+        for name in model.store.names():
+            if name.startswith("cross_"):
+                err = finite_diff_check(lambda: model.loss(batch), model.store, name)
+                assert err < 1e-6, (name, err)
 
 
 class TestDeepForward:
@@ -240,6 +299,14 @@ class TestDataset:
         batch = ds.batch(idx)
         assert np.array_equal(batch.pool @ feat.table, means[idx].reshape(-1, feat.dim))
         assert np.array_equal(batch.kw_ids, ds.kw_ids[idx])
+
+    def test_no_query_keyword_slots(self):
+        feat, samples = self.build(max_query_keywords=0)
+        ds = feat.prepare(samples)
+        assert ds.kw_ids.shape == (len(samples), feat.cfg.max_title_keywords)
+        for i, s in enumerate(samples):
+            title = feat.title_keyword_ids(s.candidate_item)
+            assert ds.kw_ids[i, : len(title)].tolist() == title
 
     def test_empty_sample_list(self):
         feat, _ = self.build()
@@ -475,6 +542,16 @@ class TestModelFile:
         path = tmp_path / "m.bin"
         path.write_bytes(b"JUNKxxxxxxxx")
         with pytest.raises(FormatError, match="magic"):
+            km.load_model_values(path)
+
+    @pytest.mark.parametrize("rows, cols, floats", [(2**32 - 1, 2**32 - 1, 1), (2, 3, 5)])
+    def test_declared_payload_must_match_file(self, tmp_path, rows, cols, floats):
+        path = tmp_path / "m.bin"
+        header = km.MODEL_MAGIC + struct.pack("<IIH", km.MODEL_VERSION, 1, 1) + b"w"
+        path.write_bytes(header + struct.pack("<II", rows, cols) + b"\0" * (4 * floats))
+        if rows > 2:
+            assert path.stat().st_size == 27
+        with pytest.raises(FormatError, match=f"{path}: manifest declares"):
             km.load_model_values(path)
 
     def test_truncation_is_format_error(self, tmp_path):
