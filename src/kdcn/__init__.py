@@ -16,7 +16,7 @@ from .rng import RngStream
 
 # keep the submodules addressable (kdcn.pretrain is the module; the training
 # entry point is kdcn.pretrain.pretrain)
-from . import datagen, features, graph, metrics, model, numeric, pretrain, rng  # noqa: E402
+from . import datagen, graph, metrics, model, numeric, pretrain, rng  # noqa: E402
 
 __all__ = [
     "ClickModel",
@@ -38,7 +38,6 @@ __all__ = [
     "datagen",
     "epochs_to_threshold",
     "export_checkpoint",
-    "features",
     "finite_diff_check",
     "fit",
     "generate_samples",

@@ -32,6 +32,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# every key a config file may set; any other key is an error
+CONFIG_KEYS = frozenset(
+    {
+        # world and click model (gen-data)
+        "n_users", "n_items", "n_categories", "n_sellers", "n_tags", "n_keywords",
+        "n_sessions", "n_samples", "alpha", "noise_std", "w_tag_match", "w_overlap",
+        "w_cluster",
+        # graph and pretraining (build-kg, pretrain)
+        "prune_min_count", "dim", "layers", "fanout", "margin", "pretrain_lr",
+        "pretrain_batch_size", "pretrain_epochs", "negatives_per_positive", "mode",
+        "aggregation", "self_loops",
+        # ranker (train, eval, rank)
+        "lr", "batch_size", "epochs", "use_user_state", "use_dialogue", "use_cross",
+        "use_deep", "n_cross", "deep_layers", "deep_width", "cat_dim", "n_cat_slots",
+        "conv_filters", "attention_heads", "max_query_keywords", "max_title_keywords",
+        "finetune_embeddings", "candidate_cap", "loss_threshold",
+    }
+)
+
+
 def load_config(path) -> dict[str, str]:
     """Flat key=value config; '#' starts a comment, blank lines ignored."""
     cfg: dict[str, str] = {}
@@ -48,6 +68,8 @@ def load_config(path) -> dict[str, str]:
 
 
 def _get(cfg: dict, key: str, cast, default):
+    if key not in CONFIG_KEYS:
+        raise ValueError(f"'{key}' is missing from CONFIG_KEYS")
     if key not in cfg:
         return default
     raw = cfg[key]
@@ -255,7 +277,7 @@ def cmd_eval(args, cfg: dict) -> None:
 
 def cmd_rank(args, cfg: dict) -> None:
     out = Path(args.out)
-    _, ckpt, entities, item_meta = _load_train_inputs(args, out)
+    split, ckpt, entities, item_meta = _load_train_inputs(args, out)
     with open(args.meta or out / "kdcn.meta.json", "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     stored = dict(meta["config"])
@@ -269,12 +291,10 @@ def cmd_rank(args, cfg: dict) -> None:
     mdl = model_mod.KdcnModel.build(tcfg, featurizer, RngStream(0))
     model_mod.restore_model_values(mdl, model_mod.load_model_values(args.model or out / "kdcn.bin"))
 
-    samples = datagen.load_samples(args.samples or out / "samples.jsonl")
-    behaviors = [[] for _ in range(featurizer.n_behavior_kinds)]
-    for s in samples:
-        if s.user_id == args.user:
-            behaviors = s.behaviors
-            break
+    behaviors = next((s.behaviors for s in split.all() if s.user_id == args.user), None)
+    if behaviors is None:
+        path = args.samples or out / "samples.jsonl"
+        raise KdcnError(f"user '{args.user}' has no sample in {path}")
     if args.candidates:
         candidates = args.candidates.split(",")
         repeated = sorted(name for name, n in Counter(candidates).items() if n > 1)
@@ -331,6 +351,9 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             raise UsageError("missing subcommand")
         cfg = load_config(args.config) if args.config else {}
+        unknown = sorted(set(cfg) - CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
         args.fn(args, cfg)
         return 0
     except UsageError as exc:

@@ -263,6 +263,11 @@ class Sample:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Sample":
+        for key in ("behaviors", "categories", "dense"):
+            if not isinstance(d[key], list):
+                raise TypeError(f"{key} must be a list, got {d[key]!r}")
+        if d["label"] not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {d['label']!r}")
         return cls(
             d["user_id"],
             d["behaviors"],
@@ -363,7 +368,7 @@ def load_samples(path) -> list[Sample]:
                 continue
             try:
                 out.append(Sample.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (ValueError, TypeError, KeyError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad sample record ({exc})") from exc
     return out
 

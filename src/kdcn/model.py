@@ -14,9 +14,14 @@ c, then writes the n x F output once; cross_tower_backward mirrors that
 with one GEMM into df and one into the stacked weight gradient. The cache
 holds G, c and the bias prefix sums instead of L copies of the n x F x_l.
 
+The dialogue block is multi-head self-attention over the query and title
+keyword embeddings, run over a head axis: each projection reshapes to
+(n, heads, P, head_dim), and the logits, the masked softmax and the
+weighted sum of values are one batched operation for all heads at once.
+
 Training is batched numpy with hand-written backward passes; the per-sample
-operations in kdcn.features and tests/oracles.py are the reference semantics
-and the batched paths are tested to match them. Ablation flags remove feature
+and per-head forms in tests/oracles.py are the reference semantics and the
+batched paths are tested to match them. Ablation flags remove feature
 blocks or towers structurally, so a disabled block contributes no parameters
 at all.
 
@@ -32,6 +37,7 @@ per-candidate title keywords, categories and dense statistics.
 from __future__ import annotations
 
 import os
+import re
 import struct
 from dataclasses import dataclass, field
 from itertools import chain
@@ -47,7 +53,6 @@ from .errors import (
     SchemaError,
     TrainingError,
 )
-from .features import extract_keywords
 from .graph import EntityRef
 from .metrics import auc
 from .numeric import ParamStore, adam_step, relu, sigmoid
@@ -55,6 +60,8 @@ from .pretrain import PretrainCheckpoint
 from .rng import RngStream
 
 _CLAMP = 1e-12
+_ATTN_SLOTS = ("attn_query", "attn_key", "attn_value")
+_TOKEN_RE = re.compile(r"[^0-9a-zA-Z_]+")
 
 
 @dataclass
@@ -187,6 +194,28 @@ def _pad_rows(rows: list[list[int]], width: int, fill: int) -> tuple[np.ndarray,
     out = np.full((len(rows), width), fill, dtype=np.int64)
     out[mask] = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
     return out, mask
+
+
+def extract_keywords(text: str, vocab, cap: int = 8) -> list[int]:
+    """Lowercase, split on non-alphanumerics, keep in-vocabulary tokens.
+
+    Deduplicates preserving first occurrence and truncates to cap ids; a
+    cap of 0 or less keeps none.
+    """
+    if cap <= 0:
+        return []
+    seen: list[int] = []
+    found: set[int] = set()
+    for token in _TOKEN_RE.split(text.lower()):
+        if not token:
+            continue
+        kid = vocab.get(token)
+        if kid is not None and kid not in found:
+            found.add(kid)
+            seen.append(kid)
+            if len(seen) == cap:
+                break
+    return seen
 
 
 class Featurizer:
@@ -362,7 +391,7 @@ class KdcnModel:
                 store.add(f"conv_b{width}", np.zeros((cfg.conv_filters, 1)))
         if cfg.use_dialogue:
             head_dim = d // cfg.attention_heads
-            for name in ("attn_query", "attn_key", "attn_value"):
+            for name in _ATTN_SLOTS:
                 store.add(name, _xavier(rng, (d, d), d, head_dim))
         if cfg.use_cross:
             for i in range(cfg.n_cross):
@@ -425,36 +454,31 @@ class KdcnModel:
         return np.concatenate(pooled_parts, axis=1)
 
     def _dialogue_forward(self, batch: Batch, table: np.ndarray, cache: dict) -> np.ndarray:
-        cfg = self.cfg
+        heads = self.cfg.attention_heads
         x = table[batch.kw_ids] * batch.kw_mask[:, :, None]
         n, p = batch.n, x.shape[1]
         x2 = x.reshape(n * p, self.dim)
-        # project all heads in one GEMM each; the matrices are row-blocked
-        q_all = (x2 @ self.store.value("attn_query").T).reshape(n, p, self.dim)
-        k_all = (x2 @ self.store.value("attn_key").T).reshape(n, p, self.dim)
-        v_all = (x2 @ self.store.value("attn_value").T).reshape(n, p, self.dim)
-        cache["attn"] = {"x": x, "q": q_all, "k": k_all, "v": v_all, "weights": []}
-        out_all = np.empty((n, p, self.dim))
-        head_dim = self.dim // cfg.attention_heads
-        valid = batch.kw_mask[:, None, :]  # (n, 1, P) key mask
-        for h in range(cfg.attention_heads):
-            lo = h * head_dim
-            q = q_all[:, :, lo : lo + head_dim]
-            k = k_all[:, :, lo : lo + head_dim]
-            logits = q @ k.transpose(0, 2, 1)
-            # padded keys have zero embeddings, so their logits are exactly 0;
-            # the row max therefore bounds every real logit and shifting by it
-            # stays stable. Padded columns are zeroed after the exp.
-            logits -= logits.max(axis=2, keepdims=True)
-            e = np.exp(logits)
-            e *= valid
-            denom = e.sum(axis=2, keepdims=True)
-            np.maximum(denom, 1e-300, out=denom)  # all-pad rows divide to 0
-            attn = e / denom
-            out_all[:, :, lo : lo + head_dim] = attn @ v_all[:, :, lo : lo + head_dim]
-            cache["attn"]["weights"].append(attn)
-        out_all *= batch.kw_mask[:, :, None]
-        return out_all.reshape(n, -1)
+        # one GEMM per projection; the matrices are row-blocked by head, so
+        # each output splits into a head axis: (n, heads, P, head_dim)
+        q, k, v = (
+            (x2 @ self.store.value(name).T).reshape(n, p, heads, -1).transpose(0, 2, 1, 3)
+            for name in _ATTN_SLOTS
+        )
+        # the (n, heads, P, P) logits become the weights in place
+        attn = q @ k.transpose(0, 1, 3, 2)
+        # padded keys have zero embeddings, so their logits are exactly 0;
+        # the row max therefore bounds every real logit and shifting by it
+        # stays stable. Padded columns are zeroed after the exp.
+        attn -= attn.max(axis=3, keepdims=True)
+        np.exp(attn, out=attn)
+        attn *= batch.kw_mask[:, None, None, :]
+        denom = attn.sum(axis=3, keepdims=True)
+        np.maximum(denom, 1e-300, out=denom)  # all-pad rows divide to 0
+        attn /= denom
+        cache["attn"] = (x, q, k, v, attn)
+        out = (attn @ v).transpose(0, 2, 1, 3).reshape(n, p, self.dim)
+        out *= batch.kw_mask[:, :, None]
+        return out.reshape(n, -1)
 
     def _assemble(self, batch: Batch, table: np.ndarray, cache: dict) -> np.ndarray:
         cfg = self.cfg
@@ -522,7 +546,7 @@ class KdcnModel:
         z_out = cache["z_out"]
         w_logits = store.value("logits_w")
         store.grad("logits_w")[...] += z_out.T @ dlogit[:, None]
-        dz = dlogit[:, None] @ w_logits.T
+        dz = np.outer(dlogit, w_logits[:, 0])
 
         df = 0.0
         offset = 0
@@ -588,38 +612,23 @@ class KdcnModel:
                 dtable += batch.pool.T @ dmean
 
         if cfg.use_dialogue:
-            dd = df[:, offset : offset + self.d_dim]
-            p_total = cfg.max_query_keywords + cfg.max_title_keywords
-            dstacked = dd.reshape(batch.n, p_total, self.dim) * batch.kw_mask[:, :, None]
-            attn_cache = cache["attn"]
-            x = attn_cache["x"]
-            q_all, k_all, v_all = attn_cache["q"], attn_cache["k"], attn_cache["v"]
-            n_heads = cfg.attention_heads
-            head_dim = self.dim // n_heads
-            dq_all = np.empty_like(q_all)
-            dk_all = np.empty_like(k_all)
-            dv_all = np.empty_like(v_all)
-            for h in range(n_heads):
-                lo = h * head_dim
-                a = attn_cache["weights"][h]
-                dout = dstacked[:, :, lo : lo + head_dim]
-                dattn = dout @ v_all[:, :, lo : lo + head_dim].transpose(0, 2, 1)
-                dv_all[:, :, lo : lo + head_dim] = a.transpose(0, 2, 1) @ dout
-                dlog = a * (dattn - (dattn * a).sum(axis=2, keepdims=True))
-                dq_all[:, :, lo : lo + head_dim] = dlog @ k_all[:, :, lo : lo + head_dim]
-                dk_all[:, :, lo : lo + head_dim] = dlog.transpose(0, 2, 1) @ q_all[
-                    :, :, lo : lo + head_dim
-                ]
+            x, q, k, v, a = cache["attn"]
+            dd = df[:, offset : offset + self.d_dim].reshape(*x.shape[:2], cfg.attention_heads, -1)
+            dout = (dd * batch.kw_mask[:, :, None, None]).transpose(0, 2, 1, 3)
+            # d weights, then in place the softmax backward to d logits
+            dlog = dout @ v.transpose(0, 1, 3, 2)
+            dlog -= (dlog * a).sum(axis=3, keepdims=True)
+            dlog *= a
+            grads = (dlog @ k, dlog.transpose(0, 1, 3, 2) @ q, a.transpose(0, 1, 3, 2) @ dout)
             x2 = x.reshape(-1, self.dim)
-            store.grad("attn_query")[...] += dq_all.reshape(-1, self.dim).T @ x2
-            store.grad("attn_key")[...] += dk_all.reshape(-1, self.dim).T @ x2
-            store.grad("attn_value")[...] += dv_all.reshape(-1, self.dim).T @ x2
+            dx = np.zeros_like(x2) if finetune else None
+            for name, grad in zip(_ATTN_SLOTS, grads):
+                grad = grad.transpose(0, 2, 1, 3).reshape(-1, self.dim)
+                store.grad(name)[...] += grad.T @ x2
+                if finetune:
+                    dx += grad @ store.value(name)
             if finetune:
-                dx = dq_all.reshape(-1, self.dim) @ store.value("attn_query")
-                dx += dk_all.reshape(-1, self.dim) @ store.value("attn_key")
-                dx += dv_all.reshape(-1, self.dim) @ store.value("attn_value")
-                dx = dx.reshape(x.shape) * batch.kw_mask[:, :, None]
-                np.add.at(dtable, batch.kw_ids, dx)
+                np.add.at(dtable, batch.kw_ids, dx.reshape(x.shape) * batch.kw_mask[:, :, None])
 
 
 def cross_tower(f: np.ndarray, w: np.ndarray, b: np.ndarray):

@@ -1,4 +1,4 @@
-"""Dense numeric core: matrix ops, Adam, and a finite-difference checker.
+"""Dense numeric core: activations, Adam, and a finite-difference checker.
 
 All tensors are 2-D float64 numpy arrays in row-major order ("Tensor2D").
 Model code works with plain arrays; trainable state lives in a ParamStore,
@@ -27,12 +27,6 @@ def tensor(data) -> np.ndarray:
     return arr
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, stable on both tails.
 
@@ -44,43 +38,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def sigmoid_grad(y: np.ndarray) -> np.ndarray:
-    """Derivative of sigmoid expressed through its output y."""
-    return y * (1.0 - y)
-
-
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
-
-
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction; each row sums to 1."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] < 1:
-        raise DimensionError(f"softmax_rows needs a 2-D input with >=1 column, got {m.shape}")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def conv_seq(b: np.ndarray, filt: np.ndarray, bias: float) -> np.ndarray:
-    """Valid 1-D convolution of a d x k sequence with a full-height d x N filter.
-
-    Output position t is the sum of the elementwise product of the filter with
-    the window b[:, t:t+N], plus the bias. Returns a vector of length k-N+1.
-    """
-    if b.ndim != 2 or filt.ndim != 2:
-        raise DimensionError("conv_seq expects 2-D input and filter")
-    d, k = b.shape
-    fd, n = filt.shape
-    if fd != d:
-        raise DimensionError(f"filter height {fd} does not match input height {d}")
-    if n > k:
-        raise DimensionError(f"filter width {n} exceeds sequence length {k}")
-    out = np.empty(k - n + 1, dtype=np.float64)
-    for t in range(k - n + 1):
-        out[t] = np.sum(b[:, t : t + n] * filt) + bias
-    return out
 
 
 @dataclass

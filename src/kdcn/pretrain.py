@@ -266,11 +266,10 @@ def negative_sample(triple: Triple, g: Graph, rng: RngStream, max_attempts: int 
 
 
 def _pair_scores(x: np.ndarray, rel: np.ndarray, pos: np.ndarray, neg: np.ndarray):
-    diff_p = x[pos[:, 0]] + rel[pos[:, 1]] - x[pos[:, 2]]
-    diff_n = x[neg[:, 0]] + rel[neg[:, 1]] - x[neg[:, 2]]
-    s_p = np.linalg.norm(diff_p, axis=1)
-    s_n = np.linalg.norm(diff_n, axis=1)
-    return diff_p, diff_n, s_p, s_n
+    """Stacked (positives, then negatives) pairs, their residuals h + r - t and norms."""
+    pairs = np.concatenate([pos, neg])
+    diff = x[pairs[:, 0]] + rel[pairs[:, 1]] - x[pairs[:, 2]]
+    return pairs, diff, np.linalg.norm(diff, axis=1)
 
 
 def pretrain_loss(
@@ -283,8 +282,8 @@ def pretrain_loss(
 ) -> float:
     """Margin ranking loss of fixed positive/negative pairs (pure forward)."""
     x, _ = _encode_forward(params, _operators(g, cfg, draws))
-    _, _, s_p, s_n = _pair_scores(x, params.relation_table, pos, neg)
-    return margin_loss(s_p, s_n, cfg.margin)
+    _, _, s = _pair_scores(x, params.relation_table, pos, neg)
+    return margin_loss(s[: len(pos)], s[len(pos) :], cfg.margin)
 
 
 def pretrain_loss_grads(
@@ -298,32 +297,31 @@ def pretrain_loss_grads(
     """Compute the pair loss and accumulate analytic grads into the store."""
     x, cache = _encode_forward(params, _operators(g, cfg, draws))
     rel = params.relation_table
-    diff_p, diff_n, s_p, s_n = _pair_scores(x, rel, pos, neg)
-    margins = s_p + cfg.margin - s_n
+    pairs, diff, s = _pair_scores(x, rel, pos, neg)
+    margins = s[: len(pos)] + cfg.margin - s[len(pos) :]
     active = margins > 0
     loss = float(margins[active].sum())
 
-    # d loss / d score: +1 for active positives, -1 for active negatives
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit_p = np.where(s_p[:, None] > 0, diff_p / np.where(s_p[:, None] > 0, s_p[:, None], 1.0), 0.0)
-        unit_n = np.where(s_n[:, None] > 0, diff_n / np.where(s_n[:, None] > 0, s_n[:, None], 1.0), 0.0)
-    unit_p[~active] = 0.0
-    unit_n[~active] = 0.0
+    # d loss / d score: +1 for active positives, -1 for active negatives;
+    # a zero residual has no direction and gets no gradient
+    sign = np.concatenate([1.0 * active, -1.0 * active]) * (s > 0)
+    unit = diff / np.where(s > 0, s, 1.0)[:, None]
+    unit *= sign[:, None]
 
-    d_x = np.zeros_like(x)
-    np.add.at(d_x, pos[:, 0], unit_p)
-    np.add.at(d_x, pos[:, 2], -unit_p)
-    np.add.at(d_x, neg[:, 0], -unit_n)
-    np.add.at(d_x, neg[:, 2], unit_n)
+    # one signed incidence operator scatters every pair's direction: + onto
+    # its head, - onto its tail, + onto its relation (rows after the entities)
+    n = len(x)
+    targets = np.stack([pairs[:, 0], pairs[:, 2], n + pairs[:, 1]], axis=1).ravel()
+    incidence = sp.csc_matrix(
+        (np.tile([1.0, -1.0, 1.0], len(pairs)), targets, np.arange(0, len(targets) + 1, 3)),
+        shape=(n + len(rel), len(pairs)),
+    )
+    d_all = incidence @ unit
 
-    d_rel = np.zeros_like(rel)
-    np.add.at(d_rel, pos[:, 1], unit_p)
-    np.add.at(d_rel, neg[:, 1], -unit_n)
-
-    d_entity, d_ws = _encode_backward(params, cache, d_x)
+    d_entity, d_ws = _encode_backward(params, cache, d_all[:n])
     store = params.store
     store.grad("entity_table")[...] += d_entity
-    store.grad("relation_table")[...] += d_rel
+    store.grad("relation_table")[...] += d_all[n:]
     for i, dw in enumerate(d_ws):
         store.grad(f"gcn_w{i}")[...] += dw
     return loss

@@ -1,21 +1,63 @@
 """Reference semantics the library's batched code is checked against.
 
-These are the direct, per-entity, per-sample or dense forms of operations
-that ``kdcn`` implements with batched arrays and sparse operators. Nothing
-under ``src/`` uses them; the tests compare the library against them.
+These are the direct, per-entity, per-sample, per-layer, per-head or dense
+forms of operations that ``kdcn`` implements with batched arrays, a head
+axis and sparse operators: the graph encoder's dense adjacency and
+neighbor draws, the ranker's per-sample feature blocks (behavior means,
+user-state convolutions, dialogue attention, assembly) and towers, the
+cross tower layer by layer and the dialogue attention head by head.
+Nothing under ``src/`` uses them; the tests compare the library against
+them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from kdcn.errors import CapacityError, DimensionError
-from kdcn.features import AttentionParams, BehaviorLog, ConvParams, behavior_matrix
 from kdcn.graph import DENSE_ADJACENCY_GUARD, Graph
 from kdcn.model import Featurizer, KdcnModel
 from kdcn.numeric import relu, sigmoid
 from kdcn.pretrain import PretrainConfig
 from kdcn.rng import RngStream
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    return a @ b
+
+
+def softmax_rows(m: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max-subtraction; each row sums to 1."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[1] < 1:
+        raise DimensionError(f"softmax_rows needs a 2-D input with >=1 column, got {m.shape}")
+    shifted = m - m.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def conv_seq(b: np.ndarray, filt: np.ndarray, bias: float) -> np.ndarray:
+    """Valid 1-D convolution of a d x k sequence with a full-height d x N filter.
+
+    Output position t is the sum of the elementwise product of the filter with
+    the window b[:, t:t+N], plus the bias. Returns a vector of length k-N+1.
+    """
+    if b.ndim != 2 or filt.ndim != 2:
+        raise DimensionError("conv_seq expects 2-D input and filter")
+    d, k = b.shape
+    fd, n = filt.shape
+    if fd != d:
+        raise DimensionError(f"filter height {fd} does not match input height {d}")
+    if n > k:
+        raise DimensionError(f"filter width {n} exceeds sequence length {k}")
+    out = np.empty(k - n + 1, dtype=np.float64)
+    for t in range(k - n + 1):
+        out[t] = np.sum(b[:, t : t + n] * filt) + bias
+    return out
 
 
 def normalized_adjacency(g: Graph, self_loops: bool = True, kind: str = "sym") -> np.ndarray:
@@ -113,6 +155,176 @@ def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
+@dataclass
+class BehaviorLog:
+    """Exactly k item-id sequences, one per behavior kind; empties allowed."""
+
+    behaviors: list[list[int]]
+
+    @property
+    def k(self) -> int:
+        return len(self.behaviors)
+
+
+@dataclass
+class DialogueInput:
+    query_keywords: list[int]
+    title_keywords: list[int]
+
+
+@dataclass
+class FeatureBundle:
+    cat_ids: list[int]
+    dense: np.ndarray
+    u: np.ndarray
+    d: np.ndarray  # flattened dialogue-interaction block
+
+
+@dataclass
+class ConvParams:
+    """Full-height filter banks for the user-state summary.
+
+    filters maps width -> (F, d, width); biases maps width -> (F,).
+    seq_len is the configured behavior-kind count: inputs are padded or
+    sliced to max(seq_len, max width) columns, so zero columns appended
+    beyond that never change the output.
+    """
+
+    seq_len: int
+    filters: dict[int, np.ndarray] = field(default_factory=dict)
+    biases: dict[int, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def widths(self) -> list[int]:
+        return sorted(self.filters)
+
+    @property
+    def output_dim(self) -> int:
+        return sum(self.filters[w].shape[0] for w in self.widths)
+
+
+@dataclass
+class AttentionParams:
+    """Per-head query/key/value projections, stored row-blocked in d x d."""
+
+    n_heads: int
+    query_proj: np.ndarray
+    key_proj: np.ndarray
+    value_proj: np.ndarray
+
+    def __post_init__(self):
+        d = self.query_proj.shape[0]
+        if d % self.n_heads != 0:
+            raise DimensionError(f"dim {d} not divisible by {self.n_heads} heads")
+
+    @property
+    def head_dim(self) -> int:
+        return self.query_proj.shape[0] // self.n_heads
+
+    def head(self, which: str, h: int) -> np.ndarray:
+        mat = {"q": self.query_proj, "k": self.key_proj, "v": self.value_proj}[which]
+        lo = h * self.head_dim
+        return mat[lo : lo + self.head_dim, :]
+
+
+def behavior_vector(items: list[int], table: np.ndarray) -> np.ndarray:
+    """Mean embedding of the items in one behavior sequence; empty -> zeros."""
+    d = table.shape[1]
+    if not items:
+        return np.zeros(d, dtype=np.float64)
+    rows = []
+    for item in items:
+        if not 0 <= item < table.shape[0]:
+            raise KeyError(f"item id {item} not in embedding table of {table.shape[0]} rows")
+        rows.append(table[item])
+    return np.mean(rows, axis=0)
+
+
+def behavior_matrix(log: BehaviorLog, table: np.ndarray) -> np.ndarray:
+    """Stack per-kind behavior vectors into columns: shape d x k."""
+    cols = [behavior_vector(b, table) for b in log.behaviors]
+    return np.stack(cols, axis=1) if cols else np.zeros((table.shape[1], 0))
+
+
+def user_state(b: np.ndarray, conv: ConvParams) -> np.ndarray:
+    """Convolution-pooled summary of the behavior matrix.
+
+    For every filter width, each filter slides over the sequence axis
+    (valid convolution, full-height window), goes through ReLU, and is
+    max-pooled over positions; the pooled scalars concatenate across filters
+    and widths. The input is padded or sliced to max(seq_len, max width)
+    columns first, so the output only depends on the real behavior columns.
+    """
+    d = b.shape[0]
+    k_eff = max(conv.seq_len, max(conv.widths))
+    if b.shape[1] < k_eff:
+        b = np.concatenate([b, np.zeros((d, k_eff - b.shape[1]))], axis=1)
+    elif b.shape[1] > k_eff:
+        b = b[:, :k_eff]
+    pooled = []
+    for width in conv.widths:
+        filters = conv.filters[width]
+        biases = conv.biases[width]
+        for f in range(filters.shape[0]):
+            vals = relu(conv_seq(b, filters[f], float(biases[f])))
+            pooled.append(vals.max())
+    return np.array(pooled, dtype=np.float64)
+
+
+def dialogue_interaction(
+    di: DialogueInput,
+    table: np.ndarray,
+    attn: AttentionParams,
+    max_query: int = 8,
+    max_title: int = 8,
+) -> np.ndarray:
+    """Multi-head self-attention over query+title keyword embeddings.
+
+    Per head, attention logits are plain inner products of the projected
+    embeddings (no scaling); softmax runs over the real positions only.
+    Updated rows are stacked real-first and zero-padded to a fixed
+    (max_query + max_title) x d block. No keywords at all yields all zeros.
+    """
+    ids = list(di.query_keywords[:max_query]) + list(di.title_keywords[:max_title])
+    total = max_query + max_title
+    d = table.shape[1]
+    out = np.zeros((total, d), dtype=np.float64)
+    if not ids:
+        return out
+    x = table[np.array(ids, dtype=np.int64)]
+    for h in range(attn.n_heads):
+        q = x @ attn.head("q", h).T
+        k = x @ attn.head("k", h).T
+        v = x @ attn.head("v", h).T
+        weights = softmax_rows(q @ k.T)
+        lo = h * attn.head_dim
+        out[: len(ids), lo : lo + attn.head_dim] = weights @ v
+    return out
+
+
+def assemble_features(
+    bundle: FeatureBundle, cat_table: np.ndarray, n_cat_slots: int
+) -> np.ndarray:
+    """Concatenate [categorical embeddings..., dense, u, d] into one vector.
+
+    Missing categorical slots contribute zero vectors; extra ids are cut.
+    """
+    cat_dim = cat_table.shape[1]
+    parts = []
+    for s in range(n_cat_slots):
+        if s < len(bundle.cat_ids):
+            cid = bundle.cat_ids[s]
+            if not 0 <= cid < cat_table.shape[0]:
+                raise KeyError(f"category id {cid} out of range")
+            parts.append(cat_table[cid])
+        else:
+            parts.append(np.zeros(cat_dim))
+    parts.append(np.asarray(bundle.dense, dtype=np.float64).ravel())
+    parts.append(np.asarray(bundle.u, dtype=np.float64).ravel())
+    parts.append(np.asarray(bundle.d, dtype=np.float64).ravel())
+    return np.concatenate(parts)
+
+
 def cross_forward(f: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Stacked cross layers on one vector: x <- f * (x . w) + b + x, x0 = f."""
     f = np.asarray(f, dtype=np.float64).ravel()
@@ -155,6 +367,59 @@ def cross_layers_backward(f: np.ndarray, dx: np.ndarray, ws: list[np.ndarray], l
         dx = dx + ds @ ws[i].T
     df += dx
     return df, dws, dbs
+
+
+def attention_heads(x: np.ndarray, mask: np.ndarray, wq, wk, wv, n_heads: int):
+    """The dialogue attention one head at a time over (n, P, d) keyword embeddings.
+
+    x is zero at padded keywords and mask (n, P) is 1 at real ones. Head h
+    projects with row block h of wq, wk and wv, takes the softmax of
+    q @ k.T over the real keys and writes attn @ v into column block h.
+    Returns the (n, P, d) output, zero at padded rows, and a cache.
+    """
+    n, p, d = x.shape
+    x2 = x.reshape(n * p, d)
+    q_all = (x2 @ wq.T).reshape(n, p, d)
+    k_all = (x2 @ wk.T).reshape(n, p, d)
+    v_all = (x2 @ wv.T).reshape(n, p, d)
+    out_all = np.empty((n, p, d))
+    head_dim = d // n_heads
+    valid = mask[:, None, :]
+    weights = []
+    for h in range(n_heads):
+        lo = h * head_dim
+        logits = q_all[:, :, lo : lo + head_dim] @ k_all[:, :, lo : lo + head_dim].transpose(0, 2, 1)
+        logits -= logits.max(axis=2, keepdims=True)
+        e = np.exp(logits)
+        e *= valid
+        denom = e.sum(axis=2, keepdims=True)
+        np.maximum(denom, 1e-300, out=denom)
+        attn = e / denom
+        out_all[:, :, lo : lo + head_dim] = attn @ v_all[:, :, lo : lo + head_dim]
+        weights.append(attn)
+    out_all *= mask[:, :, None]
+    return out_all, (x, q_all, k_all, v_all, weights)
+
+
+def attention_heads_backward(dout: np.ndarray, mask: np.ndarray, cache, wq, wk, wv):
+    """Gradients (dwq, dwk, dwv, dx) of attention_heads, head by head; dx is zero at padding."""
+    x, q_all, k_all, v_all, weights = cache
+    d = x.shape[2]
+    head_dim = d // len(weights)
+    dstacked = dout * mask[:, :, None]
+    dq_all, dk_all, dv_all = np.empty_like(q_all), np.empty_like(k_all), np.empty_like(v_all)
+    for h, a in enumerate(weights):
+        cols = slice(h * head_dim, (h + 1) * head_dim)
+        dhead = dstacked[:, :, cols]
+        dattn = dhead @ v_all[:, :, cols].transpose(0, 2, 1)
+        dv_all[:, :, cols] = a.transpose(0, 2, 1) @ dhead
+        dlog = a * (dattn - (dattn * a).sum(axis=2, keepdims=True))
+        dq_all[:, :, cols] = dlog @ k_all[:, :, cols]
+        dk_all[:, :, cols] = dlog.transpose(0, 2, 1) @ q_all[:, :, cols]
+    x2 = x.reshape(-1, d)
+    dq2, dk2, dv2 = (g.reshape(-1, d) for g in (dq_all, dk_all, dv_all))
+    dx = dq2 @ wq + dk2 @ wk + dv2 @ wv
+    return dq2.T @ x2, dk2.T @ x2, dv2.T @ x2, dx.reshape(x.shape) * mask[:, :, None]
 
 
 def deep_forward(f: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:

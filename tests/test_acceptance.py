@@ -16,12 +16,11 @@ import kdcn.model as km
 import kdcn.pretrain as pt
 from kdcn.cli import main as cli_main
 from kdcn.datagen import ClickModel, WorldConfig, generate_samples, generate_world, load_samples, save_samples
-from kdcn.features import AttentionParams, DialogueInput, dialogue_interaction
 from kdcn.graph import RELATIONS, Graph, TripleSet, load_triples, save_triples
 from kdcn.metrics import auc, auc_bruteforce, epochs_to_threshold
-from kdcn.numeric import finite_diff_check, softmax_rows
+from kdcn.numeric import finite_diff_check
 from kdcn.rng import RngStream
-from oracles import cross_forward
+from oracles import AttentionParams, DialogueInput, cross_forward, dialogue_interaction, softmax_rows
 
 
 def report(num: int, passed: bool, detail: str) -> None:

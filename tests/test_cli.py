@@ -85,6 +85,7 @@ class TestExitCodes:
             ("train", ["epochs = abc"], "'epochs': 'abc'"),
             ("train", ["lr = x"], "'lr': 'x'"),
             ("gen-data", ["n_users = 1.5"], "'n_users': '1.5'"),
+            ("train", ["epoch = 3"], "epoch"),
         ],
     )
     def test_bad_config_value_is_data_error(self, workdir, capsys, command, lines, named):
@@ -96,6 +97,24 @@ class TestExitCodes:
         assert main([command, "--config", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and named in err[0], err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dense", "x"), ("dense", 5), ("label", "a"), ("label", 1.7),
+            ("behaviors", 5), ("categories", "cat0"),
+        ],
+    )
+    def test_malformed_sample_value_is_data_error(self, tmp_path, capsys, field, value):
+        good = {
+            "user_id": "user0", "behaviors": [[], [], [], []], "query": "kw0",
+            "candidate_item": "item0", "categories": ["cat0"], "dense": [1.0], "label": 1,
+        }
+        path = tmp_path / "samples.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        assert main(["train", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and f"{path}:2:" in err[0], err
 
 
 class TestPipeline:
@@ -193,6 +212,10 @@ class TestRankInputErrors:
     def test_duplicate_candidates(self, trained, capsys):
         err = self.rank_errors(trained, capsys, "--candidates", "item1,item0,item1")
         assert "item1" in err[0] and "item0" not in err[0]
+
+    def test_unknown_user(self, trained, capsys):
+        err = self.rank_errors(trained, capsys, "--user", "nobody")  # the last --user wins
+        assert "'nobody'" in err[0]
 
     def test_truncated_model_file(self, trained, capsys):
         model = trained / "kdcn.bin"

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from kdcn.features import (
+from kdcn.model import extract_keywords
+from kdcn.rng import RngStream
+from oracles import (
     AttentionParams,
     BehaviorLog,
     ConvParams,
@@ -13,10 +15,8 @@ from kdcn.features import (
     behavior_matrix,
     behavior_vector,
     dialogue_interaction,
-    extract_keywords,
     user_state,
 )
-from kdcn.rng import RngStream
 
 
 def make_conv(rng, d, widths=(2, 4), n_filters=2, seq_len=4):
@@ -82,7 +82,8 @@ class TestUserState:
         conv = make_conv(rng, d=3)
         u = user_state(b, conv)
         # width-2 filters see the same window at all 3 positions
-        from kdcn.numeric import conv_seq, relu
+        from kdcn.numeric import relu
+        from oracles import conv_seq
 
         for f in range(2):
             vals = relu(conv_seq(b, conv.filters[2][f], float(conv.biases[2][f])))
@@ -224,7 +225,7 @@ class TestDialogueInteraction:
 
     def test_attention_rows_sum_to_one(self):
         # recompute the weights the way the op does and check normalization
-        from kdcn.numeric import softmax_rows
+        from oracles import softmax_rows
 
         rng = RngStream(11)
         table = rng.uniform(-1, 1, (20, 8))

@@ -14,6 +14,8 @@ from kdcn.graph import Graph
 from kdcn.numeric import finite_diff_check, sigmoid
 from kdcn.rng import RngStream
 from oracles import (
+    attention_heads,
+    attention_heads_backward,
     attention_params,
     behavior_scatter,
     conv_params,
@@ -128,6 +130,54 @@ class TestCrossTower:
                 assert err < 1e-6, (name, err)
 
 
+class TestDialogueAttention:
+    @pytest.mark.parametrize("finetune", [False, True])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_per_head_reference(self, heads, finetune):
+        world, ckpt, split, meta, cfg = small_setup(
+            attention_heads=heads, finetune_embeddings=finetune, use_user_state=False
+        )
+        feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+        feat.fit_stats(split.train)
+        model = km.KdcnModel.build(cfg, feat, RngStream(40))
+        assert model.dim == 8
+        rng = RngStream(41)
+        w = {}
+        for name in ("attn_query", "attn_key", "attn_value"):
+            w[name] = model.store.value(name)
+            w[name][...] = rng.uniform(-2.0, 2.0, w[name].shape)
+        n = 12
+        batch = feat.prepare(split.train[:n]).batch(np.arange(n))
+        # row 0 has no keyword at all (every key padded), row 1 exactly one
+        batch.kw_mask[0] = 0.0
+        batch.kw_mask[1, 1:] = 0.0
+        batch.kw_ids[batch.kw_mask == 0] = 0
+        assert batch.kw_mask[2:].sum(axis=1).max() > 1
+        table = model.entity_table()
+        x = table[batch.kw_ids] * batch.kw_mask[:, :, None]
+        wq, wk, wv = w["attn_query"], w["attn_key"], w["attn_value"]
+
+        _, cache = model.forward(batch)
+        out = cache["f"][:, -model.d_dim :].reshape(x.shape)
+        out_ref, ref_cache = attention_heads(x, batch.kw_mask, wq, wk, wv, heads)
+        assert close(out, out_ref)
+        assert not out[0].any()
+        assert close(out[1, 0], wv @ x[1, 0])
+
+        df = rng.uniform(-1.0, 1.0, cache["f"].shape)
+        model.store.zero_grads()
+        model._assemble_backward(batch, cache, df)
+        dout = df[:, -model.d_dim :].reshape(x.shape)
+        dwq, dwk, dwv, dx = attention_heads_backward(dout, batch.kw_mask, ref_cache, wq, wk, wv)
+        assert close(model.store.grad("attn_query"), dwq)
+        assert close(model.store.grad("attn_key"), dwk)
+        assert close(model.store.grad("attn_value"), dwv)
+        if finetune:
+            dtable = np.zeros_like(table)
+            np.add.at(dtable, batch.kw_ids, dx)
+            assert close(model.store.grad("entity_table"), dtable)
+
+
 class TestDeepForward:
     def test_zero_params_zero_output(self):
         out = deep_forward(np.ones(4), [(np.zeros((3, 4)), np.zeros(3))])
@@ -234,8 +284,8 @@ class TestPredict:
         model, feat, split = self.build()
         ds = feat.prepare(split.train[:8])
         p_batch = model.predict_batch(ds.batch(np.arange(8)))
-        from kdcn.features import BehaviorLog, DialogueInput, FeatureBundle
-        from kdcn.features import assemble_features, behavior_matrix, dialogue_interaction, user_state
+        from oracles import BehaviorLog, DialogueInput, FeatureBundle
+        from oracles import assemble_features, behavior_matrix, dialogue_interaction, user_state
 
         conv, attn = conv_params(model), attention_params(model)
         for i, s in enumerate(split.train[:8]):

@@ -6,17 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdcn.errors import DimensionError, TrainingError
-from kdcn.numeric import (
-    ParamStore,
-    adam_step,
-    conv_seq,
-    finite_diff_check,
-    matmul,
-    sigmoid,
-    softmax_rows,
-)
+from kdcn.numeric import ParamStore, adam_step, finite_diff_check, sigmoid
 from kdcn.rng import RngStream
-from oracles import two_branch_sigmoid
+from oracles import conv_seq, matmul, softmax_rows, two_branch_sigmoid
 
 
 class TestMatmul:
