@@ -4,6 +4,13 @@ Exit codes: 0 success, 1 usage error, 2 data/format error. All subcommands
 take --seed, --config (flat key=value file) and --out (artifact directory);
 with a fixed seed every run writes byte-identical artifacts, except for the
 wall-time column of the evaluation report.
+
+The config file's keys are the scalar fields of WorldConfig, ClickModel,
+PretrainConfig and TrainConfig (see SECTIONS, which renames four of them),
+plus n_samples, prune_min_count and loss_threshold; each field's default and
+type are the key's default and cast. A boolean takes 1/true/yes/on or
+0/false/no/off. An unknown key or a value that does not parse or is out of
+range is a data error.
 """
 
 from __future__ import annotations
@@ -13,12 +20,13 @@ import json
 import sys
 import time
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import datagen, graph, model as model_mod, pretrain as pretrain_mod
-from .errors import ConfigError, KdcnError
+from .errors import ConfigError, FormatError, KdcnError
 from .metrics import auc, epochs_to_threshold
 from .rng import RngStream
 
@@ -32,23 +40,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Config file sections: section -> (dataclass, {field: key} for the keys not
+# named after their field). Every scalar field with a default is a key, with
+# the default's type as its cast, so float defaults are written as float
+# literals (1.0, not 1). `seed` comes from --seed, not from the file.
+SECTIONS = {
+    "world": (datagen.WorldConfig, {"affinity_strength": "alpha"}),
+    "click": (datagen.ClickModel, {}),
+    "pretrain": (
+        pretrain_mod.PretrainConfig,
+        {"lr": "pretrain_lr", "batch_size": "pretrain_batch_size", "epochs": "pretrain_epochs"},
+    ),
+    "train": (model_mod.TrainConfig, {}),
+}
+# keys read outside any dataclass: key -> (cast, default)
+LOOSE_KEYS = {"n_samples": (int, 5000), "prune_min_count": (int, 1), "loss_threshold": (float, None)}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _section_keys(section: str) -> list[tuple[str, str, type]]:
+    """(key, field, cast) for every config key of one section."""
+    cls, renames = SECTIONS[section]
+    return [
+        (renames.get(f.name, f.name), f.name, type(f.default))
+        for f in fields(cls)
+        if f.name != "seed" and type(f.default) in (bool, int, float, str)
+    ]
+
+
 # every key a config file may set; any other key is an error
 CONFIG_KEYS = frozenset(
-    {
-        # world and click model (gen-data)
-        "n_users", "n_items", "n_categories", "n_sellers", "n_tags", "n_keywords",
-        "n_sessions", "n_samples", "alpha", "noise_std", "w_tag_match", "w_overlap",
-        "w_cluster",
-        # graph and pretraining (build-kg, pretrain)
-        "prune_min_count", "dim", "layers", "fanout", "margin", "pretrain_lr",
-        "pretrain_batch_size", "pretrain_epochs", "negatives_per_positive", "mode",
-        "aggregation", "self_loops",
-        # ranker (train, eval, rank)
-        "lr", "batch_size", "epochs", "use_user_state", "use_dialogue", "use_cross",
-        "use_deep", "n_cross", "deep_layers", "deep_width", "cat_dim", "n_cat_slots",
-        "conv_filters", "attention_heads", "max_query_keywords", "max_title_keywords",
-        "finetune_embeddings", "candidate_cap", "loss_threshold",
-    }
+    [key for section in SECTIONS for key, _, _ in _section_keys(section)] + list(LOOSE_KEYS)
 )
 
 
@@ -67,73 +90,22 @@ def load_config(path) -> dict[str, str]:
     return cfg
 
 
-def _get(cfg: dict, key: str, cast, default):
-    if key not in CONFIG_KEYS:
-        raise ValueError(f"'{key}' is missing from CONFIG_KEYS")
-    if key not in cfg:
-        return default
-    raw = cfg[key]
-    if cast is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
+def _cast(key: str, cast, raw: str):
     try:
-        return cast(raw)
-    except ValueError:
+        return _BOOLS[raw.lower()] if cast is bool else cast(raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"config key '{key}': {raw!r} is not a valid {cast.__name__}") from None
 
 
-def _world_config(cfg: dict, seed: int) -> datagen.WorldConfig:
-    return datagen.WorldConfig(
-        n_users=_get(cfg, "n_users", int, 200),
-        n_items=_get(cfg, "n_items", int, 300),
-        n_categories=_get(cfg, "n_categories", int, 10),
-        n_sellers=_get(cfg, "n_sellers", int, 20),
-        n_tags=_get(cfg, "n_tags", int, 12),
-        n_keywords=_get(cfg, "n_keywords", int, 120),
-        n_sessions=_get(cfg, "n_sessions", int, 400),
-        seed=seed,
-        affinity_strength=_get(cfg, "alpha", float, 3.0),
-        noise_std=_get(cfg, "noise_std", float, 0.5),
-    )
+def _get(cfg: dict, key: str):
+    cast, default = LOOSE_KEYS[key]
+    return _cast(key, cast, cfg[key]) if key in cfg else default
 
 
-def _pretrain_config(cfg: dict) -> pretrain_mod.PretrainConfig:
-    return pretrain_mod.PretrainConfig(
-        dim=_get(cfg, "dim", int, 64),
-        layers=_get(cfg, "layers", int, 2),
-        fanout=_get(cfg, "fanout", int, 10),
-        margin=_get(cfg, "margin", float, 1.0),
-        lr=_get(cfg, "pretrain_lr", float, 1e-4),
-        batch_size=_get(cfg, "pretrain_batch_size", int, 512),
-        epochs=_get(cfg, "pretrain_epochs", int, 5),
-        negatives_per_positive=_get(cfg, "negatives_per_positive", int, 1),
-        mode=_get(cfg, "mode", str, "full"),
-        aggregation=_get(cfg, "aggregation", str, "sym"),
-        self_loops=_get(cfg, "self_loops", bool, True),
-    )
-
-
-def _train_config(cfg: dict, seed: int) -> model_mod.TrainConfig:
-    return model_mod.TrainConfig(
-        lr=_get(cfg, "lr", float, 1e-4),
-        batch_size=_get(cfg, "batch_size", int, 512),
-        epochs=_get(cfg, "epochs", int, 5),
-        seed=seed,
-        use_user_state=_get(cfg, "use_user_state", bool, True),
-        use_dialogue=_get(cfg, "use_dialogue", bool, True),
-        use_cross=_get(cfg, "use_cross", bool, True),
-        use_deep=_get(cfg, "use_deep", bool, True),
-        n_cross=_get(cfg, "n_cross", int, 4),
-        deep_layers=_get(cfg, "deep_layers", int, 2),
-        deep_width=_get(cfg, "deep_width", int, 512),
-        cat_dim=_get(cfg, "cat_dim", int, 16),
-        n_cat_slots=_get(cfg, "n_cat_slots", int, 1),
-        conv_filters=_get(cfg, "conv_filters", int, 8),
-        attention_heads=_get(cfg, "attention_heads", int, 4),
-        max_query_keywords=_get(cfg, "max_query_keywords", int, 8),
-        max_title_keywords=_get(cfg, "max_title_keywords", int, 8),
-        finetune_embeddings=_get(cfg, "finetune_embeddings", bool, False),
-        candidate_cap=_get(cfg, "candidate_cap", int, 50),
-    )
+def _section(cfg: dict, section: str, **fixed):
+    """The section's dataclass built from the keys the file sets, defaults elsewhere."""
+    values = {f: _cast(key, cast, cfg[key]) for key, f, cast in _section_keys(section) if key in cfg}
+    return SECTIONS[section][0](**values, **fixed)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -146,14 +118,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 def cmd_gen_data(args, cfg: dict) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    world = datagen.generate_world(_world_config(cfg, args.seed))
-    click = datagen.ClickModel(
-        w_tag_match=_get(cfg, "w_tag_match", float, 1.0),
-        w_overlap=_get(cfg, "w_overlap", float, 0.75),
-        w_cluster=_get(cfg, "w_cluster", float, 1.0),
+    world = datagen.generate_world(_section(cfg, "world", seed=args.seed))
+    n = _get(cfg, "n_samples")
+    split = datagen.generate_samples(
+        world, n, _section(cfg, "click"), RngStream(args.seed).child("samples")
     )
-    n = _get(cfg, "n_samples", int, 5000)
-    split = datagen.generate_samples(world, n, click, RngStream(args.seed).child("samples"))
     graph.save_events(world.events, out / "events.jsonl")
     graph.save_triples(world.tset, out / "triples.tsv")
     datagen.save_samples(split.all(), out / "samples.jsonl")
@@ -165,8 +134,7 @@ def cmd_build_kg(args, cfg: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     events = graph.load_events(args.events or out / "events.jsonl")
     tset = graph.ingest_events(events)
-    min_count = _get(cfg, "prune_min_count", int, 1)
-    tset = graph.prune_triples(tset, min_count)
+    tset = graph.prune_triples(tset, _get(cfg, "prune_min_count"))
     graph.save_triples(tset, out / "triples.tsv")
     graph.save_vocab(tset, out / "vocab.tsv")
     print(f"built graph: {tset.n_entities} entities, {len(tset)} triples")
@@ -175,7 +143,7 @@ def cmd_build_kg(args, cfg: dict) -> None:
 def cmd_pretrain(args, cfg: dict) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    pcfg = _pretrain_config(cfg)
+    pcfg = _section(cfg, "pretrain")
     tset = graph.load_triples(args.triples or out / "triples.tsv")
     g = graph.Graph(tset)
     result = pretrain_mod.pretrain(tset, g, pcfg, RngStream(args.seed).child("pretrain"))
@@ -192,8 +160,17 @@ def cmd_pretrain(args, cfg: dict) -> None:
 def _load_train_inputs(args, out: Path):
     samples = datagen.load_samples(args.samples or out / "samples.jsonl")
     split = datagen.split_loaded(samples)
-    ckpt = pretrain_mod.load_checkpoint(args.checkpoint or out / "ckge.bin")
-    entities = graph.load_vocab(args.vocab or out / "ckge.vocab.tsv")
+    ckpt_path = args.checkpoint or out / "ckge.bin"
+    vocab_path = args.vocab or out / "ckge.vocab.tsv"
+    ckpt = pretrain_mod.load_checkpoint(ckpt_path)
+    entities = graph.load_vocab(vocab_path)
+    if len(entities) != len(ckpt.entity_table):
+        raise FormatError(
+            f"{vocab_path}: {len(entities)} entities, but {ckpt_path} has {len(ckpt.entity_table)}"
+        )
+    stray = next((i for i, e in enumerate(entities) if e.id != i), None)
+    if stray is not None:
+        raise FormatError(f"{vocab_path}: entry {stray + 1} has id {entities[stray].id}, expected {stray}")
     events = graph.load_events(args.events or out / "events.jsonl")
     item_meta = model_mod.item_meta_from_events(events)
     return split, ckpt, entities, item_meta
@@ -202,7 +179,7 @@ def _load_train_inputs(args, out: Path):
 def cmd_train(args, cfg: dict) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tcfg = _train_config(cfg, args.seed)
+    tcfg = _section(cfg, "train")
     split, ckpt, entities, item_meta = _load_train_inputs(args, out)
     result = model_mod.fit(
         split.train, split.valid, ckpt, tcfg, RngStream(args.seed).child("train"),
@@ -241,8 +218,8 @@ def cmd_eval(args, cfg: dict) -> None:
             raise UsageError(f"unknown eval config(s) {unknown}; choose from {names}")
         names = sorted(requested)
     split, ckpt, entities, item_meta = _load_train_inputs(args, out)
-    base = _train_config(cfg, args.seed)
-    threshold = _get(cfg, "loss_threshold", float, None)
+    base = _section(cfg, "train")
+    threshold = _get(cfg, "loss_threshold")
     rows = []
     for name in names:
         tcfg = model_mod.ablation_config(base, name)
@@ -275,14 +252,37 @@ def cmd_eval(args, cfg: dict) -> None:
         print(f"{row[0]}: test_auc={row[1]} final_train_loss={row[2]}")
 
 
+def _load_meta(path) -> tuple[model_mod.TrainConfig, dict]:
+    """kdcn.meta.json as written by `train`; anything else is a FormatError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+        raise FormatError(f"{path}: expected an object with a 'config' object")
+    unknown = sorted(set(meta["config"]) - {f.name for f in fields(model_mod.TrainConfig)})
+    if unknown:
+        raise FormatError(f"{path}: unknown config key(s) {', '.join(unknown)}")
+    missing = [k for k in ("n_dense", "n_behavior_kinds", "dense_mean", "dense_std") if k not in meta]
+    if missing:
+        raise FormatError(f"{path}: missing {', '.join(missing)}")
+    for key in ("dense_mean", "dense_std"):
+        if not isinstance(meta[key], list) or len(meta[key]) != meta["n_dense"]:
+            raise FormatError(f"{path}: {key} does not hold n_dense = {meta['n_dense']!r} values")
+    stored = dict(meta["config"])
+    try:
+        if "conv_widths" in stored:  # JSON has no tuples
+            stored["conv_widths"] = tuple(stored["conv_widths"])
+        return model_mod.TrainConfig(**stored), meta
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: config: {exc}") from None
+
+
 def cmd_rank(args, cfg: dict) -> None:
     out = Path(args.out)
     split, ckpt, entities, item_meta = _load_train_inputs(args, out)
-    with open(args.meta or out / "kdcn.meta.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    stored = dict(meta["config"])
-    stored["conv_widths"] = tuple(stored.get("conv_widths", (2, 4)))
-    tcfg = model_mod.TrainConfig(**stored)
+    tcfg, meta = _load_meta(args.meta or out / "kdcn.meta.json")
     featurizer = model_mod.Featurizer(ckpt, entities, item_meta, tcfg)
     featurizer.n_dense = meta["n_dense"]
     featurizer.n_behavior_kinds = meta["n_behavior_kinds"]

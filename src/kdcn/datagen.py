@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, require_positive
 from .graph import TripleSet, ingest_events
 from .rng import RngStream
 
@@ -41,10 +41,8 @@ class WorldConfig:
     noise_std: float = 0.5
 
     def __post_init__(self):
-        for name in ("n_users", "n_items", "n_categories", "n_sellers", "n_tags",
-                     "n_keywords", "n_sessions"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        require_positive(self, "n_users", "n_items", "n_categories", "n_sellers", "n_tags",
+                         "n_keywords", "n_sessions")
 
 
 @dataclass

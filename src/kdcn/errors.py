@@ -1,4 +1,5 @@
-"""Exception types shared across the pipeline.
+"""Exception types shared across the pipeline, and the range check that the
+config dataclasses share.
 
 Everything raised on bad data or bad shapes derives from KdcnError so the
 CLI can map library failures to a data-error exit code in one place.
@@ -47,3 +48,11 @@ class MetricError(KdcnError):
 
 class ConfigError(KdcnError, ValueError):
     """A configuration value is out of range or names an unknown option."""
+
+
+def require_positive(config, *names: str) -> None:
+    """Raise ConfigError naming the first of the config's fields that is below 1."""
+    for name in names:
+        value = getattr(config, name)
+        if value < 1:
+            raise ConfigError(f"{type(config).__name__}.{name} must be >= 1, got {value}")

@@ -110,14 +110,8 @@ class TripleSet:
     def has(self, head: int, relation: int, tail: int) -> bool:
         return (head, relation, tail) in self._triple_keys
 
-    def kind_of(self, eid: int) -> str:
-        return self.entities[eid].kind
-
     def name_of(self, eid: int) -> str:
         return self.entities[eid].name
-
-    def ids_of_kind(self, kind: str) -> list[int]:
-        return [e.id for e in self.entities if e.kind == kind]
 
 
 _EVENT_FIELDS = {

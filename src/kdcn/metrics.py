@@ -23,38 +23,14 @@ def auc(scores, labels) -> float:
     n_neg = int(scores.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC undefined: need at least one positive and one negative")
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    # doubled midranks: twice the average 1-based rank of each tie group
-    doubled = np.empty(scores.size, dtype=np.int64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        doubled[i : j + 1] = (i + 1) + (j + 1)  # 2 * (first + last)/2
-        i = j + 1
-    doubled_pos = int(doubled[pos[order]].sum())
+    # doubled midranks: twice the average 1-based rank of each tie group,
+    # first + last = (last - count + 1) + last
+    _, group, count = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(count)
+    doubled = (2 * last - count + 1)[group]
+    doubled_pos = int(doubled[pos].sum())
     numerator = doubled_pos - n_pos * (n_pos + 1)  # 2 * (rank sum - n_pos(n_pos+1)/2)
     return numerator / (2 * n_pos * n_neg)
-
-
-def auc_bruteforce(scores, labels) -> float:
-    """Quadratic pair-counting oracle for auc."""
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels).ravel()
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    if len(pos) == 0 or len(neg) == 0:
-        raise MetricError("AUC undefined: need at least one positive and one negative")
-    total = 0.0
-    for p in pos:
-        for n in neg:
-            if p > n:
-                total += 1.0
-            elif p == n:
-                total += 0.5
-    return total / (len(pos) * len(neg))
 
 
 def epochs_to_threshold(history, threshold: float):

@@ -52,6 +52,7 @@ from .errors import (
     FormatError,
     SchemaError,
     TrainingError,
+    require_positive,
 )
 from .graph import EntityRef
 from .metrics import auc
@@ -69,7 +70,6 @@ class TrainConfig:
     lr: float = 1e-4
     batch_size: int = 512
     epochs: int = 5
-    seed: int = 0
     use_user_state: bool = True
     use_dialogue: bool = True
     use_cross: bool = True
@@ -92,6 +92,8 @@ class TrainConfig:
             raise ConfigError("at least one of use_cross/use_deep must be on")
         if self.n_cross < 0 or self.deep_layers < 0:
             raise ConfigError("layer counts must be >= 0")
+        require_positive(self, "batch_size", "deep_width", "cat_dim", "conv_filters",
+                         "attention_heads", "candidate_cap")
 
 
 # named ablations used by the evaluation report

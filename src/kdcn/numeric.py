@@ -85,9 +85,6 @@ class ParamStore:
         for slot in self.slots.values():
             slot.grad[...] = 0.0
 
-    def total_size(self) -> int:
-        return sum(s.value.size for s in self.slots.values())
-
 
 def adam_step(
     store: ParamStore,

@@ -34,6 +34,7 @@ from .errors import (
     FormatError,
     SamplingError,
     TrainingError,
+    require_positive,
 )
 from .graph import DENSE_ADJACENCY_GUARD, Graph, Triple, TripleSet
 from .numeric import ParamStore, adam_step, sigmoid
@@ -55,8 +56,7 @@ class PretrainConfig:
     self_loops: bool = True
 
     def __post_init__(self):
-        if self.dim < 1 or self.layers < 1 or self.fanout < 1:
-            raise ConfigError("dim, layers and fanout must all be >= 1")
+        require_positive(self, "dim", "layers", "fanout", "batch_size")
         if self.margin <= 0:
             raise ConfigError("margin must be positive")
         if self.mode not in ("full", "sampled"):

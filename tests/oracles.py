@@ -5,9 +5,9 @@ forms of operations that ``kdcn`` implements with batched arrays, a head
 axis and sparse operators: the graph encoder's dense adjacency and
 neighbor draws, the ranker's per-sample feature blocks (behavior means,
 user-state convolutions, dialogue attention, assembly) and towers, the
-cross tower layer by layer and the dialogue attention head by head.
-Nothing under ``src/`` uses them; the tests compare the library against
-them.
+cross tower layer by layer, the dialogue attention head by head, and AUC
+by counting every positive-negative pair. Nothing under ``src/`` uses
+them; the tests compare the library against them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kdcn.errors import CapacityError, DimensionError
+from kdcn.errors import CapacityError, DimensionError, MetricError
 from kdcn.graph import DENSE_ADJACENCY_GUARD, Graph
 from kdcn.model import Featurizer, KdcnModel
 from kdcn.numeric import relu, sigmoid
@@ -28,6 +28,24 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"cannot multiply shapes {a.shape} and {b.shape}")
     return a @ b
+
+
+def auc_bruteforce(scores, labels) -> float:
+    """Quadratic pair-counting oracle for auc."""
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    labels = np.asarray(labels).ravel()
+    pos = scores[labels == 1]
+    neg = scores[labels == 0]
+    if len(pos) == 0 or len(neg) == 0:
+        raise MetricError("AUC undefined: need at least one positive and one negative")
+    total = 0.0
+    for p in pos:
+        for n in neg:
+            if p > n:
+                total += 1.0
+            elif p == n:
+                total += 0.5
+    return total / (len(pos) * len(neg))
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:

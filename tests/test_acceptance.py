@@ -17,10 +17,10 @@ import kdcn.pretrain as pt
 from kdcn.cli import main as cli_main
 from kdcn.datagen import ClickModel, WorldConfig, generate_samples, generate_world, load_samples, save_samples
 from kdcn.graph import RELATIONS, Graph, TripleSet, load_triples, save_triples
-from kdcn.metrics import auc, auc_bruteforce, epochs_to_threshold
+from kdcn.metrics import auc, epochs_to_threshold
 from kdcn.numeric import finite_diff_check
 from kdcn.rng import RngStream
-from oracles import AttentionParams, DialogueInput, cross_forward, dialogue_interaction, softmax_rows
+from oracles import AttentionParams, DialogueInput, auc_bruteforce, cross_forward, dialogue_interaction, softmax_rows
 
 
 def report(num: int, passed: bool, detail: str) -> None:

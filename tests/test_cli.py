@@ -1,9 +1,11 @@
 import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from kdcn.cli import load_config, main
+from kdcn.cli import CONFIG_KEYS, SECTIONS, _section_keys, load_config, main
 
 TINY_CONFIG = """
 # tiny world so the whole pipeline runs in seconds
@@ -61,6 +63,21 @@ class TestConfigFile:
         assert main(["gen-data", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
+class TestConfigKeys:
+    def test_cast_is_the_field_type(self):
+        # the cast is type(default), so a float field needs a float literal default
+        for section, (cls, _) in SECTIONS.items():
+            types = {f.name: f.type for f in fields(cls)}
+            for key, name, cast in _section_keys(section):
+                assert cast.__name__ == getattr(types[name], "__name__", types[name]), key
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"`(\w+)`", section)) - {"full", "sampled", "sym", "mean"}
+        assert documented == CONFIG_KEYS
+
+
 class TestExitCodes:
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == 1
@@ -86,6 +103,15 @@ class TestExitCodes:
             ("train", ["lr = x"], "'lr': 'x'"),
             ("gen-data", ["n_users = 1.5"], "'n_users': '1.5'"),
             ("train", ["epoch = 3"], "epoch"),
+            ("train", ["batch_size = 0"], "TrainConfig.batch_size"),
+            ("pretrain", ["pretrain_batch_size = 0"], "PretrainConfig.batch_size"),
+            ("train", ["attention_heads = 0"], "attention_heads"),
+            ("train", ["deep_width = 0"], "deep_width"),
+            ("train", ["conv_filters = 0"], "conv_filters"),
+            ("train", ["cat_dim = 0"], "cat_dim"),
+            ("train", ["candidate_cap = 0"], "candidate_cap"),
+            ("gen-data", ["n_users = 0"], "n_users"),
+            ("pretrain", ["self_loops = ture"], "'self_loops': 'ture'"),
         ],
     )
     def test_bad_config_value_is_data_error(self, workdir, capsys, command, lines, named):
@@ -203,11 +229,14 @@ class TestRankInputErrors:
         capsys.readouterr()
         return out
 
-    def rank_errors(self, out, capsys, *extra) -> list[str]:
-        code = main(["rank", "--out", str(out), "--user", "user0", "--query", "kw0", *extra])
+    def errors(self, capsys, *argv) -> list[str]:
+        code = main(list(argv))
         err = capsys.readouterr().err.splitlines()
         assert code == 2 and len(err) == 1 and err[0].startswith("error:"), (code, err)
         return err
+
+    def rank_errors(self, out, capsys, *extra) -> list[str]:
+        return self.errors(capsys, "rank", "--out", str(out), "--user", "user0", "--query", "kw0", *extra)
 
     def test_duplicate_candidates(self, trained, capsys):
         err = self.rank_errors(trained, capsys, "--candidates", "item1,item0,item1")
@@ -222,6 +251,51 @@ class TestRankInputErrors:
         model.write_bytes(model.read_bytes()[:30])
         err = self.rank_errors(trained, capsys, "--candidates", "item0")
         assert "kdcn.bin" in err[0] and "truncated" in err[0]
+
+    @pytest.mark.parametrize("command", ["rank", "train"])
+    @pytest.mark.parametrize("damage", ["truncated", "swapped"])
+    def test_vocab_disagrees_with_checkpoint(self, trained, capsys, command, damage):
+        vocab = trained / "ckge.vocab.tsv"
+        lines = vocab.read_text().splitlines(keepends=True)
+        lines = lines[: len(lines) // 2] if damage == "truncated" else [lines[1], lines[0], *lines[2:]]
+        vocab.write_text("".join(lines))
+        if command == "rank":
+            err = self.rank_errors(trained, capsys, "--candidates", "item0")
+        else:
+            err = self.errors(capsys, "train", "--out", str(trained))
+        assert "ckge.vocab.tsv" in err[0], err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("config.seed", 0),  # written before TrainConfig lost its seed field
+            ("config.bogus", 1),
+            ("config.candidate_cap", 0),
+            ("n_dense", None),
+            ("n_behavior_kinds", None),
+            ("dense_mean", None),
+            ("dense_std", None),
+            ("dense_mean", [0.0]),
+            ("dense_std", [1.0] * 9),
+        ],
+    )
+    def test_bad_meta_file(self, trained, capsys, key, value):
+        path = trained / "kdcn.meta.json"
+        meta = json.loads(path.read_text())
+        name = key.removeprefix("config.")
+        target = meta["config"] if key.startswith("config.") else meta
+        if value is None:
+            del target[name]
+        else:
+            target[name] = value
+        path.write_text(json.dumps(meta))
+        err = self.rank_errors(trained, capsys, "--candidates", "item0")
+        assert "kdcn.meta.json" in err[0] and name in err[0], err
+
+    def test_meta_file_not_json(self, trained, capsys):
+        (trained / "kdcn.meta.json").write_text("{")
+        err = self.rank_errors(trained, capsys, "--candidates", "item0")
+        assert "kdcn.meta.json" in err[0], err
 
 
 def _masked_report(path: Path) -> str:

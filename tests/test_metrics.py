@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdcn.errors import MetricError
-from kdcn.metrics import auc, auc_bruteforce, epochs_to_threshold
+from kdcn.metrics import auc, epochs_to_threshold
 from kdcn.rng import RngStream
+from oracles import auc_bruteforce
 
 
 class TestAuc:
