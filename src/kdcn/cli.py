@@ -10,7 +10,9 @@ PretrainConfig and TrainConfig (see SECTIONS, which renames four of them),
 plus n_samples, prune_min_count and loss_threshold; each field's default and
 type are the key's default and cast. A boolean takes 1/true/yes/on or
 0/false/no/off. An unknown key or a value that does not parse or is out of
-range is a data error.
+range is a data error. `rank` takes every TrainConfig setting from
+kdcn.meta.json, so a config file that sets one of those keys to another
+value is a data error too.
 """
 
 from __future__ import annotations
@@ -282,14 +284,26 @@ def _load_meta(path) -> tuple[model_mod.TrainConfig, dict]:
 def cmd_rank(args, cfg: dict) -> None:
     out = Path(args.out)
     split, ckpt, entities, item_meta = _load_train_inputs(args, out)
-    tcfg, meta = _load_meta(args.meta or out / "kdcn.meta.json")
+    meta_path = args.meta or out / "kdcn.meta.json"
+    tcfg, meta = _load_meta(meta_path)
+    for key, name, cast in _section_keys("train"):
+        if key in cfg and _cast(key, cast, cfg[key]) != getattr(tcfg, name):
+            raise ConfigError(
+                f"config key '{key}' = {cfg[key]} differs from {meta_path}, which has "
+                f"{getattr(tcfg, name)!r}; rank takes its settings from {meta_path}"
+            )
     featurizer = model_mod.Featurizer(ckpt, entities, item_meta, tcfg)
     featurizer.n_dense = meta["n_dense"]
     featurizer.n_behavior_kinds = meta["n_behavior_kinds"]
     featurizer.dense_mean = np.array(meta["dense_mean"])
     featurizer.dense_std = np.array(meta["dense_std"])
     mdl = model_mod.KdcnModel.build(tcfg, featurizer, RngStream(0))
-    model_mod.restore_model_values(mdl, model_mod.load_model_values(args.model or out / "kdcn.bin"))
+    model_path = args.model or out / "kdcn.bin"
+    values = model_mod.load_model_values(model_path)
+    try:
+        model_mod.restore_model_values(mdl, values)
+    except FormatError as exc:
+        raise FormatError(f"{meta_path} does not match {model_path}: {exc}") from None
 
     behaviors = next((s.behaviors for s in split.all() if s.user_id == args.user), None)
     if behaviors is None:

@@ -1,4 +1,4 @@
-"""Exception types shared across the pipeline, and the range check that the
+"""Exception types shared across the pipeline, and the range checks that the
 config dataclasses share.
 
 Everything raised on bad data or bad shapes derives from KdcnError so the
@@ -56,3 +56,11 @@ def require_positive(config, *names: str) -> None:
         value = getattr(config, name)
         if value < 1:
             raise ConfigError(f"{type(config).__name__}.{name} must be >= 1, got {value}")
+
+
+def require_finite_positive(config, *names: str) -> None:
+    """Raise ConfigError naming the first of the config's fields that is not a finite number > 0."""
+    for name in names:
+        value = getattr(config, name)
+        if not (0 < value < float("inf")):  # NaN fails every comparison
+            raise ConfigError(f"{type(config).__name__}.{name} must be finite and > 0, got {value}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -109,6 +110,11 @@ class TripleSet:
 
     def has(self, head: int, relation: int, tail: int) -> bool:
         return (head, relation, tail) in self._triple_keys
+
+    def known_array(self) -> np.ndarray:
+        """Every (head, relation, tail) that has() accepts, as a k x 3 int64 array, unordered."""
+        flat = chain.from_iterable(self._triple_keys)
+        return np.fromiter(flat, dtype=np.int64, count=3 * len(self._triple_keys)).reshape(-1, 3)
 
     def name_of(self, eid: int) -> str:
         return self.entities[eid].name

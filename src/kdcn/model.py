@@ -52,6 +52,7 @@ from .errors import (
     FormatError,
     SchemaError,
     TrainingError,
+    require_finite_positive,
     require_positive,
 )
 from .graph import EntityRef
@@ -94,6 +95,7 @@ class TrainConfig:
             raise ConfigError("layer counts must be >= 0")
         require_positive(self, "batch_size", "deep_width", "cat_dim", "conv_filters",
                          "attention_heads", "candidate_cap")
+        require_finite_positive(self, "lr")
 
 
 # named ablations used by the evaluation report

@@ -93,20 +93,33 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Apply one bias-corrected Adam update to every slot, then zero grads."""
+    """Apply one bias-corrected Adam update to every slot, then zero grads.
+
+    Works in place: one work buffer, sized for the largest slot and shared
+    by all, and each slot's spent gradient hold the intermediates. Every
+    operation keeps the operand order of the textbook form, so the result
+    is the same to the bit.
+    """
+    buf = np.empty(max((slot.grad.size for slot in store.slots.values()), default=0))
     for name, slot in store.slots.items():
         if not np.all(np.isfinite(slot.grad)):
             raise TrainingError(f"non-finite gradient in slot '{name}'")
         slot.step_count += 1
         t = slot.step_count
-        g = slot.grad
-        slot.adam_m *= beta1
-        slot.adam_m += (1.0 - beta1) * g
-        slot.adam_v *= beta2
-        slot.adam_v += (1.0 - beta2) * (g * g)
-        denom = np.sqrt(slot.adam_v / (1.0 - beta2**t))
-        denom += eps
-        slot.value -= (lr / (1.0 - beta1**t)) * slot.adam_m / denom
+        g, m, v = slot.grad, slot.adam_m, slot.adam_v
+        s = buf[: g.size].reshape(g.shape)
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=s)
+        v *= beta2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - beta2
+        v += s
+        np.divide(v, 1.0 - beta2**t, out=s)
+        np.sqrt(s, out=s)
+        s += eps
+        np.multiply(m, lr / (1.0 - beta1**t), out=g)
+        g /= s
+        slot.value -= g
     store.zero_grads()
 
 

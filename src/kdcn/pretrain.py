@@ -15,8 +15,18 @@ decides how S_l is built:
             limit);
   sampled - per batch and layer, row i averages a bounded sample of the
             entity's neighbors (rows scaled by 1/count), the scalable path.
+            Each entity above the fanout draws one uniform key per neighbor
+            and keeps the fanout smallest, all in one array sort.
             With fanout >= max degree the sample covers every neighbor and
             sampled mode reproduces full mode under mean normalization.
+
+A batch computes only the rows its pairs read (the GraphSAGE minibatch
+scheme): the top layer keeps those rows of S_L, each lower layer keeps the
+rows that the layer above reads, and the columns of each kept block are
+compacted to them. Both modes share this path; encode_entities is the
+all-rows case. Negatives are drawn per batch as arrays: head/tail flips
+and candidate ids, checked against the sorted keys of the known triples,
+with only the rejected rows redrawn.
 """
 
 from __future__ import annotations
@@ -34,9 +44,10 @@ from .errors import (
     FormatError,
     SamplingError,
     TrainingError,
+    require_finite_positive,
     require_positive,
 )
-from .graph import DENSE_ADJACENCY_GUARD, Graph, Triple, TripleSet
+from .graph import DENSE_ADJACENCY_GUARD, RELATIONS, Graph, Triple, TripleSet
 from .numeric import ParamStore, adam_step, sigmoid
 from .rng import RngStream
 
@@ -57,8 +68,7 @@ class PretrainConfig:
 
     def __post_init__(self):
         require_positive(self, "dim", "layers", "fanout", "batch_size")
-        if self.margin <= 0:
-            raise ConfigError("margin must be positive")
+        require_finite_positive(self, "margin", "lr")
         if self.mode not in ("full", "sampled"):
             raise ConfigError(f"unknown mode '{self.mode}'")
         if self.aggregation not in ("sym", "mean"):
@@ -97,7 +107,7 @@ def init_params(n_entities: int, n_relations: int, cfg: PretrainConfig, rng: Rng
 
 
 def _sparse_norm_adjacency(g: Graph, self_loops: bool, kind: str):
-    """Sparse normalized adjacency and its transpose (CSR)."""
+    """Sparse normalized adjacency (CSR)."""
     n = g.n_entities
     rows = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
     cols = np.concatenate(g.adjacency) if n else np.zeros(0, dtype=np.int64)
@@ -114,12 +124,11 @@ def _sparse_norm_adjacency(g: Graph, self_loops: bool, kind: str):
         with np.errstate(divide="ignore"):
             dinv = np.where(deg > 0, 1.0 / deg, 0.0)
         norm = sp.diags(dinv) @ a
-    norm = norm.tocsr()
-    return norm, norm.T.tocsr()
+    return norm.tocsr()
 
 
 def _full_operators(g: Graph, cfg: PretrainConfig) -> list:
-    """Full mode's per-layer (S, S.T): the normalized adjacency, shared by every layer."""
+    """Full mode's per-layer operators: the normalized adjacency, shared by every layer."""
     if g.n_entities > DENSE_ADJACENCY_GUARD:
         raise CapacityError(
             f"full mode on {g.n_entities} entities exceeds the guard of "
@@ -129,13 +138,14 @@ def _full_operators(g: Graph, cfg: PretrainConfig) -> list:
 
 
 def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream) -> list:
-    """Draw the per-layer operators (S, S.T) of one sampled-mode forward pass.
+    """Draw the per-layer operators S of one sampled-mode forward pass.
 
     Row i of S averages the entity's draw: all neighbors when degree <=
     fanout, otherwise a uniform fanout-sized subset without replacement, plus
     the entity itself when self-loops are on (isolated entities fall back to
     just themselves). Each row is scaled by 1/count. Only entities above the
-    fanout consume randomness, one draw each, in id order, layer by layer.
+    fanout consume randomness: per layer, one uniform key per neighbor of
+    each such entity, which keeps the fanout neighbors with the smallest keys.
     """
     n, deg = g.n_entities, g.degrees
     ids = np.arange(n, dtype=np.int64)
@@ -151,8 +161,12 @@ def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream) -> list:
     offset = np.arange(len(neighbors)) - np.repeat(np.cumsum(deg) - deg, deg)
     keep = deg[owner] <= cfg.fanout
     keep_slots = indptr[owner[keep]] + offset[keep]
+    # the neighbors of entities above the fanout, grouped by entity; sorting
+    # by owner + key shuffles each group, and its first fanout entries are kept
     big = np.flatnonzero(deg > cfg.fanout)
     big_slots = (indptr[big, None] + np.arange(cfg.fanout)).ravel()
+    big_owner, big_neighbors = owner[~keep], neighbors[~keep]
+    big_first = ((np.cumsum(deg[big]) - deg[big])[:, None] + np.arange(cfg.fanout)).ravel()
     self_slots = indptr[1:][has_self] - 1
 
     operators = []
@@ -160,24 +174,45 @@ def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream) -> list:
         indices = np.empty(indptr[-1], dtype=np.int64)
         indices[keep_slots] = neighbors[keep]
         if len(big):
-            indices[big_slots] = np.concatenate(
-                [rng.choice(g.adjacency[i], size=cfg.fanout, replace=False) for i in big]
-            )
+            shuffled = np.argsort(big_owner + rng.random(len(big_owner)))
+            indices[big_slots] = big_neighbors[shuffled[big_first]]
         indices[self_slots] = ids[has_self]
-        s = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        operators.append((s, s.T.tocsr()))
+        operators.append(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
     return operators
 
 
-def _encode_forward(params: PretrainParams, operators: list):
-    """Run the encoder, layer l computing sigmoid(S_l @ x @ W_l).
+def _restrict(operators: list, rows: np.ndarray):
+    """Restrict the encoder stack to the output rows a batch reads.
 
-    Returns (output, cache) for the matching backward.
+    Works from the top layer down: layer l keeps the rows of S_l that the
+    layer above reads, with its columns compacted to the rows that layer l-1
+    must produce. Returns the entity-table rows that layer 1 reads and the
+    compact operators A_l, bottom layer first.
     """
-    x = params.entity_table
-    cache: dict = {"operators": operators, "inputs": [], "outputs": []}
-    for (s, _), w in zip(operators, params.gcn_weights):
-        propagated = s @ x
+    compact = []
+    for s in reversed(operators):
+        a = s[rows]
+        used = np.zeros(s.shape[1], dtype=bool)
+        used[a.indices] = True
+        rows = np.flatnonzero(used)
+        local = np.empty(s.shape[1], dtype=np.int64)
+        local[rows] = np.arange(len(rows))
+        a = sp.csr_matrix((a.data, local[a.indices], a.indptr), shape=(a.shape[0], len(rows)))
+        compact.append(a)
+    return rows, compact[::-1]
+
+
+def _encode_forward(params: PretrainParams, operators: list, rows: np.ndarray):
+    """Encoder output at the given entity rows, computing only what they need.
+
+    Layer l computes sigmoid(A_l @ x @ W_l) over its compact rows (see
+    _restrict). Returns (output, cache) for the matching backward.
+    """
+    table_rows, compact = _restrict(operators, rows)
+    x = params.entity_table[table_rows]
+    cache: dict = {"table_rows": table_rows, "operators": compact, "inputs": [], "outputs": []}
+    for a, w in zip(compact, params.gcn_weights):
+        propagated = a @ x
         x = sigmoid(propagated @ w)
         cache["inputs"].append(propagated)
         cache["outputs"].append(x)
@@ -185,7 +220,11 @@ def _encode_forward(params: PretrainParams, operators: list):
 
 
 def _encode_backward(params: PretrainParams, cache: dict, d_out: np.ndarray):
-    """Backprop through the encoder stack; returns (d_entity_table, [dW...])."""
+    """Backprop through the restricted stack.
+
+    Returns (d_table, [dW...]), where d_table holds the gradient of the
+    entity-table rows cache["table_rows"].
+    """
     weights = params.gcn_weights
     d_ws = [None] * len(weights)
     grad = d_out
@@ -193,7 +232,7 @@ def _encode_backward(params: PretrainParams, cache: dict, d_out: np.ndarray):
         out = cache["outputs"][layer]
         pre = grad * out * (1.0 - out)
         d_ws[layer] = cache["inputs"][layer].T @ pre
-        grad = cache["operators"][layer][1] @ (pre @ weights[layer].T)
+        grad = cache["operators"][layer].T @ (pre @ weights[layer].T)
     return grad, d_ws
 
 
@@ -220,7 +259,7 @@ def encode_entities(
     Uses the given per-layer operators; without them, full mode builds its
     own and sampled mode draws them from rng.
     """
-    out, _ = _encode_forward(params, _operators(g, cfg, draws, rng))
+    out, _ = _encode_forward(params, _operators(g, cfg, draws, rng), np.arange(g.n_entities))
     return out
 
 
@@ -241,35 +280,68 @@ def margin_loss(pos, neg, gamma: float) -> float:
     return float(np.maximum(0.0, pos + gamma - neg).sum())
 
 
-def negative_sample(triple: Triple, g: Graph, rng: RngStream, max_attempts: int = 100) -> Triple:
-    """Corrupt the head or tail (p=0.5 each) with a uniform entity.
+def _triple_keys(triples: np.ndarray, n_entities: int) -> np.ndarray:
+    """The int64 key (h*R + r)*n + t of each (h, r, t) row, R the relation count."""
+    return (triples[:, 0] * len(RELATIONS) + triples[:, 1]) * n_entities + triples[:, 2]
 
-    Resamples until the corrupted triple is absent from the known set;
-    relations are never replaced.
+
+def _known_keys(tset: TripleSet) -> np.ndarray:
+    """Sorted keys of every known triple, closed by a sentinel above any key."""
+    keys = np.sort(_triple_keys(tset.known_array(), tset.n_entities))
+    return np.append(keys, np.iinfo(np.int64).max)
+
+
+def corrupt_batch(
+    pos: np.ndarray, known: np.ndarray, n_entities: int, rng: RngStream, max_attempts: int = 100
+) -> np.ndarray:
+    """Corrupt the head or tail (p=0.5 each) of every row with a uniform entity.
+
+    known holds the sorted keys of the known triples (_known_keys). Each
+    round draws the flips, then the candidates, for the rows still to go;
+    rows whose corruption is a known triple are redrawn in the next round.
+    Relations are never replaced.
     """
-    tset = g.triples
-    n = tset.n_entities
-    if n == 0:
+    if n_entities == 0:
         raise SamplingError("cannot sample from an empty graph")
+    neg = pos.copy()
+    todo = np.arange(len(pos))
     for _ in range(max_attempts):
-        replace_head = rng.random() < 0.5
-        candidate = int(rng.integers(0, n))
-        if replace_head:
-            corrupted = Triple(candidate, triple.relation, triple.tail)
-        else:
-            corrupted = Triple(triple.head, triple.relation, candidate)
-        if not tset.has(corrupted.head, corrupted.relation, corrupted.tail):
-            return corrupted
+        head = rng.random(len(todo)) < 0.5
+        candidate = rng.integers(0, n_entities, len(todo))
+        rows = pos[todo]
+        rows[:, 0] = np.where(head, candidate, rows[:, 0])
+        rows[:, 2] = np.where(head, rows[:, 2], candidate)
+        neg[todo] = rows
+        keys = _triple_keys(rows, n_entities)
+        todo = todo[known[np.searchsorted(known, keys)] == keys]
+        if not len(todo):
+            return neg
+    first = Triple(*(int(v) for v in pos[todo[0]]))
     raise SamplingError(
-        f"no valid corruption found for {triple} after {max_attempts} attempts"
+        f"no valid corruption found for {len(todo)} triple(s), e.g. {first}, "
+        f"after {max_attempts} attempts"
     )
 
 
-def _pair_scores(x: np.ndarray, rel: np.ndarray, pos: np.ndarray, neg: np.ndarray):
-    """Stacked (positives, then negatives) pairs, their residuals h + r - t and norms."""
+def negative_sample(triple: Triple, g: Graph, rng: RngStream, max_attempts: int = 100) -> Triple:
+    """Corrupt one triple's head or tail: the one-row case of corrupt_batch."""
+    pos = np.array([[triple.head, triple.relation, triple.tail]], dtype=np.int64)
+    row = corrupt_batch(pos, _known_keys(g.triples), g.n_entities, rng, max_attempts)[0]
+    return Triple(*(int(v) for v in row))
+
+
+def _pair_scores(params: PretrainParams, operators: list, pos: np.ndarray, neg: np.ndarray):
+    """Score the stacked pairs (positives, then negatives), encoding only their rows.
+
+    Returns the pairs, each pair's (head, tail) position among the encoded
+    rows, the residuals h + r - t, their norms and the encoder cache.
+    """
     pairs = np.concatenate([pos, neg])
-    diff = x[pairs[:, 0]] + rel[pairs[:, 1]] - x[pairs[:, 2]]
-    return pairs, diff, np.linalg.norm(diff, axis=1)
+    rows, ends = np.unique(pairs[:, [0, 2]].ravel(), return_inverse=True)
+    ends = ends.reshape(-1, 2)
+    x, cache = _encode_forward(params, operators, rows)
+    diff = x[ends[:, 0]] + params.relation_table[pairs[:, 1]] - x[ends[:, 1]]
+    return pairs, ends, diff, np.linalg.norm(diff, axis=1), cache
 
 
 def pretrain_loss(
@@ -281,8 +353,7 @@ def pretrain_loss(
     draws=None,
 ) -> float:
     """Margin ranking loss of fixed positive/negative pairs (pure forward)."""
-    x, _ = _encode_forward(params, _operators(g, cfg, draws))
-    _, _, s = _pair_scores(x, params.relation_table, pos, neg)
+    _, _, _, s, _ = _pair_scores(params, _operators(g, cfg, draws), pos, neg)
     return margin_loss(s[: len(pos)], s[len(pos) :], cfg.margin)
 
 
@@ -295,9 +366,7 @@ def pretrain_loss_grads(
     draws=None,
 ) -> float:
     """Compute the pair loss and accumulate analytic grads into the store."""
-    x, cache = _encode_forward(params, _operators(g, cfg, draws))
-    rel = params.relation_table
-    pairs, diff, s = _pair_scores(x, rel, pos, neg)
+    pairs, ends, diff, s, cache = _pair_scores(params, _operators(g, cfg, draws), pos, neg)
     margins = s[: len(pos)] + cfg.margin - s[len(pos) :]
     active = margins > 0
     loss = float(margins[active].sum())
@@ -309,19 +378,20 @@ def pretrain_loss_grads(
     unit *= sign[:, None]
 
     # one signed incidence operator scatters every pair's direction: + onto
-    # its head, - onto its tail, + onto its relation (rows after the entities)
-    n = len(x)
-    targets = np.stack([pairs[:, 0], pairs[:, 2], n + pairs[:, 1]], axis=1).ravel()
+    # its head, - onto its tail (encoded rows), + onto its relation (rows
+    # after the encoded ones)
+    m = cache["operators"][-1].shape[0]
+    targets = np.stack([ends[:, 0], ends[:, 1], m + pairs[:, 1]], axis=1).ravel()
     incidence = sp.csc_matrix(
         (np.tile([1.0, -1.0, 1.0], len(pairs)), targets, np.arange(0, len(targets) + 1, 3)),
-        shape=(n + len(rel), len(pairs)),
+        shape=(m + len(params.relation_table), len(pairs)),
     )
     d_all = incidence @ unit
 
-    d_entity, d_ws = _encode_backward(params, cache, d_all[:n])
+    d_table, d_ws = _encode_backward(params, cache, d_all[:m])
     store = params.store
-    store.grad("entity_table")[...] += d_entity
-    store.grad("relation_table")[...] += d_all[n:]
+    store.grad("entity_table")[cache["table_rows"]] += d_table
+    store.grad("relation_table")[...] += d_all[m:]
     for i, dw in enumerate(d_ws):
         store.grad(f"gcn_w{i}")[...] += dw
     return loss
@@ -349,8 +419,9 @@ class PretrainResult:
 def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> PretrainResult:
     """Minibatch joint training of encoder and scorer with Adam.
 
-    Each batch corrupts its positives, encodes the graph with the current
-    parameters, applies the margin ranking loss, and steps all parameters.
+    Each batch corrupts its positives, encodes the rows its pairs read with
+    the current parameters, applies the margin ranking loss, and steps all
+    parameters. The known-triple keys for corruption are built once per call.
     Full mode builds its propagation operator once per call; sampled mode
     draws new operators for every batch. Per-epoch mean loss (per positive
     pair) is recorded. The returned checkpoint holds the encoder output as
@@ -367,6 +438,7 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
     )
     npp = cfg.negatives_per_positive
     full = _full_operators(g, cfg) if cfg.mode == "full" else None
+    known = _known_keys(g.triples)
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         order = rng_shuffle.permutation(len(triples))
@@ -374,10 +446,7 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
         for bstart in range(0, len(order), cfg.batch_size):
             bidx = order[bstart : bstart + cfg.batch_size]
             pos = np.repeat(triples[bidx], npp, axis=0)
-            neg = np.empty_like(pos)
-            for i, row in enumerate(pos):
-                corrupted = negative_sample(Triple(*row), g, rng_negative)
-                neg[i] = (corrupted.head, corrupted.relation, corrupted.tail)
+            neg = corrupt_batch(pos, known, g.n_entities, rng_negative)
             draws = _operators(g, cfg, full, rng_encode)
             loss = pretrain_loss_grads(params, g, cfg, pos, neg, draws)
             if not np.isfinite(loss):

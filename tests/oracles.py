@@ -2,8 +2,9 @@
 
 These are the direct, per-entity, per-sample, per-layer, per-head or dense
 forms of operations that ``kdcn`` implements with batched arrays, a head
-axis and sparse operators: the graph encoder's dense adjacency and
-neighbor draws, the ranker's per-sample feature blocks (behavior means,
+axis, in-place updates and sparse operators: the graph encoder's dense
+adjacency, neighbor draws and unrestricted forward and backward, Adam's
+textbook form, the ranker's per-sample feature blocks (behavior means,
 user-state convolutions, dialogue attention, assembly) and towers, the
 cross tower layer by layer, the dialogue attention head by head, and AUC
 by counting every positive-negative pair. Nothing under ``src/`` uses
@@ -164,6 +165,46 @@ def layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream) -> list[np.ndarra
             s[i, chosen] = 1.0 / len(chosen)
         operators.append(s)
     return operators
+
+
+def encode_stack(params, operators: list, d_out: np.ndarray):
+    """The encoder over every entity, and its backward for d_out.
+
+    Layer l computes sigmoid(S_l @ x @ W_l) for all rows and the backward
+    multiplies by S_l.T; nothing is restricted to the rows a batch reads.
+    Returns (output, d_entity_table, [dW...]).
+    """
+    weights = params.gcn_weights
+    x = params.entity_table
+    inputs, outputs = [], []
+    for s, w in zip(operators, weights):
+        inputs.append(s @ x)
+        x = sigmoid(inputs[-1] @ w)
+        outputs.append(x)
+    d_ws = [None] * len(weights)
+    grad = d_out
+    for layer in range(len(weights) - 1, -1, -1):
+        out = outputs[layer]
+        pre = grad * out * (1.0 - out)
+        d_ws[layer] = inputs[layer].T @ pre
+        grad = operators[layer].T @ (pre @ weights[layer].T)
+    return x, grad, d_ws
+
+
+def adam_reference(store, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    """One bias-corrected Adam update per slot in the textbook form, then zero grads."""
+    for slot in store.slots.values():
+        slot.step_count += 1
+        t = slot.step_count
+        g = slot.grad
+        slot.adam_m *= beta1
+        slot.adam_m += (1.0 - beta1) * g
+        slot.adam_v *= beta2
+        slot.adam_v += (1.0 - beta2) * (g * g)
+        denom = np.sqrt(slot.adam_v / (1.0 - beta2**t))
+        denom += eps
+        slot.value -= (lr / (1.0 - beta1**t)) * slot.adam_m / denom
+    store.zero_grads()
 
 
 def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -112,6 +112,11 @@ class TestExitCodes:
             ("train", ["candidate_cap = 0"], "candidate_cap"),
             ("gen-data", ["n_users = 0"], "n_users"),
             ("pretrain", ["self_loops = ture"], "'self_loops': 'ture'"),
+            ("pretrain", ["margin = nan"], "PretrainConfig.margin"),
+            ("pretrain", ["margin = inf"], "PretrainConfig.margin"),
+            ("pretrain", ["pretrain_lr = -1"], "PretrainConfig.lr"),
+            ("train", ["lr = nan"], "TrainConfig.lr"),
+            ("train", ["lr = 0"], "TrainConfig.lr"),
         ],
     )
     def test_bad_config_value_is_data_error(self, workdir, capsys, command, lines, named):
@@ -291,6 +296,26 @@ class TestRankInputErrors:
         path.write_text(json.dumps(meta))
         err = self.rank_errors(trained, capsys, "--candidates", "item0")
         assert "kdcn.meta.json" in err[0] and name in err[0], err
+
+    def test_config_disagrees_with_meta(self, trained, capsys):
+        cfg = trained / "config.txt"
+        argv = ["--config", str(cfg), "--candidates", "item0"]
+        assert main(["rank", "--out", str(trained), "--user", "user0", "--query", "kw0", *argv]) == 0
+        cfg.write_text(TINY_CONFIG + "candidate_cap = 3\n")
+        capsys.readouterr()
+        err = self.rank_errors(trained, capsys, *argv)
+        assert "'candidate_cap' = 3" in err[0] and "50" in err[0] and "kdcn.meta.json" in err[0], err
+
+    def test_meta_disagrees_with_model(self, trained, capsys):
+        # a meta file that is consistent in itself, but not with kdcn.bin
+        path = trained / "kdcn.meta.json"
+        meta = json.loads(path.read_text())
+        meta["n_dense"] -= 1
+        meta["dense_mean"].pop()
+        meta["dense_std"].pop()
+        path.write_text(json.dumps(meta))
+        err = self.rank_errors(trained, capsys, "--candidates", "item0")
+        assert "kdcn.meta.json" in err[0] and "kdcn.bin" in err[0] and "'cross_w0'" in err[0], err
 
     def test_meta_file_not_json(self, trained, capsys):
         (trained / "kdcn.meta.json").write_text("{")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kdcn.errors import DimensionError, TrainingError
 from kdcn.numeric import ParamStore, adam_step, finite_diff_check, sigmoid
 from kdcn.rng import RngStream
-from oracles import conv_seq, matmul, softmax_rows, two_branch_sigmoid
+from oracles import adam_reference, conv_seq, matmul, softmax_rows, two_branch_sigmoid
 
 
 class TestMatmul:
@@ -150,6 +150,30 @@ class TestAdam:
         store.grad("w")[...] = [[2.0]]
         adam_step(store, lr=0.1)
         assert np.all(store.grad("w") == 0)
+
+    def test_bit_identical_to_textbook_form(self):
+        # the slot shapes of a small pretraining store, 30 steps of random grads
+        shapes = {"entity_table": (300, 16), "relation_table": (9, 16), "gcn_w0": (16, 16)}
+        stores = [ParamStore(), ParamStore()]
+        init = RngStream(31)
+        for name, shape in shapes.items():
+            value = init.uniform(-1, 1, shape)
+            for store in stores:
+                store.add(name, value.copy())
+        grads = RngStream(32)
+        for _ in range(30):
+            for name, shape in shapes.items():
+                g = grads.normal(0.0, 1.0, shape) * grads.uniform(0.0, 3.0)
+                for store in stores:
+                    store.grad(name)[...] = g
+            adam_step(stores[0], lr=0.01)
+            adam_reference(stores[1], lr=0.01)
+        for name in shapes:
+            new, ref = stores[0][name], stores[1][name]
+            assert np.array_equal(new.value, ref.value), name
+            assert np.array_equal(new.adam_m, ref.adam_m), name
+            assert np.array_equal(new.adam_v, ref.adam_v), name
+            assert np.all(new.grad == 0)
 
     def test_nonfinite_gradient_names_slot(self):
         store = ParamStore()

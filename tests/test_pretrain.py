@@ -9,7 +9,7 @@ from kdcn.errors import ConfigError, DimensionError, FormatError, SamplingError
 from kdcn.graph import Graph, Triple, TripleSet
 from kdcn.numeric import finite_diff_check, sigmoid
 from kdcn.rng import RngStream
-from oracles import gcn_layer, layer_draws, normalized_adjacency
+from oracles import encode_stack, gcn_layer, layer_draws, normalized_adjacency
 
 
 def small_world(seed=2, **overrides):
@@ -71,10 +71,9 @@ class TestEncode:
         g = Graph(w.tset)
         for kind in ("sym", "mean"):
             for self_loops in (True, False):
-                sparse, sparse_t = pt._sparse_norm_adjacency(g, self_loops, kind)
+                sparse = pt._sparse_norm_adjacency(g, self_loops, kind)
                 dense = normalized_adjacency(g, self_loops=self_loops, kind=kind)
                 assert np.abs(sparse.toarray() - dense).max() < 1e-14
-                assert np.abs(sparse_t.toarray() - dense.T).max() < 1e-14
 
     def test_full_mode_respects_dense_guard(self):
         from kdcn.errors import CapacityError
@@ -103,7 +102,14 @@ class TestEncode:
 
 
 class TestSampleLayerDraws:
-    """The array-built operators match the per-entity reference draw for draw."""
+    """The array-built operators match the per-entity reference draw.
+
+    At or above the max degree nothing is drawn and the operators equal the
+    reference exactly. Below it, the rows of entities above the fanout hold
+    a different uniform subset, so they are checked for their pattern:
+    fanout distinct neighbors (plus the entity itself with self-loops), each
+    weighted 1/count.
+    """
 
     @pytest.mark.parametrize("fanout", [3, 10, 12])  # below, at and above the max degree 10
     @pytest.mark.parametrize("self_loops", [True, False])
@@ -119,11 +125,127 @@ class TestSampleLayerDraws:
         operators = pt.sample_layer_draws(g, cfg, rng_new)
         reference = layer_draws(g, cfg, rng_ref)
         assert len(operators) == len(reference) == cfg.layers
-        for (s, s_t), ref in zip(operators, reference):
-            assert np.array_equal(s.toarray(), ref)
-            assert np.array_equal(s_t.toarray(), ref.T)
-        # both consumed exactly the same draws
-        assert rng_new.integers(0, 2**62) == rng_ref.integers(0, 2**62)
+        big = g.degrees > fanout
+        for s, ref in zip(operators, reference):
+            dense = s.toarray()
+            assert np.array_equal(dense[~big], ref[~big])
+            for i in np.flatnonzero(big):
+                chosen = s.indices[s.indptr[i] : s.indptr[i + 1]]
+                neighbors = chosen[chosen != i]
+                assert len(neighbors) == fanout == len(set(neighbors.tolist()))
+                assert set(neighbors.tolist()) <= set(g.adjacency[i].tolist())
+                assert len(chosen) == fanout + self_loops
+                assert np.all(s.data[s.indptr[i] : s.indptr[i + 1]] == 1.0 / len(chosen))
+        if not big.any():  # neither side drew anything
+            assert rng_new.integers(0, 2**62) == rng_ref.integers(0, 2**62)
+
+    def test_inclusion_rate_is_fanout_over_degree(self):
+        # an entity of degree 10 keeps each neighbor with probability 3/10
+        ts = TripleSet()
+        for i in range(10):
+            ts.add("hub", "user-has-tag", f"tag{i}")
+        g = Graph(ts)
+        draws = 4000
+        cfg = pt.PretrainConfig(dim=2, layers=draws, mode="sampled", fanout=3, self_loops=False)
+        hub = ts.entity_id("user", "hub")
+        counts = np.zeros(g.n_entities)
+        for s in pt.sample_layer_draws(g, cfg, RngStream(22)):
+            counts[s.indices[s.indptr[hub] : s.indptr[hub + 1]]] += 1
+        p = cfg.fanout / g.degrees[hub]
+        sigma = np.sqrt(p * (1 - p) / draws)
+        rates = counts[g.adjacency[hub]] / draws
+        assert np.all(np.abs(rates - p) < 4 * sigma), rates
+
+
+class TestRestrictedEncoder:
+    """Encoding only a batch's rows equals the unrestricted encoder there."""
+
+    MODES = {
+        "full-sym": dict(mode="full", aggregation="sym", self_loops=True),
+        "full-sym-no-loops": dict(mode="full", aggregation="sym", self_loops=False),
+        "full-mean": dict(mode="full", aggregation="mean", self_loops=True),
+        "full-mean-no-loops": dict(mode="full", aggregation="mean", self_loops=False),
+        "sampled": dict(mode="sampled", fanout=3, self_loops=True),
+        "sampled-no-loops": dict(mode="sampled", fanout=3, self_loops=False),
+    }
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("batch", ["one-triple", "random", "isolated", "all"])
+    def test_matches_unrestricted_oracle(self, mode, batch):
+        w = small_world(seed=4)
+        for i in range(3):
+            w.tset.entity_id("user", f"lonely{i}", create=True)
+        g = Graph(w.tset)
+        n = g.n_entities
+        cfg = pt.PretrainConfig(dim=5, layers=2, **self.MODES[mode])
+        params = pt.init_params(n, 9, cfg, RngStream(23))
+        if cfg.mode == "sampled":
+            operators = pt.sample_layer_draws(g, cfg, RngStream(24))
+        else:
+            operators = pt._full_operators(g, cfg)
+        rng = RngStream(25)
+        tr = w.tset.triples[0]
+        rows = {
+            "one-triple": np.unique([tr.head, tr.tail]),
+            "random": np.unique(rng.integers(0, n, 12)),
+            "isolated": np.array([0, n - 2, n - 1]),
+            "all": np.arange(n),
+        }[batch]
+        out, cache = pt._encode_forward(params, operators, rows)
+        d_rows = rng.normal(0.0, 1.0, out.shape)
+        d_table, d_ws = pt._encode_backward(params, cache, d_rows)
+
+        d_out = np.zeros((n, cfg.dim))
+        d_out[rows] = d_rows
+        ref_out, ref_entity, ref_ws = encode_stack(params, operators, d_out)
+        d_entity = np.zeros((n, cfg.dim))
+        d_entity[cache["table_rows"]] = d_table
+        assert np.abs(out - ref_out[rows]).max() < 1e-12
+        assert np.abs(d_entity - ref_entity).max() < 1e-12
+        for dw, ref in zip(d_ws, ref_ws):
+            assert np.abs(dw - ref).max() < 1e-12
+
+
+class TestCorruptBatch:
+    def batch(self, rows=4000):
+        w = small_world(seed=6)
+        g = Graph(w.tset)
+        triples = np.array([[t.head, t.relation, t.tail] for t in w.tset.triples], dtype=np.int64)
+        pos = np.resize(triples, (rows, 3))
+        return w.tset, g, pos
+
+    def corrupt(self, g, pos, seed):
+        return pt.corrupt_batch(pos, pt._known_keys(g.triples), g.n_entities, RngStream(seed))
+
+    def test_never_known_and_relation_kept(self):
+        tset, g, pos = self.batch()
+        neg = self.corrupt(g, pos, 26)
+        assert not any(tset.has(*map(int, row)) for row in neg)
+        assert np.array_equal(neg[:, 1], pos[:, 1])
+        # exactly one end changed
+        assert np.all((neg[:, 0] != pos[:, 0]) ^ (neg[:, 2] != pos[:, 2]))
+
+    def test_head_flip_rate_is_binomial(self):
+        _, g, pos = self.batch()
+        neg = self.corrupt(g, pos, 27)
+        rate = np.mean(neg[:, 0] != pos[:, 0])
+        assert abs(rate - 0.5) < 4 * np.sqrt(0.25 / len(pos)), rate
+
+    def test_same_seed_repeats_bit_for_bit(self):
+        _, g, pos = self.batch()
+        assert np.array_equal(self.corrupt(g, pos, 28), self.corrupt(g, pos, 28))
+        assert not np.array_equal(self.corrupt(g, pos, 28), self.corrupt(g, pos, 29))
+
+    def test_saturated_graph_raises(self):
+        ts = TripleSet()
+        ts.add("a", "user-has-tag", "b")
+        for h in range(2):
+            for t in range(2):
+                ts._triple_keys.add((h, 0, t))
+        g = Graph(ts)
+        pos = np.array([[0, 0, 1]] * 5, dtype=np.int64)
+        with pytest.raises(SamplingError, match="5 triple"):
+            self.corrupt(g, pos, 30)
 
 
 class TestTranseScore:
