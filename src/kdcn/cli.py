@@ -303,7 +303,10 @@ def cmd_rank(args, cfg: dict) -> None:
     try:
         model_mod.restore_model_values(mdl, values)
     except FormatError as exc:
-        raise FormatError(f"{meta_path} does not match {model_path}: {exc}") from None
+        raise FormatError(
+            f"{meta_path} does not match {model_path}: {exc} "
+            f"(a kdcn.bin written by an earlier build must be retrained)"
+        ) from None
 
     behaviors = next((s.behaviors for s in split.all() if s.user_id == args.user), None)
     if behaviors is None:

@@ -15,9 +15,19 @@ with one GEMM into df and one into the stacked weight gradient. The cache
 holds G, c and the bias prefix sums instead of L copies of the n x F x_l.
 
 The dialogue block is multi-head self-attention over the query and title
-keyword embeddings, run over a head axis: each projection reshapes to
-(n, heads, P, head_dim), and the logits, the masked softmax and the
-weighted sum of values are one batched operation for all heads at once.
+keyword embeddings, run over a head axis, and it returns the mean of the
+attention output over the real query slots and over the real title slots:
+2 * dim columns of f. Pooling is a design choice of this implementation;
+the paper does not fix the shape of the dialogue representation. Only the
+real keywords are gathered and projected (one GEMM for the three stacked
+projections); the projections are scattered into the padded
+(n, heads, P, head_dim) layout for the logits and the masked softmax.
+Because only the two means are needed, the block pools before the value
+product: with G holding 1/count at each group's real slots, it forms the
+pooled weights r = G @ attn, (n, heads, 2, P), and then r @ v. The backward
+works from the same rank-2 form, so no (n, heads, P, head_dim) output
+exists. The query keywords fill the first max_query_keywords slots of a
+row and the title keywords the rest, so a slot's group is its column.
 
 Training is batched numpy with hand-written backward passes; the per-sample
 and per-head forms in tests/oracles.py are the reference semantics and the
@@ -275,14 +285,16 @@ class Featurizer:
     def keyword_slots(
         self, query_ids: list[list[int]], items: list[str]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per row, the query keyword ids then the item's title keyword ids.
+        """Per row, the query keyword ids in the first max_query slots, then the
+        item's title keyword ids in the max_title slots after them.
 
         Returns (kw_ids, kw_mask), both (rows, max_query + max_title).
         """
-        rows = [q + self.title_keyword_ids(item) for q, item in zip(query_ids, items)]
-        width = self.cfg.max_query_keywords + self.cfg.max_title_keywords
-        ids, mask = _pad_rows(rows, width, 0)
-        return ids, mask.astype(np.float64)
+        query, query_mask = _pad_rows(query_ids, self.cfg.max_query_keywords, 0)
+        titles = [self.title_keyword_ids(item) for item in items]
+        title, title_mask = _pad_rows(titles, self.cfg.max_title_keywords, 0)
+        mask = np.concatenate([query_mask, title_mask], axis=1).astype(np.float64)
+        return np.concatenate([query, title], axis=1), mask
 
     def category_slots(self, categories: list[list[str]]) -> np.ndarray:
         """Category indices of the first n_cat_slots categories per row, -1 padded."""
@@ -361,8 +373,7 @@ class KdcnModel:
         self.n_behavior_kinds = featurizer.n_behavior_kinds
         self.frozen_table = featurizer.table
         self.u_dim = len(cfg.conv_widths) * cfg.conv_filters if cfg.use_user_state else 0
-        p_total = cfg.max_query_keywords + cfg.max_title_keywords
-        self.d_dim = p_total * self.dim if cfg.use_dialogue else 0
+        self.d_dim = 2 * self.dim if cfg.use_dialogue else 0
         self.f_width = cfg.n_cat_slots * cfg.cat_dim + self.n_dense + self.u_dim + self.d_dim
         if cfg.use_deep:
             self.deep_out = cfg.deep_width if cfg.deep_layers > 0 else self.f_width
@@ -457,20 +468,39 @@ class KdcnModel:
             cache["conv"][width] = {"windows": windows, "arg": arg, "max": m}
         return np.concatenate(pooled_parts, axis=1)
 
+    def _attn_weights(self) -> np.ndarray:
+        """The query, key and value projections stacked as one (3 * dim, dim) array."""
+        return np.concatenate([self.store.value(name) for name in _ATTN_SLOTS])
+
+    def _group_weights(self, kw_mask: np.ndarray) -> np.ndarray:
+        """(n, 1, 2, P) pooling weights G.
+
+        Row 0 holds 1/count at the real query slots and row 1 at the real
+        title slots; 0 elsewhere, and in a group with no real slot.
+        """
+        n, p = kw_mask.shape
+        g = np.zeros((n, 1, 2, p))
+        split = self.cfg.max_query_keywords
+        for row, cols in enumerate((slice(0, split), slice(split, p))):
+            real = kw_mask[:, cols]
+            g[:, 0, row, cols] = real / np.maximum(real.sum(axis=1, keepdims=True), 1.0)
+        return g
+
     def _dialogue_forward(self, batch: Batch, table: np.ndarray, cache: dict) -> np.ndarray:
         heads = self.cfg.attention_heads
-        x = table[batch.kw_ids] * batch.kw_mask[:, :, None]
-        n, p = batch.n, x.shape[1]
-        x2 = x.reshape(n * p, self.dim)
-        # one GEMM per projection; the matrices are row-blocked by head, so
-        # each output splits into a head axis: (n, heads, P, head_dim)
-        q, k, v = (
-            (x2 @ self.store.value(name).T).reshape(n, p, heads, -1).transpose(0, 2, 1, 3)
-            for name in _ATTN_SLOTS
-        )
+        n, p = batch.kw_ids.shape
+        real = np.flatnonzero(batch.kw_mask)
+        x = table[batch.kw_ids.ravel()[real]]
+        # one GEMM over the real keywords only, scattered into the padded
+        # layout; the matrices are row-blocked by head, so each projection
+        # is a (n, heads, P, head_dim) view
+        proj = np.zeros((n * p, 3 * self.dim))
+        proj[real] = x @ self._attn_weights().T
+        proj = proj.reshape(n, p, 3, heads, -1)
+        q, k, v = (proj[:, :, i].transpose(0, 2, 1, 3) for i in range(3))
         # the (n, heads, P, P) logits become the weights in place
         attn = q @ k.transpose(0, 1, 3, 2)
-        # padded keys have zero embeddings, so their logits are exactly 0;
+        # padded keys have zero projections, so their logits are exactly 0;
         # the row max therefore bounds every real logit and shifting by it
         # stays stable. Padded columns are zeroed after the exp.
         attn -= attn.max(axis=3, keepdims=True)
@@ -479,10 +509,11 @@ class KdcnModel:
         denom = attn.sum(axis=3, keepdims=True)
         np.maximum(denom, 1e-300, out=denom)  # all-pad rows divide to 0
         attn /= denom
-        cache["attn"] = (x, q, k, v, attn)
-        out = (attn @ v).transpose(0, 2, 1, 3).reshape(n, p, self.dim)
-        out *= batch.kw_mask[:, :, None]
-        return out.reshape(n, -1)
+        # pool before the value product: r = G @ attn is (n, heads, 2, P)
+        g = self._group_weights(batch.kw_mask)
+        r = g @ attn
+        cache["attn"] = (real, x, q, k, v, attn, g, r)
+        return (r @ v).transpose(0, 2, 1, 3).reshape(n, self.d_dim)
 
     def _assemble(self, batch: Batch, table: np.ndarray, cache: dict) -> np.ndarray:
         cfg = self.cfg
@@ -583,9 +614,10 @@ class KdcnModel:
         dtable = store.grad("entity_table") if finetune else None
 
         s_cat = cfg.n_cat_slots * cfg.cat_dim
-        dcat = df[:, :s_cat].reshape(batch.n, cfg.n_cat_slots, cfg.cat_dim).copy()
-        dcat *= (batch.cat_idx >= 0)[:, :, None]
-        np.add.at(store.grad("cat_table"), np.maximum(batch.cat_idx, 0), dcat)
+        filled = np.flatnonzero(batch.cat_idx >= 0)
+        dcat = df[:, :s_cat].reshape(-1, cfg.cat_dim)[filled]
+        cat_grad = store.grad("cat_table")
+        cat_grad += scatter_rows(batch.cat_idx.ravel()[filled], dcat, len(cat_grad))
         offset = s_cat + self.n_dense
 
         if cfg.use_user_state:
@@ -616,23 +648,39 @@ class KdcnModel:
                 dtable += batch.pool.T @ dmean
 
         if cfg.use_dialogue:
-            x, q, k, v, a = cache["attn"]
-            dd = df[:, offset : offset + self.d_dim].reshape(*x.shape[:2], cfg.attention_heads, -1)
-            dout = (dd * batch.kw_mask[:, :, None, None]).transpose(0, 2, 1, 3)
-            # d weights, then in place the softmax backward to d logits
-            dlog = dout @ v.transpose(0, 1, 3, 2)
-            dlog -= (dlog * a).sum(axis=3, keepdims=True)
+            real, x, q, k, v, a, g, r = cache["attn"]
+            n, heads, p = batch.n, cfg.attention_heads, a.shape[2]
+            dd = df[:, offset : offset + self.d_dim].reshape(n, 2, heads, -1).transpose(0, 2, 1, 3)
+            # rank 2: d weights_ij = G_g(i),i * (dd_g(i) . v_j), then in place
+            # the softmax backward to d logits
+            dlog = g.transpose(0, 1, 3, 2) @ (dd @ v.transpose(0, 1, 3, 2))
+            dlog -= np.einsum("nhij,nhij->nhi", dlog, a)[..., None]
             dlog *= a
-            grads = (dlog @ k, dlog.transpose(0, 1, 3, 2) @ q, a.transpose(0, 1, 3, 2) @ dout)
-            x2 = x.reshape(-1, self.dim)
-            dx = np.zeros_like(x2) if finetune else None
-            for name, grad in zip(_ATTN_SLOTS, grads):
-                grad = grad.transpose(0, 2, 1, 3).reshape(-1, self.dim)
-                store.grad(name)[...] += grad.T @ x2
-                if finetune:
-                    dx += grad @ store.value(name)
+            # written straight into the (n, P, 3, heads, head_dim) layout of
+            # the projections, so the real rows are one gather
+            dproj = np.empty((n, p, 3, heads, self.dim // heads))
+            np.matmul(dlog, k, out=dproj[:, :, 0].transpose(0, 2, 1, 3))
+            np.matmul(dlog.transpose(0, 1, 3, 2), q, out=dproj[:, :, 1].transpose(0, 2, 1, 3))
+            np.matmul(r.transpose(0, 1, 3, 2), dd, out=dproj[:, :, 2].transpose(0, 2, 1, 3))
+            dproj = dproj.reshape(n * p, -1)[real]
+            dw = dproj.T @ x
+            for i, name in enumerate(_ATTN_SLOTS):
+                store.grad(name)[...] += dw[i * self.dim : (i + 1) * self.dim]
             if finetune:
-                np.add.at(dtable, batch.kw_ids, dx.reshape(x.shape) * batch.kw_mask[:, :, None])
+                ids = batch.kw_ids.ravel()[real]
+                dtable += scatter_rows(ids, dproj @ self._attn_weights(), len(dtable))
+
+
+def scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, cols) sums of rows by target id: out[ids[j]] += rows[j], repeats adding up.
+
+    One sparse incidence product with one entry per source row, much
+    cheaper per row than np.add.at.
+    """
+    incidence = sp.csc_matrix(
+        (np.ones(len(ids)), ids, np.arange(len(ids) + 1)), shape=(n, len(ids))
+    )
+    return incidence @ rows
 
 
 def cross_tower(f: np.ndarray, w: np.ndarray, b: np.ndarray):

@@ -5,10 +5,11 @@ forms of operations that ``kdcn`` implements with batched arrays, a head
 axis, in-place updates and sparse operators: the graph encoder's dense
 adjacency, neighbor draws and unrestricted forward and backward, Adam's
 textbook form, the ranker's per-sample feature blocks (behavior means,
-user-state convolutions, dialogue attention, assembly) and towers, the
-cross tower layer by layer, the dialogue attention head by head, and AUC
-by counting every positive-negative pair. Nothing under ``src/`` uses
-them; the tests compare the library against them.
+user-state convolutions, per-slot dialogue attention and its query and
+title means, assembly) and towers, the cross tower layer by layer, the
+dialogue attention head by head, and AUC by counting every
+positive-negative pair. Nothing under ``src/`` uses them; the tests
+compare the library against them.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ class FeatureBundle:
     cat_ids: list[int]
     dense: np.ndarray
     u: np.ndarray
-    d: np.ndarray  # flattened dialogue-interaction block
+    d: np.ndarray  # dialogue-interaction block: query mean then title mean
 
 
 @dataclass
@@ -359,6 +360,47 @@ def dialogue_interaction(
         lo = h * attn.head_dim
         out[: len(ids), lo : lo + attn.head_dim] = weights @ v
     return out
+
+
+def group_means(out: np.ndarray, mask: np.ndarray, split: int) -> np.ndarray:
+    """The pooled dialogue block from per-slot attention outputs.
+
+    out is (n, P, d) and mask (n, P) is 1 at real slots. Per row, returns
+    the mean of out over the real slots before split (the query) and over
+    the real slots from split on (the title), concatenated to (n, 2d); a
+    group with no real slot gives zeros.
+    """
+    parts = []
+    for cols in (slice(0, split), slice(split, None)):
+        real = mask[:, cols]
+        total = (out[:, cols] * real[:, :, None]).sum(axis=1)
+        parts.append(total / np.maximum(real.sum(axis=1), 1.0)[:, None])
+    return np.concatenate(parts, axis=1)
+
+
+def group_means_backward(dpooled: np.ndarray, mask: np.ndarray, split: int) -> np.ndarray:
+    """The (n, P, d) per-slot gradient of group_means from its (n, 2d) gradient."""
+    n, p = mask.shape
+    d = dpooled.shape[1] // 2
+    dout = np.zeros((n, p, d))
+    for g, cols in enumerate((slice(0, split), slice(split, None))):
+        real = mask[:, cols]
+        weight = real / np.maximum(real.sum(axis=1, keepdims=True), 1.0)
+        dout[:, cols] = weight[:, :, None] * dpooled[:, None, g * d : (g + 1) * d]
+    return dout
+
+
+def dialogue_means(di: DialogueInput, table, attn: AttentionParams, max_query: int, max_title: int):
+    """The pooled dialogue block (2d) of one sample.
+
+    dialogue_interaction's output averaged over its real query rows and over
+    its real title rows.
+    """
+    out = dialogue_interaction(di, table, attn, max_query, max_title)
+    n_query = len(di.query_keywords[:max_query])
+    n_real = n_query + len(di.title_keywords[:max_title])
+    mask = (np.arange(len(out)) < n_real).astype(np.float64)
+    return group_means(out[None], mask[None], n_query)[0]
 
 
 def assemble_features(
@@ -533,14 +575,26 @@ def attention_params(model: KdcnModel) -> AttentionParams:
     )
 
 
-def sample_features(featurizer: Featurizer, sample) -> tuple[np.ndarray, list, list, np.ndarray]:
-    """One sample's (d x k behavior matrix, keyword ids, category slots, dense row)."""
+def sample_features(featurizer: Featurizer, sample) -> tuple[np.ndarray, list, list, list, np.ndarray]:
+    """One sample's (d x k behavior matrix, keyword slot ids, keyword slot mask,
+    category slots, dense row).
+
+    The query keywords fill the first max_query_keywords slots and the title
+    keywords the max_title_keywords slots after them, each zero-padded.
+    """
     f = featurizer
     blog = BehaviorLog([[f.item_id(name) for name in beh] for beh in sample.behaviors])
-    kw = f.query_keyword_ids(sample.query) + f.title_keyword_ids(sample.candidate_item)
+    kw_ids, kw_mask = [], []
+    groups = (
+        (f.query_keyword_ids(sample.query), f.cfg.max_query_keywords),
+        (f.title_keyword_ids(sample.candidate_item), f.cfg.max_title_keywords),
+    )
+    for ids, width in groups:
+        kw_ids += ids + [0] * (width - len(ids))
+        kw_mask += [1.0] * len(ids) + [0.0] * (width - len(ids))
     cats = [f.category_index[c] for c in sample.categories[: f.cfg.n_cat_slots]]
     dense = (np.asarray(sample.dense, dtype=np.float64) - f.dense_mean) / f.dense_std
-    return behavior_matrix(blog, f.table), kw, cats, dense
+    return behavior_matrix(blog, f.table), kw_ids, kw_mask, cats, dense
 
 
 def behavior_scatter(featurizer: Featurizer, samples) -> tuple[np.ndarray, ...]:

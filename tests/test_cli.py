@@ -1,11 +1,14 @@
 import json
 import re
+import struct
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kdcn.cli import CONFIG_KEYS, SECTIONS, _section_keys, load_config, main
+from kdcn.model import MODEL_MAGIC, MODEL_VERSION, load_model_values
 
 TINY_CONFIG = """
 # tiny world so the whole pipeline runs in seconds
@@ -316,6 +319,26 @@ class TestRankInputErrors:
         path.write_text(json.dumps(meta))
         err = self.rank_errors(trained, capsys, "--candidates", "item0")
         assert "kdcn.meta.json" in err[0] and "kdcn.bin" in err[0] and "'cross_w0'" in err[0], err
+
+    def test_model_file_from_flattened_block(self, trained, capsys):
+        # earlier builds put every keyword slot's attention output into f,
+        # so each f-wide slot was (P - 2) * dim wider: 6 slots at dim 8
+        path = trained / "kdcn.bin"
+        values = load_model_values(path)
+        extra = (6 - 2) * 8
+        for name, arr in values.items():
+            if name.startswith("cross_") or name == "logits_w":
+                values[name] = np.concatenate([arr, np.zeros((extra, arr.shape[1]))])
+            elif name == "deep_w0":
+                values[name] = np.concatenate([arr, np.zeros((arr.shape[0], extra))], axis=1)
+        with open(path, "wb") as fh:
+            fh.write(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(values)))
+            for name, arr in values.items():
+                fh.write(struct.pack("<H", len(name)) + name.encode() + struct.pack("<II", *arr.shape))
+            for arr in values.values():
+                fh.write(arr.astype("<f4").tobytes())
+        err = self.rank_errors(trained, capsys, "--candidates", "item0")
+        assert "kdcn.bin" in err[0] and "'cross_w0'" in err[0] and "retrained" in err[0], err
 
     def test_meta_file_not_json(self, trained, capsys):
         (trained / "kdcn.meta.json").write_text("{")
