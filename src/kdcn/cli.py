@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from collections import Counter
@@ -28,9 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen, graph, model as model_mod, pretrain as pretrain_mod
-from .errors import ConfigError, FormatError, KdcnError
+from .errors import ConfigError, FormatError, KdcnError, ParseError
 from .metrics import auc, epochs_to_threshold
 from .rng import RngStream
+from .textfile import read_lines, write_lines
 
 
 class UsageError(Exception):
@@ -77,19 +79,16 @@ CONFIG_KEYS = frozenset(
 )
 
 
+def _config_pair(line: str) -> tuple[str, str] | None:
+    key, eq, value = line.split("#", 1)[0].partition("=")
+    if not eq and key.strip():
+        raise ParseError("expected key=value")
+    return (key.strip(), value.strip()) if eq else None
+
+
 def load_config(path) -> dict[str, str]:
     """Flat key=value config; '#' starts a comment, blank lines ignored."""
-    cfg: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise KdcnError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
-    return cfg
+    return dict(pair for pair in read_lines(path, _config_pair) if pair)
 
 
 def _cast(key: str, cast, raw: str):
@@ -111,10 +110,7 @@ def _section(cfg: dict, section: str, **fixed):
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    write_lines(path, (",".join(row) for row in [header, *rows]))
 
 
 def cmd_gen_data(args, cfg: dict) -> None:
@@ -195,9 +191,7 @@ def cmd_train(args, cfg: dict) -> None:
         "n_dense": result.featurizer.n_dense,
         "n_behavior_kinds": result.featurizer.n_behavior_kinds,
     }
-    with open(out / "kdcn.meta.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lines(out / "kdcn.meta.json", [json.dumps(meta, indent=2, sort_keys=True)])
     _write_csv(
         out / "history.csv",
         ["epoch", "train_loss", "valid_auc"],
@@ -256,11 +250,10 @@ def cmd_eval(args, cfg: dict) -> None:
 
 def _load_meta(path) -> tuple[model_mod.TrainConfig, dict]:
     """kdcn.meta.json as written by `train`; anything else is a FormatError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except ValueError as exc:
-            raise FormatError(f"{path}: not JSON ({exc})") from None
+    try:
+        meta = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise FormatError(f"{path}: not JSON ({exc})") from None
     if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
         raise FormatError(f"{path}: expected an object with a 'config' object")
     unknown = sorted(set(meta["config"]) - {f.name for f in fields(model_mod.TrainConfig)})
@@ -269,9 +262,15 @@ def _load_meta(path) -> tuple[model_mod.TrainConfig, dict]:
     missing = [k for k in ("n_dense", "n_behavior_kinds", "dense_mean", "dense_std") if k not in meta]
     if missing:
         raise FormatError(f"{path}: missing {', '.join(missing)}")
-    for key in ("dense_mean", "dense_std"):
+    for key in ("n_dense", "n_behavior_kinds"):
+        if type(meta[key]) is not int or meta[key] < 1:  # a bool is not a count
+            raise FormatError(f"{path}: {key} must be an integer >= 1, got {meta[key]!r}")
+    # fit_stats writes 1.0 for a spread at or below 1e-8, so a stored std is > 0
+    for key, low in (("dense_mean", -math.inf), ("dense_std", 0.0)):
         if not isinstance(meta[key], list) or len(meta[key]) != meta["n_dense"]:
             raise FormatError(f"{path}: {key} does not hold n_dense = {meta['n_dense']!r} values")
+        if not all(type(v) in (int, float) and low < v and abs(v) <= sys.float_info.max for v in meta[key]):
+            raise FormatError(f"{path}: {key} must hold finite float64 values > {low}")
     stored = dict(meta["config"])
     try:
         if "conv_widths" in stored:  # JSON has no tuples
@@ -377,7 +376,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return 1
-    except (KdcnError, KeyError, FileNotFoundError) as exc:
+    except (KdcnError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

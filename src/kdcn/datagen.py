@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ParseError, require_positive
 from .graph import TripleSet, ingest_events
 from .rng import RngStream
+from .textfile import read_lines, write_lines
 
 BEHAVIOR_KINDS = 4  # click, purchase, add-to-cart, favorite
 PROPERTY_NAMES = ("color", "brand", "material")
@@ -249,15 +250,8 @@ class Sample:
     label: int
 
     def to_dict(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "behaviors": self.behaviors,
-            "query": self.query,
-            "candidate_item": self.candidate_item,
-            "categories": self.categories,
-            "dense": self.dense,
-            "label": self.label,
-        }
+        """The samples.jsonl record: one key per field, in field order."""
+        return {key: getattr(self, key) for key in SAMPLE_KEYS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Sample":
@@ -266,15 +260,11 @@ class Sample:
                 raise TypeError(f"{key} must be a list, got {d[key]!r}")
         if d["label"] not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {d['label']!r}")
-        return cls(
-            d["user_id"],
-            d["behaviors"],
-            d["query"],
-            d["candidate_item"],
-            d["categories"],
-            [float(v) for v in d["dense"]],
-            int(d["label"]),
-        )
+        values = {key: d[key] for key in SAMPLE_KEYS}  # other keys are ignored
+        return cls(**{**values, "dense": [float(v) for v in d["dense"]], "label": int(d["label"])})
+
+
+SAMPLE_KEYS = tuple(f.name for f in fields(Sample))
 
 
 @dataclass
@@ -342,33 +332,22 @@ def generate_samples(
                 label=label,
             )
         )
-    n_train = int(0.8 * n)
-    n_valid = int(0.1 * n)
-    return SampleSplit(
-        train=samples[:n_train],
-        valid=samples[n_train : n_train + n_valid],
-        test=samples[n_train + n_valid :],
-    )
+    return split_loaded(samples)
 
 
 def save_samples(samples, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s in samples:
-            fh.write(json.dumps(s.to_dict()) + "\n")
+    write_lines(path, (json.dumps(s.to_dict()) for s in samples))
+
+
+def _sample(line: str) -> Sample:
+    try:
+        return Sample.from_dict(json.loads(line.strip()))
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
+        raise ParseError(f"bad sample record ({exc})") from None
 
 
 def load_samples(path) -> list[Sample]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(Sample.from_dict(json.loads(line)))
-            except (ValueError, TypeError, KeyError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad sample record ({exc})") from exc
-    return out
+    return read_lines(path, _sample)
 
 
 def split_loaded(samples: list[Sample]) -> SampleSplit:

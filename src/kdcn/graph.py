@@ -15,6 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import IngestionError, ParseError, SchemaError
+from .textfile import read_lines, write_lines
 
 DENSE_ADJACENCY_GUARD = 10_000
 
@@ -164,25 +165,23 @@ def ingest_events(records, tset: TripleSet | None = None) -> TripleSet:
     return tset
 
 
+def _event(line: str) -> dict:
+    try:
+        record = json.loads(line.strip())  # any Unicode whitespace around a record is ignored
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise ParseError(f"invalid JSON ({exc})") from None
+    if not isinstance(record, dict):
+        raise ParseError(f"expected a JSON object, got {type(record).__name__}")
+    return record
+
+
 def load_events(path) -> list[dict]:
     """Read events.jsonl; raises ParseError with the offending line number."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-    return records
+    return read_lines(path, _event)
 
 
 def save_events(records, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+    write_lines(path, (json.dumps(rec) for rec in records))
 
 
 def prune_triples(tset: TripleSet, min_count: int = 1) -> TripleSet:
@@ -229,56 +228,41 @@ class Graph:
 TRIPLES_HEADER = "head\trelation\ttail"
 
 
+def _tsv_fields(line: str) -> list[str]:
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise ParseError("expected 3 tab-separated fields")
+    return parts
+
+
 def save_triples(tset: TripleSet, path) -> None:
     """Write a TripleSet as TSV: header line, then name\trelation\tname rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(TRIPLES_HEADER + "\n")
-        for tr in tset.triples:
-            fh.write(
-                f"{tset.name_of(tr.head)}\t{RELATIONS[tr.relation]}\t{tset.name_of(tr.tail)}\n"
-            )
+    rows = (
+        f"{tset.name_of(tr.head)}\t{RELATIONS[tr.relation]}\t{tset.name_of(tr.tail)}"
+        for tr in tset.triples
+    )
+    write_lines(path, chain([TRIPLES_HEADER], rows))
 
 
 def load_triples(path) -> TripleSet:
     tset = TripleSet()
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != TRIPLES_HEADER:
-            raise ParseError(f"{path}:1: expected header '{TRIPLES_HEADER}', got '{header}'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            head, relation, tail = parts
-            if relation not in RELATION_SIGNATURES:
-                raise ParseError(f"{path}:{lineno}: unknown relation '{relation}'")
-            tset.add(head, relation, tail)
+    # TripleSet.add rejects an unknown relation
+    read_lines(path, lambda line: tset.add(*_tsv_fields(line)), header=TRIPLES_HEADER)
     return tset
 
 
 def save_vocab(tset: TripleSet, path) -> None:
     """Write the entity vocabulary as TSV lines id\tkind\tname."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ent in tset.entities:
-            fh.write(f"{ent.id}\t{ent.kind}\t{ent.name}\n")
+    write_lines(path, (f"{ent.id}\t{ent.kind}\t{ent.name}" for ent in tset.entities))
+
+
+def _entity(line: str) -> EntityRef:
+    eid, kind, name = _tsv_fields(line)
+    try:
+        return EntityRef(int(eid), kind, name)
+    except ValueError:
+        raise ParseError(f"bad entity id '{eid}'") from None
 
 
 def load_vocab(path) -> list[EntityRef]:
-    entities = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            eid, kind, name = parts
-            try:
-                entities.append(EntityRef(int(eid), kind, name))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad entity id '{eid}'") from exc
-    return entities
+    return read_lines(path, _entity)

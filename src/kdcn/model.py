@@ -67,7 +67,7 @@ from .errors import (
 )
 from .graph import EntityRef
 from .metrics import auc
-from .numeric import ParamStore, adam_step, relu, sigmoid
+from .numeric import ParamStore, adam_step, incidence, relu, sigmoid
 from .pretrain import PretrainCheckpoint
 from .rng import RngStream
 
@@ -675,12 +675,9 @@ def scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """(n, cols) sums of rows by target id: out[ids[j]] += rows[j], repeats adding up.
 
     One sparse incidence product with one entry per source row, much
-    cheaper per row than np.add.at.
+    cheaper per row than np.add.at. An id outside [0, n) raises IndexError.
     """
-    incidence = sp.csc_matrix(
-        (np.ones(len(ids)), ids, np.arange(len(ids) + 1)), shape=(n, len(ids))
-    )
-    return incidence @ rows
+    return incidence(ids, np.ones(len(ids)), n) @ rows
 
 
 def cross_tower(f: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -846,7 +843,11 @@ def load_model_values(path) -> dict[str, np.ndarray]:
         manifest = []
         for _ in range(n_slots):
             (name_len,) = struct.unpack("<H", read(2, "manifest"))
-            name = read(name_len, "manifest").decode("utf-8")
+            raw = read(name_len, "manifest")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: slot name {raw!r} is not UTF-8") from None
             rows, cols = struct.unpack("<II", read(8, "manifest"))
             manifest.append((name, rows, cols))
         # check the declared sizes before reading: a corrupt manifest can

@@ -1,4 +1,4 @@
-"""Dense numeric core: activations, Adam, and a finite-difference checker.
+"""Numeric core: activations, Adam, checked sparse incidence, and a finite-difference checker.
 
 All tensors are 2-D float64 numpy arrays in row-major order ("Tensor2D").
 Model code works with plain arrays; trainable state lives in a ParamStore,
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionError, TrainingError
 
@@ -84,6 +85,16 @@ class ParamStore:
     def zero_grads(self) -> None:
         for slot in self.slots.values():
             slot.grad[...] = 0.0
+
+
+def incidence(rows: np.ndarray, data: np.ndarray, n_rows: int, per_col: int = 1) -> sp.csc_matrix:
+    """CSC matrix whose column j holds data[k] at row rows[k] for its per_col
+    entries k. scipy's constructor does not check rows, and a product through
+    an out-of-range one writes outside its buffer, so that raises IndexError."""
+    if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
+        raise IndexError(f"row ids span [{rows.min()}, {rows.max()}], outside [0, {n_rows})")
+    indptr = np.arange(0, len(rows) + 1, per_col)
+    return sp.csc_matrix((data, rows, indptr), shape=(n_rows, len(rows) // per_col))
 
 
 def adam_step(

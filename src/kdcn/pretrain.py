@@ -48,7 +48,7 @@ from .errors import (
     require_positive,
 )
 from .graph import DENSE_ADJACENCY_GUARD, RELATIONS, Graph, Triple, TripleSet
-from .numeric import ParamStore, adam_step, sigmoid
+from .numeric import ParamStore, adam_step, incidence, sigmoid
 from .rng import RngStream
 
 
@@ -382,11 +382,8 @@ def pretrain_loss_grads(
     # after the encoded ones)
     m = cache["operators"][-1].shape[0]
     targets = np.stack([ends[:, 0], ends[:, 1], m + pairs[:, 1]], axis=1).ravel()
-    incidence = sp.csc_matrix(
-        (np.tile([1.0, -1.0, 1.0], len(pairs)), targets, np.arange(0, len(targets) + 1, 3)),
-        shape=(m + len(params.relation_table), len(pairs)),
-    )
-    d_all = incidence @ unit
+    signs = np.tile([1.0, -1.0, 1.0], len(pairs))
+    d_all = incidence(targets, signs, m + len(params.relation_table), per_col=3) @ unit
 
     d_table, d_ws = _encode_backward(params, cache, d_all[:m])
     store = params.store

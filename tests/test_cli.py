@@ -285,6 +285,16 @@ class TestRankInputErrors:
             ("dense_std", None),
             ("dense_mean", [0.0]),
             ("dense_std", [1.0] * 9),
+            # a callable value maps the stored list to the damaged one
+            pytest.param("dense_std", lambda old: [0.0] * len(old), id="dense_std-zero"),
+            pytest.param("dense_std", lambda old: [float("inf")] * len(old), id="dense_std-inf"),
+            pytest.param("dense_mean", lambda old: ["x"] * len(old), id="dense_mean-str"),
+            pytest.param("dense_mean", lambda old: [None] * len(old), id="dense_mean-null"),
+            pytest.param("dense_mean", lambda old: [float("nan")] * len(old), id="dense_mean-nan"),
+            pytest.param("dense_mean", lambda old: [-(10**400)] * len(old), id="dense_mean-huge"),
+            ("n_behavior_kinds", "x"),
+            ("n_behavior_kinds", 0),
+            ("n_behavior_kinds", True),
         ],
     )
     def test_bad_meta_file(self, trained, capsys, key, value):
@@ -295,7 +305,7 @@ class TestRankInputErrors:
         if value is None:
             del target[name]
         else:
-            target[name] = value
+            target[name] = value(target[name]) if callable(value) else value
         path.write_text(json.dumps(meta))
         err = self.rank_errors(trained, capsys, "--candidates", "item0")
         assert "kdcn.meta.json" in err[0] and name in err[0], err
@@ -340,10 +350,59 @@ class TestRankInputErrors:
         err = self.rank_errors(trained, capsys, "--candidates", "item0")
         assert "kdcn.bin" in err[0] and "'cross_w0'" in err[0] and "retrained" in err[0], err
 
+    def test_model_slot_name_not_utf8(self, trained, capsys):
+        model = trained / "kdcn.bin"
+        data = bytearray(model.read_bytes())
+        data[data.index(b"cat_table")] = 0xFF  # the first name match is in the manifest
+        model.write_bytes(bytes(data))
+        err = self.rank_errors(trained, capsys, "--candidates", "item0")
+        assert "kdcn.bin" in err[0] and "not UTF-8" in err[0], err
+
     def test_meta_file_not_json(self, trained, capsys):
         (trained / "kdcn.meta.json").write_text("{")
         err = self.rank_errors(trained, capsys, "--candidates", "item0")
         assert "kdcn.meta.json" in err[0], err
+
+
+# every file each subcommand reads, by flag; a trained directory supplies the others
+INPUT_FLAGS = {
+    "gen-data": ["--config"],
+    "build-kg": ["--config", "--events"],
+    "pretrain": ["--config", "--triples"],
+    "train": ["--config", "--samples", "--checkpoint", "--vocab", "--events"],
+    "eval": ["--config", "--samples", "--checkpoint", "--vocab", "--events"],
+    "rank": ["--config", "--samples", "--checkpoint", "--vocab", "--events", "--model", "--meta"],
+}
+
+
+@pytest.fixture(scope="module")
+def trained_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained")
+    cfg = out / "config.txt"
+    cfg.write_text(TINY_CONFIG)
+    for cmd in ("gen-data", "build-kg", "pretrain", "train"):
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0, cmd
+    return out
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    @pytest.mark.parametrize(
+        "command, flag", [(cmd, flag) for cmd, flags in INPUT_FLAGS.items() for flag in flags]
+    )
+    def test_one_line_data_error(self, trained_dir, tmp_path, capsys, command, flag, kind):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe x\n")
+        argv = [command, "--out", str(trained_dir), flag, str(bad)]
+        if command == "rank":
+            argv += ["--user", "user0", "--query", "kw0", "--candidates", "item0"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0], err
 
 
 def _masked_report(path: Path) -> str:

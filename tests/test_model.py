@@ -242,6 +242,11 @@ class TestScatterRows:
         assert close(km.scatter_rows(ids, rows, 10), expected)
         assert km.scatter_rows(ids[:0], rows[:0], 4).shape == (4, 5)
 
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_out_of_range_id_raises(self, bad):
+        with pytest.raises(IndexError):
+            km.scatter_rows(np.array([3, bad, 0]), np.ones((3, 2)), 10)
+
     def test_cat_table_gradient_matches_add_at(self):
         world, ckpt, split, meta, cfg = small_setup(n_cat_slots=2)
         feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdcn.errors import DimensionError, TrainingError
-from kdcn.numeric import ParamStore, adam_step, finite_diff_check, sigmoid
+from kdcn.numeric import ParamStore, adam_step, finite_diff_check, incidence, sigmoid
 from kdcn.rng import RngStream
 from oracles import adam_reference, conv_seq, matmul, softmax_rows, two_branch_sigmoid
 
@@ -33,6 +33,20 @@ class TestMatmul:
         rng = RngStream(0)
         a, b, c = (rng.uniform(-1, 1, (4, 4)) for _ in range(3))
         assert np.abs(matmul(matmul(a, b), c) - matmul(a, matmul(b, c))).max() < 1e-9
+
+
+class TestIncidence:
+    def test_each_column_holds_its_entries(self):
+        rows = np.array([2, 0, 1, 1, 2, 0])
+        m = incidence(rows, np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]), 3, per_col=3)
+        assert np.array_equal(m.toarray(), [[-1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+
+    # scipy's constructor takes these and the product then writes out of bounds
+    @pytest.mark.parametrize("per_col", [1, 3])
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_out_of_range_row_raises(self, per_col, bad):
+        with pytest.raises(IndexError):
+            incidence(np.array([0, 3, 1, 2, 0, bad]), np.ones(6), 4, per_col=per_col)
 
 
 class TestSigmoid:
