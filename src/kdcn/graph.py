@@ -90,6 +90,7 @@ class TripleSet:
                 raise KeyError(f"unknown entity {kind}:{name}")
             if kind not in ENTITY_KINDS:
                 raise SchemaError(f"unknown entity kind '{kind}'")
+            _check_name(kind, name)
             eid = len(self.entities)
             self.entities.append(EntityRef(eid, kind, name))
             self._id_by_key[key] = eid
@@ -121,11 +122,36 @@ class TripleSet:
         return self.entities[eid].name
 
 
+def _check_name(kind: str, name) -> None:
+    """Raise SchemaError unless name can be a field of triples.tsv and vocab.tsv.
+
+    A TSV field holds no TAB or LF, and the line reader drops a CR before
+    the LF, so a name may not end in CR either.
+    """
+    if not isinstance(name, str):
+        raise SchemaError(f"{kind} name {name!r} is not a string")
+    if "\t" in name or "\n" in name or name.endswith("\r"):
+        raise SchemaError(f"{kind} name {name!r} holds a TAB or LF or ends in CR")
+
+
 _EVENT_FIELDS = {
     "user_profile": ("user", "tags"),
     "item_listing": ("item", "category", "seller"),
     "session_log": ("user", "session", "seller", "intention", "keywords"),
 }
+
+
+def check_event(rec) -> None:
+    """Raise IngestionError unless rec is a dict of a known event type with its fields."""
+    if not isinstance(rec, dict) or "type" not in rec:
+        raise IngestionError("missing 'type' field")
+    etype = rec["type"]
+    required = _EVENT_FIELDS.get(etype) if isinstance(etype, str) else None
+    if required is None:
+        raise IngestionError(f"unknown event type {etype!r}")
+    missing = [f for f in required if f not in rec]
+    if missing:
+        raise IngestionError(f"missing field(s) {missing} for '{etype}'")
 
 
 def ingest_events(records, tset: TripleSet | None = None) -> TripleSet:
@@ -134,35 +160,36 @@ def ingest_events(records, tset: TripleSet | None = None) -> TripleSet:
     Three event types are understood: user_profile (tag facts), item_listing
     (catalog facts; extra fields such as "title" or "dense" are ignored), and
     session_log (conversation facts). Identical triples are deduplicated and
-    entities are created on first mention.
+    entities are created on first mention. A malformed record or entity name
+    raises IngestionError or SchemaError naming the 1-based record number.
     """
     tset = tset if tset is not None else TripleSet()
-    for lineno, rec in enumerate(records, start=1):
-        if not isinstance(rec, dict) or "type" not in rec:
-            raise IngestionError(f"record {lineno}: missing 'type' field")
-        etype = rec["type"]
-        required = _EVENT_FIELDS.get(etype)
-        if required is None:
-            raise IngestionError(f"record {lineno}: unknown event type '{etype}'")
-        missing = [f for f in required if f not in rec]
-        if missing:
-            raise IngestionError(f"record {lineno}: missing field(s) {missing} for '{etype}'")
-        if etype == "user_profile":
-            for tag in rec["tags"]:
-                tset.add(rec["user"], "user-has-tag", tag)
-        elif etype == "item_listing":
-            tset.add(rec["item"], "item-belongs-to-category", rec["category"])
-            tset.add(rec["seller"], "seller-has-item", rec["item"])
-            for prop in rec.get("properties", []):
-                tset.add(rec["item"], "item-has-value", prop["value"])
-                tset.add(prop["property"], "property-has-value", prop["value"])
-        else:  # session_log
-            tset.add(rec["user"], "user-created-session", rec["session"])
-            tset.add(rec["session"], "session-relates-to-seller", rec["seller"])
-            tset.add(rec["session"], "session-has-intention", rec["intention"])
-            for kw in rec["keywords"]:
-                tset.add(rec["intention"], "intention-has-keyword", kw)
+    for number, rec in enumerate(records, start=1):
+        try:
+            check_event(rec)
+            _ingest_event(rec, tset)
+        except (IngestionError, SchemaError) as exc:
+            raise type(exc)(f"record {number}: {exc}") from None
     return tset
+
+
+def _ingest_event(rec: dict, tset: TripleSet) -> None:
+    etype = rec["type"]
+    if etype == "user_profile":
+        for tag in rec["tags"]:
+            tset.add(rec["user"], "user-has-tag", tag)
+    elif etype == "item_listing":
+        tset.add(rec["item"], "item-belongs-to-category", rec["category"])
+        tset.add(rec["seller"], "seller-has-item", rec["item"])
+        for prop in rec.get("properties", []):
+            tset.add(rec["item"], "item-has-value", prop["value"])
+            tset.add(prop["property"], "property-has-value", prop["value"])
+    else:  # session_log
+        tset.add(rec["user"], "user-created-session", rec["session"])
+        tset.add(rec["session"], "session-relates-to-seller", rec["seller"])
+        tset.add(rec["session"], "session-has-intention", rec["intention"])
+        for kw in rec["keywords"]:
+            tset.add(rec["intention"], "intention-has-keyword", kw)
 
 
 def _event(line: str) -> dict:
@@ -172,11 +199,13 @@ def _event(line: str) -> dict:
         raise ParseError(f"invalid JSON ({exc})") from None
     if not isinstance(record, dict):
         raise ParseError(f"expected a JSON object, got {type(record).__name__}")
+    check_event(record)
     return record
 
 
 def load_events(path) -> list[dict]:
-    """Read events.jsonl; raises ParseError with the offending line number."""
+    """Read events.jsonl; a line that is not JSON or not an event (check_event)
+    raises ParseError with the offending line number."""
     return read_lines(path, _event)
 
 

@@ -20,14 +20,17 @@ attention output over the real query slots and over the real title slots:
 2 * dim columns of f. Pooling is a design choice of this implementation;
 the paper does not fix the shape of the dialogue representation. Only the
 real keywords are gathered and projected (one GEMM for the three stacked
-projections); the projections are scattered into the padded
-(n, heads, P, head_dim) layout for the logits and the masked softmax.
-Because only the two means are needed, the block pools before the value
-product: with G holding 1/count at each group's real slots, it forms the
-pooled weights r = G @ attn, (n, heads, 2, P), and then r @ v. The backward
-works from the same rank-2 form, so no (n, heads, P, head_dim) output
-exists. The query keywords fill the first max_query_keywords slots of a
-row and the title keywords the rest, so a slot's group is its column.
+projections), and no padded layout exists. The rows are bucketed by their
+real keyword count L (sequence bucketing): taken in order of L, the
+keywords of each bucket are one contiguous block of the projections, which
+reshapes to (n_b, L, 3, heads, head_dim) without a copy, and the bucket
+runs a plain softmax over (n_b, heads, L, L) with no mask. A row without
+keywords belongs to no bucket and its block output stays zero. Because only
+the two means are needed, each bucket pools before the value product: with
+G holding 1/n_q at a row's n_q query keywords (which come first) and 1/n_t
+at its title keywords, it forms r = G @ attn, (n_b, heads, 2, L), and then
+r @ v. The backward works per bucket from the same rank-2 form and writes
+the projection gradients straight into the bucket's block.
 
 Training is batched numpy with hand-written backward passes; the per-sample
 and per-head forms in tests/oracles.py are the reference semantics and the
@@ -60,12 +63,13 @@ from .errors import (
     ConfigError,
     DimensionError,
     FormatError,
+    IngestionError,
     SchemaError,
     TrainingError,
     require_finite_positive,
     require_positive,
 )
-from .graph import EntityRef
+from .graph import EntityRef, check_event
 from .metrics import auc
 from .numeric import ParamStore, adam_step, incidence, relu, sigmoid
 from .pretrain import PretrainCheckpoint
@@ -136,11 +140,17 @@ def item_meta_from_events(events) -> dict[str, ItemMeta]:
     """Collect per-item metadata (title, categories, dense stats) from events.
 
     An item listed under several categories emits one event per category;
-    they merge into one record with the categories in listing order.
+    they merge into one record with the categories in listing order. Every
+    record must pass graph.check_event; an IngestionError names the 1-based
+    record number.
     """
     meta: dict[str, ItemMeta] = {}
-    for rec in events:
-        if rec.get("type") == "item_listing":
+    for number, rec in enumerate(events, start=1):
+        try:
+            check_event(rec)
+        except IngestionError as exc:
+            raise IngestionError(f"record {number}: {exc}") from None
+        if rec["type"] == "item_listing":
             existing = meta.get(rec["item"])
             if existing is None:
                 meta[rec["item"]] = ItemMeta(
@@ -472,48 +482,48 @@ class KdcnModel:
         """The query, key and value projections stacked as one (3 * dim, dim) array."""
         return np.concatenate([self.store.value(name) for name in _ATTN_SLOTS])
 
-    def _group_weights(self, kw_mask: np.ndarray) -> np.ndarray:
-        """(n, 1, 2, P) pooling weights G.
-
-        Row 0 holds 1/count at the real query slots and row 1 at the real
-        title slots; 0 elsewhere, and in a group with no real slot.
-        """
-        n, p = kw_mask.shape
-        g = np.zeros((n, 1, 2, p))
-        split = self.cfg.max_query_keywords
-        for row, cols in enumerate((slice(0, split), slice(split, p))):
-            real = kw_mask[:, cols]
-            g[:, 0, row, cols] = real / np.maximum(real.sum(axis=1, keepdims=True), 1.0)
-        return g
-
     def _dialogue_forward(self, batch: Batch, table: np.ndarray, cache: dict) -> np.ndarray:
-        heads = self.cfg.attention_heads
+        heads, split = self.cfg.attention_heads, self.cfg.max_query_keywords
+        head_dim = self.dim // heads
         n, p = batch.kw_ids.shape
-        real = np.flatnonzero(batch.kw_mask)
-        x = table[batch.kw_ids.ravel()[real]]
-        # one GEMM over the real keywords only, scattered into the padded
-        # layout; the matrices are row-blocked by head, so each projection
-        # is a (n, heads, P, head_dim) view
-        proj = np.zeros((n * p, 3 * self.dim))
-        proj[real] = x @ self._attn_weights().T
-        proj = proj.reshape(n, p, 3, heads, -1)
-        q, k, v = (proj[:, :, i].transpose(0, 2, 1, 3) for i in range(3))
-        # the (n, heads, P, P) logits become the weights in place
-        attn = q @ k.transpose(0, 1, 3, 2)
-        # padded keys have zero projections, so their logits are exactly 0;
-        # the row max therefore bounds every real logit and shifting by it
-        # stays stable. Padded columns are zeroed after the exp.
-        attn -= attn.max(axis=3, keepdims=True)
-        np.exp(attn, out=attn)
-        attn *= batch.kw_mask[:, None, None, :]
-        denom = attn.sum(axis=3, keepdims=True)
-        np.maximum(denom, 1e-300, out=denom)  # all-pad rows divide to 0
-        attn /= denom
-        # pool before the value product: r = G @ attn is (n, heads, 2, P)
-        g = self._group_weights(batch.kw_mask)
-        r = g @ attn
-        cache["attn"] = (real, x, q, k, v, attn, g, r)
-        return (r @ v).transpose(0, 2, 1, 3).reshape(n, self.d_dim)
+        n_query = np.count_nonzero(batch.kw_mask[:, :split], axis=1)
+        counts = n_query + np.count_nonzero(batch.kw_mask[:, split:], axis=1)
+        # rows in order of their real keyword count, so that the keywords of
+        # the rows sharing a count L (a bucket) are one contiguous block
+        order = np.argsort(counts, kind="stable")
+        slots = (order[:, None] * p + np.arange(p)).ravel()[np.flatnonzero(batch.kw_mask[order])]
+        x = table[batch.kw_ids.ravel()[slots]]
+        # one GEMM over the real keywords only; the matrices are row-blocked
+        # by head, so row j of proj holds keyword j's (3, heads, head_dim)
+        proj = (x @ self._attn_weights().T).reshape(len(slots), 3, heads, head_dim)
+        ranked = counts[order]
+        offsets = np.concatenate([[0], np.cumsum(ranked)])  # first keyword of each row
+        lengths, firsts = np.unique(ranked, return_index=True)
+        out = np.zeros((n, 2, heads, head_dim))  # rows with L = 0 stay 0
+        buckets = []
+        for length, lo, hi in zip(lengths, firsts, chain(firsts[1:], [n])):
+            if length == 0:
+                continue
+            rows, block = order[lo:hi], slice(offsets[lo], offsets[hi])
+            qkv = proj[block].reshape(hi - lo, length, *proj.shape[1:])
+            q, k, v = (qkv[:, :, i].transpose(0, 2, 1, 3) for i in range(3))
+            # every key is real: a plain softmax over (n_b, heads, L, L)
+            attn = q @ k.transpose(0, 1, 3, 2)
+            attn -= attn.max(axis=3, keepdims=True)
+            np.exp(attn, out=attn)
+            attn /= np.einsum("nhij->nhi", attn)[..., None]
+            # pool before the value product: G holds 1/n_q at the first n_q
+            # (query) columns and 1/n_t at the rest, so r = G @ attn is
+            # (n_b, heads, 2, L)
+            nq = n_query[rows, None]
+            in_query = np.arange(length) < nq
+            g = np.stack([in_query / np.maximum(nq, 1), ~in_query / np.maximum(length - nq, 1)], 1)
+            g = g[:, None]
+            r = g @ attn
+            out[rows] = (r @ v).transpose(0, 2, 1, 3)
+            buckets.append((rows, block, q, k, v, attn, g, r))
+        cache["attn"] = (slots, x, proj, buckets)
+        return out.reshape(n, self.d_dim)
 
     def _assemble(self, batch: Batch, table: np.ndarray, cache: dict) -> np.ndarray:
         cfg = self.cfg
@@ -648,26 +658,28 @@ class KdcnModel:
                 dtable += batch.pool.T @ dmean
 
         if cfg.use_dialogue:
-            real, x, q, k, v, a, g, r = cache["attn"]
-            n, heads, p = batch.n, cfg.attention_heads, a.shape[2]
-            dd = df[:, offset : offset + self.d_dim].reshape(n, 2, heads, -1).transpose(0, 2, 1, 3)
-            # rank 2: d weights_ij = G_g(i),i * (dd_g(i) . v_j), then in place
-            # the softmax backward to d logits
-            dlog = g.transpose(0, 1, 3, 2) @ (dd @ v.transpose(0, 1, 3, 2))
-            dlog -= np.einsum("nhij,nhij->nhi", dlog, a)[..., None]
-            dlog *= a
-            # written straight into the (n, P, 3, heads, head_dim) layout of
-            # the projections, so the real rows are one gather
-            dproj = np.empty((n, p, 3, heads, self.dim // heads))
-            np.matmul(dlog, k, out=dproj[:, :, 0].transpose(0, 2, 1, 3))
-            np.matmul(dlog.transpose(0, 1, 3, 2), q, out=dproj[:, :, 1].transpose(0, 2, 1, 3))
-            np.matmul(r.transpose(0, 1, 3, 2), dd, out=dproj[:, :, 2].transpose(0, 2, 1, 3))
-            dproj = dproj.reshape(n * p, -1)[real]
+            slots, x, proj, buckets = cache["attn"]
+            heads = cfg.attention_heads
+            dd = df[:, offset : offset + self.d_dim].reshape(batch.n, 2, heads, proj.shape[3])
+            dproj = np.empty_like(proj)
+            for rows, block, q, k, v, a, g, r in buckets:
+                ddb = dd[rows].transpose(0, 2, 1, 3)
+                # rank 2: d weights_ij = G_g(i),i * (dd_g(i) . v_j), then in
+                # place the softmax backward to d logits
+                dlog = g.transpose(0, 1, 3, 2) @ (ddb @ v.transpose(0, 1, 3, 2))
+                dlog -= np.einsum("nhij,nhij->nhi", dlog, a)[..., None]
+                dlog *= a
+                # written straight into the bucket's block of dproj
+                dqkv = dproj[block].reshape(len(rows), -1, *proj.shape[1:])
+                np.matmul(dlog, k, out=dqkv[:, :, 0].transpose(0, 2, 1, 3))
+                np.matmul(dlog.transpose(0, 1, 3, 2), q, out=dqkv[:, :, 1].transpose(0, 2, 1, 3))
+                np.matmul(r.transpose(0, 1, 3, 2), ddb, out=dqkv[:, :, 2].transpose(0, 2, 1, 3))
+            dproj = dproj.reshape(len(slots), 3 * self.dim)
             dw = dproj.T @ x
             for i, name in enumerate(_ATTN_SLOTS):
                 store.grad(name)[...] += dw[i * self.dim : (i + 1) * self.dim]
             if finetune:
-                ids = batch.kw_ids.ravel()[real]
+                ids = batch.kw_ids.ravel()[slots]
                 dtable += scatter_rows(ids, dproj @ self._attn_weights(), len(dtable))
 
 

@@ -281,7 +281,17 @@ def margin_loss(pos, neg, gamma: float) -> float:
 
 
 def _triple_keys(triples: np.ndarray, n_entities: int) -> np.ndarray:
-    """The int64 key (h*R + r)*n + t of each (h, r, t) row, R the relation count."""
+    """The int64 key (h*R + r)*n + t of each (h, r, t) row, R the relation count.
+
+    Keys run up to R*n*n - 1, and _known_keys closes them with a sentinel at
+    the int64 maximum, so n must keep R*n*n within int64 (n up to about
+    1.01e9 with the nine relations); a larger graph raises CapacityError
+    rather than wrapping around.
+    """
+    if len(RELATIONS) * int(n_entities) ** 2 > np.iinfo(np.int64).max:
+        raise CapacityError(
+            f"{n_entities} entities: (head, relation, tail) keys would overflow int64"
+        )
     return (triples[:, 0] * len(RELATIONS) + triples[:, 1]) * n_entities + triples[:, 2]
 
 

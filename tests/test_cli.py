@@ -385,6 +385,32 @@ def trained_dir(tmp_path_factory):
     return out
 
 
+class TestMalformedEvents:
+    def errors(self, capsys, argv) -> list[str]:
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        return err
+
+    def test_item_listing_without_item_names_the_line(self, trained_dir, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text('\n{"type": "item_listing", "category": "c"}\n')
+        inputs = [f"--{name}={trained_dir / file}" for name, file in (
+            ("samples", "samples.jsonl"), ("checkpoint", "ckge.bin"), ("vocab", "ckge.vocab.tsv")
+        )]
+        err = self.errors(capsys, ["train", "--out", str(tmp_path), "--events", str(events), *inputs])
+        assert err[0].startswith(f"error: {events}:2: missing field(s) ['item', 'seller']"), err
+        assert not (tmp_path / "kdcn.bin").exists()
+
+    def test_entity_name_with_tab_writes_no_graph(self, tmp_path, capsys):
+        record = {"type": "user_profile", "user": "a\tb", "tags": ["t"]}
+        (tmp_path / "events.jsonl").write_text(json.dumps(record) + "\n")
+        err = self.errors(capsys, ["build-kg", "--out", str(tmp_path)])
+        assert "record 1: user name 'a\\tb'" in err[0], err
+        assert not (tmp_path / "triples.tsv").exists() and not (tmp_path / "vocab.tsv").exists()
+
+
 class TestUnreadableInputs:
     @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
     @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,17 @@ class TestIngest:
     def test_missing_field(self):
         with pytest.raises(IngestionError, match="record 1"):
             ingest_events([{"type": "session_log", "user": "u1"}])
+
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "ab\r", 5])
+    def test_name_tsv_cannot_hold_is_schema_error(self, name):
+        good = {"type": "user_profile", "user": "u1", "tags": ["t"]}
+        with pytest.raises(SchemaError, match=re.escape(f"record 2: user name {name!r}")):
+            ingest_events([good, {**good, "user": name}])
+
+    def test_name_with_inner_cr_round_trips(self, tmp_path):
+        ts = ingest_events([{"type": "user_profile", "user": "a\rb", "tags": ["t\r "]}])
+        save_triples(ts, tmp_path / "t.tsv")
+        assert load_triples(tmp_path / "t.tsv") == ts
 
     def test_idempotent(self):
         events = [

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import kdcn.model as km
 import kdcn.pretrain as pt
 from kdcn.datagen import ClickModel, Sample, WorldConfig, generate_samples, generate_world
-from kdcn.errors import CapacityError, DimensionError, FormatError, SchemaError
+from kdcn.errors import CapacityError, DimensionError, FormatError, IngestionError, SchemaError
 from kdcn.graph import Graph
 from kdcn.numeric import finite_diff_check, sigmoid
 from kdcn.rng import RngStream
@@ -132,16 +133,10 @@ class TestCrossTower:
                 assert err < 1e-6, (name, err)
 
 
-def dialogue_case(heads, finetune, n=12, use_user_state=False):
-    """A model (without the user-state block unless asked) with large random
-    attention weights, and a batch whose first rows are edge cases.
-
-    Row 0 has no keyword at all, row 1 query keywords only, row 2 title
-    keywords only and row 3 exactly one (title) keyword; keyword id 5
-    repeats across rows.
-    """
+def dialogue_model(heads, finetune, n, **cfg_overrides):
+    """A model with large random attention weights and a batch of its first n samples."""
     world, ckpt, split, meta, cfg = small_setup(
-        attention_heads=heads, finetune_embeddings=finetune, use_user_state=use_user_state
+        attention_heads=heads, finetune_embeddings=finetune, **cfg_overrides
     )
     feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
     feat.fit_stats(split.train)
@@ -150,8 +145,19 @@ def dialogue_case(heads, finetune, n=12, use_user_state=False):
     for name in ("attn_query", "attn_key", "attn_value"):
         w = model.store.value(name)
         w[...] = rng.uniform(-2.0, 2.0, w.shape)
-    batch = feat.prepare(split.train[:n]).batch(np.arange(n))
-    q = cfg.max_query_keywords
+    return model, feat.prepare(split.train[:n]).batch(np.arange(n))
+
+
+def dialogue_case(heads, finetune, n=12, use_user_state=False):
+    """A model (without the user-state block unless asked) with large random
+    attention weights, and a batch whose first rows are edge cases.
+
+    Row 0 has no keyword at all, row 1 query keywords only, row 2 title
+    keywords only and row 3 exactly one (title) keyword; keyword id 5
+    repeats across rows.
+    """
+    model, batch = dialogue_model(heads, finetune, n, use_user_state=use_user_state)
+    q = model.cfg.max_query_keywords
     batch.kw_mask[:4] = 0.0
     batch.kw_mask[1, :2] = 1.0
     batch.kw_mask[2, q : q + 2] = 1.0
@@ -163,50 +169,119 @@ def dialogue_case(heads, finetune, n=12, use_user_state=False):
     return model, batch
 
 
+# (query, title) real keyword counts per row of bucket_case: every total
+# 0..16, the total 7 four times and every other total once
+BUCKET_ROWS = [
+    (0, 0), (1, 0), (0, 2), (2, 1), (0, 4), (5, 0), (3, 3), (4, 3), (8, 0), (1, 8),
+    (5, 5), (3, 8), (8, 4), (6, 7), (7, 7), (8, 7), (8, 8), (7, 0), (0, 7), (2, 5),
+]
+
+
+def bucket_case(heads, finetune):
+    """A dialogue_model (without the user-state block) and a batch over 8 query
+    and 8 title slots with BUCKET_ROWS' counts in shuffled row order.
+
+    The real slots sit at random columns of their group, and the keyword ids
+    are drawn from six entities, so they repeat within and across rows.
+    """
+    model, batch = dialogue_model(
+        heads, finetune, len(BUCKET_ROWS), use_user_state=False,
+        max_query_keywords=8, max_title_keywords=8,
+    )
+    rng = RngStream(43)
+    batch.kw_mask[...] = 0.0
+    for row, (n_query, n_title) in zip(rng.permutation(len(BUCKET_ROWS)), BUCKET_ROWS):
+        batch.kw_mask[row, rng.choice(8, n_query, replace=False)] = 1.0
+        batch.kw_mask[row, 8 + rng.choice(8, n_title, replace=False)] = 1.0
+    batch.kw_ids[...] = np.where(batch.kw_mask > 0, rng.integers(0, 6, batch.kw_ids.shape), 0)
+    return model, batch
+
+
+def assert_matches_per_head_reference(model, batch):
+    """The dialogue block output, the attention gradients and (when fine-tuned)
+    the entity-table gradient equal the per-head oracle's within 1e-12.
+
+    Returns the (n, 2 * dim) block output.
+    """
+    heads, split, mask = model.cfg.attention_heads, model.cfg.max_query_keywords, batch.kw_mask
+    table = model.entity_table()
+    x = table[batch.kw_ids] * mask[:, :, None]
+    wq, wk, wv = (model.store.value(n) for n in ("attn_query", "attn_key", "attn_value"))
+
+    _, cache = model.forward(batch)
+    out = cache["f"][:, -model.d_dim :]
+    slots, ref_cache = attention_heads(x, mask, wq, wk, wv, heads)
+    assert close(out, group_means(slots, mask, split))
+
+    rng = RngStream(42)
+    df = rng.uniform(-1.0, 1.0, cache["f"].shape)
+    model.store.zero_grads()
+    model._assemble_backward(batch, cache, df)
+    dout = group_means_backward(df[:, -model.d_dim :], mask, split)
+    dwq, dwk, dwv, dx = attention_heads_backward(dout, mask, ref_cache, wq, wk, wv)
+    assert close(model.store.grad("attn_query"), dwq)
+    assert close(model.store.grad("attn_key"), dwk)
+    assert close(model.store.grad("attn_value"), dwv)
+    if model.cfg.finetune_embeddings:
+        dtable = np.zeros_like(table)
+        np.add.at(dtable, batch.kw_ids, dx)
+        assert close(model.store.grad("entity_table"), dtable)
+    for name in model.store.names():
+        assert np.isfinite(model.store.grad(name)).all(), name
+    return out
+
+
 class TestDialogueAttention:
     @pytest.mark.parametrize("finetune", [False, True])
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_matches_per_head_reference(self, heads, finetune):
         model, batch = dialogue_case(heads, finetune)
         assert model.dim == 8 and model.d_dim == 16
-        split, half, mask = model.cfg.max_query_keywords, model.dim, batch.kw_mask
-        table = model.entity_table()
-        x = table[batch.kw_ids] * mask[:, :, None]
-        wq, wk, wv = (model.store.value(n) for n in ("attn_query", "attn_key", "attn_value"))
-
-        _, cache = model.forward(batch)
-        out = cache["f"][:, -model.d_dim :]
-        slots, ref_cache = attention_heads(x, mask, wq, wk, wv, heads)
-        assert close(out, group_means(slots, mask, split))
+        half, table = model.dim, model.entity_table()
+        out = assert_matches_per_head_reference(model, batch)
         assert not out[0].any() and not out[1, half:].any() and not out[2:4, :half].any()
-        assert close(out[3, half:], wv @ table[5])
+        assert close(out[3, half:], model.store.value("attn_value") @ table[5])
 
-        rng = RngStream(42)
-        df = rng.uniform(-1.0, 1.0, cache["f"].shape)
+    @pytest.mark.parametrize("finetune", [False, True])
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_every_keyword_count_matches_per_head_reference(self, heads, finetune):
+        model, batch = bucket_case(heads, finetune)
+        n_query, n_title = batch.kw_mask[:, :8].sum(axis=1), batch.kw_mask[:, 8:].sum(axis=1)
+        lengths, rows = np.unique(n_query + n_title, return_counts=True)
+        assert lengths.tolist() == list(range(17)) and rows.max() == 4 and rows.min() == 1
+        out = assert_matches_per_head_reference(model, batch)
+        # no keyword, or no keyword in a group: exact zeros, not small values
+        assert not out[n_query + n_title == 0].any()
+        assert not out[n_query == 0, : model.dim].any() and not out[n_title == 0, model.dim :].any()
+        assert (out[n_query > 0, : model.dim] != 0).all() and (out[n_title > 0, model.dim :] != 0).all()
+
+    @pytest.mark.parametrize("finetune", [False, True])
+    def test_all_padding_batch_gives_zeros(self, finetune):
+        model, batch = dialogue_case(2, finetune)
+        batch.kw_mask[...] = 0.0
+        batch.kw_ids[...] = 0
+        _, cache = model.forward(batch)
+        assert not cache["f"][:, -model.d_dim :].any()
         model.store.zero_grads()
-        model._assemble_backward(batch, cache, df)
-        dout = group_means_backward(df[:, -model.d_dim :], mask, split)
-        dwq, dwk, dwv, dx = attention_heads_backward(dout, mask, ref_cache, wq, wk, wv)
-        assert close(model.store.grad("attn_query"), dwq)
-        assert close(model.store.grad("attn_key"), dwk)
-        assert close(model.store.grad("attn_value"), dwv)
+        model._assemble_backward(batch, cache, np.ones_like(cache["f"]))
+        for name in ("attn_query", "attn_key", "attn_value"):
+            assert not model.store.grad(name).any()
         if finetune:
-            dtable = np.zeros_like(table)
-            np.add.at(dtable, batch.kw_ids, dx)
-            assert close(model.store.grad("entity_table"), dtable)
-        for name in model.store.names():
-            assert np.isfinite(model.store.grad(name)).all(), name
+            assert not model.store.grad("entity_table").any()
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_real_keyword_projection_equals_padded_gather(self, heads):
         model, batch = dialogue_case(heads, False)
         _, cache = model.forward(batch)
-        real, x, q, k, v = cache["attn"][:5]
+        slots, x, proj = cache["attn"][:3]
+        # slots: the flat (row * P + column) slot of each projected keyword
+        assert sorted(slots) == np.flatnonzero(batch.kw_mask).tolist()
         padded = model.entity_table()[batch.kw_ids] * batch.kw_mask[:, :, None]
-        assert np.array_equal(x, padded.reshape(-1, model.dim)[real])
-        for got, name in zip((q, k, v), ("attn_query", "attn_key", "attn_value")):
-            ref = (padded @ model.store.value(name).T).reshape(batch.n, -1, heads, model.dim // heads)
-            assert close(got, ref.transpose(0, 2, 1, 3))
+        assert np.array_equal(x, padded.reshape(-1, model.dim)[slots])
+        assert proj.shape == (len(slots), 3, heads, model.dim // heads)
+        for i, name in enumerate(("attn_query", "attn_key", "attn_value")):
+            ref = (padded @ model.store.value(name).T).reshape(-1, heads, model.dim // heads)
+            assert close(proj[:, i], ref[slots])
 
     @pytest.mark.parametrize("finetune", [False, True])
     def test_edge_rows_match_finite_differences(self, finetune):
@@ -214,6 +289,14 @@ class TestDialogueAttention:
             return dialogue_case(2, finetune, use_user_state=True)[0]
 
         errs = gradient_errors(build, dialogue_case(2, finetune)[1], range(430, 433))
+        assert max(errs.values()) < 1e-4, errs
+        assert ("entity_table" in errs) == finetune
+
+    @pytest.mark.parametrize("finetune", [False, True])
+    def test_every_keyword_count_matches_finite_differences(self, finetune):
+        errs = gradient_errors(
+            lambda: bucket_case(2, finetune)[0], bucket_case(2, finetune)[1], range(434, 437)
+        )
         assert max(errs.values()) < 1e-4, errs
         assert ("entity_table" in errs) == finetune
 
@@ -230,6 +313,27 @@ class TestDialogueAttention:
         model = km.KdcnModel(km.TrainConfig(), feat)
         assert feat.n_dense == 4 and model.d_dim == 128
         assert model.f_width == 164
+
+
+class TestItemMeta:
+    def test_merges_categories_in_listing_order(self):
+        rec = {"type": "item_listing", "item": "i", "category": "c2", "seller": "s", "title": "t"}
+        meta = km.item_meta_from_events([rec, {**rec, "category": "c1"}, {**rec, "title": "u"}])
+        assert meta == {"i": km.ItemMeta("i", "t", ["c2", "c1"], [])}
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"type": "item_listing", "category": "c"}, "missing field(s) ['item', 'seller']"),
+            ({"type": "bogus"}, "unknown event type 'bogus'"),
+            ({"item": "i"}, "missing 'type' field"),
+            ([], "missing 'type' field"),
+        ],
+    )
+    def test_runs_the_event_check(self, bad, message):
+        good = {"type": "user_profile", "user": "u", "tags": []}
+        with pytest.raises(IngestionError, match=re.escape(f"record 2: {message}")):
+            km.item_meta_from_events([good, bad])
 
 
 class TestScatterRows:

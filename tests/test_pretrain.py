@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 import kdcn.pretrain as pt
 from kdcn.datagen import WorldConfig, generate_world
-from kdcn.errors import ConfigError, DimensionError, FormatError, SamplingError
-from kdcn.graph import Graph, Triple, TripleSet
+from kdcn.errors import CapacityError, ConfigError, DimensionError, FormatError, SamplingError
+from kdcn.graph import RELATIONS, Graph, Triple, TripleSet
 from kdcn.numeric import finite_diff_check, sigmoid
 from kdcn.rng import RngStream
 from oracles import encode_stack, gcn_layer, layer_draws, normalized_adjacency
@@ -246,6 +248,19 @@ class TestCorruptBatch:
         pos = np.array([[0, 0, 1]] * 5, dtype=np.int64)
         with pytest.raises(SamplingError, match="5 triple"):
             self.corrupt(g, pos, 30)
+
+    def test_key_overflow_is_capacity_error(self):
+        # keys run up to R*n*n - 1; n_max is the largest n that keeps that,
+        # and the sentinel at the int64 maximum above it, within int64
+        r = len(RELATIONS)
+        n_max = math.isqrt(np.iinfo(np.int64).max // r)
+        corner = np.array([[n_max - 1, r - 1, n_max - 1]], dtype=np.int64)
+        assert pt._triple_keys(corner, n_max)[0] == r * n_max**2 - 1
+        with pytest.raises(CapacityError, match=f"{n_max + 1} entities"):
+            pt._triple_keys(corner, n_max + 1)
+        known = np.array([np.iinfo(np.int64).max])
+        with pytest.raises(CapacityError):
+            pt.corrupt_batch(corner, known, np.int64(n_max + 1), RngStream(31))
 
 
 class TestTranseScore:

@@ -105,8 +105,15 @@ FORMATS = {
     "events": (
         load_events,
         None,
-        _name.map(lambda u: {"type": "user_profile", "user": u}).map(lambda rec: (json.dumps(rec), rec)),
-        st.sampled_from(["{", "[1,", "nope", '{"a": }', "[" * 100_000, "5", "[]"]),
+        _name.map(lambda u: {"type": "user_profile", "user": u, "tags": []}).map(
+            lambda rec: (json.dumps(rec), rec)
+        ),
+        st.sampled_from(
+            [
+                "{", "[1,", "nope", '{"a": }', "[" * 100_000, "5", "[]",
+                '{"type": "user_profile", "user": "u"}', '{"type": ["x"]}', '{"user": "u"}',
+            ]
+        ),
         list,
     ),
     "samples": (
