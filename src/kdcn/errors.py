@@ -27,7 +27,7 @@ class ParseError(KdcnError):
 
 
 class CapacityError(KdcnError):
-    """A size guard was exceeded (dense adjacency, candidate cap)."""
+    """A size guard was exceeded (candidate cap, int64 triple keys)."""
 
 
 class TrainingError(KdcnError):

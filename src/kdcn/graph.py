@@ -17,8 +17,6 @@ import numpy as np
 from .errors import IngestionError, ParseError, SchemaError
 from .textfile import read_lines, write_lines
 
-DENSE_ADJACENCY_GUARD = 10_000
-
 # relation name -> (head kind, tail kind); ids are assigned in this order
 RELATION_SIGNATURES: dict[str, tuple[str, str]] = {
     "user-has-tag": ("user", "user_tag"),
@@ -141,8 +139,30 @@ _EVENT_FIELDS = {
 }
 
 
+def _array(item_ok=lambda x: True):
+    """A check for a JSON array whose every item passes item_ok."""
+    return lambda v: isinstance(v, list) and all(item_ok(x) for x in v)
+
+
+# the JSON type of each field an event type reads beyond its names (which
+# _check_name checks): field -> (check, what it must be); checked when present
+_EVENT_TYPES = {
+    "user_profile": {"tags": (_array(), "an array")},
+    "item_listing": {
+        "properties": (
+            _array(lambda p: isinstance(p, dict) and "property" in p and "value" in p),
+            "an array of objects with 'property' and 'value'",
+        ),
+        "title": (lambda v: isinstance(v, str), "a string"),
+        "dense": (_array(lambda x: type(x) in (int, float)), "an array of numbers"),  # a bool is not
+    },
+    "session_log": {"keywords": (_array(), "an array")},
+}
+
+
 def check_event(rec) -> None:
-    """Raise IngestionError unless rec is a dict of a known event type with its fields."""
+    """Raise IngestionError unless rec is a dict of a known event type with its
+    fields, each field of the JSON type the event type reads it as."""
     if not isinstance(rec, dict) or "type" not in rec:
         raise IngestionError("missing 'type' field")
     etype = rec["type"]
@@ -152,13 +172,16 @@ def check_event(rec) -> None:
     missing = [f for f in required if f not in rec]
     if missing:
         raise IngestionError(f"missing field(s) {missing} for '{etype}'")
+    for name, (ok, what) in _EVENT_TYPES[etype].items():
+        if name in rec and not ok(rec[name]):
+            raise IngestionError(f"field '{name}' of '{etype}' must be {what}")
 
 
 def ingest_events(records, tset: TripleSet | None = None) -> TripleSet:
     """Turn an iterable of event dicts into schema triples.
 
     Three event types are understood: user_profile (tag facts), item_listing
-    (catalog facts; extra fields such as "title" or "dense" are ignored), and
+    (catalog facts; its "title" and "dense" fields add no triple), and
     session_log (conversation facts). Identical triples are deduplicated and
     entities are created on first mention. A malformed record or entity name
     raises IngestionError or SchemaError naming the 1-based record number.

@@ -8,17 +8,18 @@ one margin ranking loss drives both. Gradients are hand-derived per layer;
 the whole loss is checkable against finite differences.
 
 Each encoder layer l is one sparse operator S_l over all entities: forward
-is sigmoid(S_l @ x @ W_l) and backward is S_l.T @ (...). The mode only
-decides how S_l is built:
-  full    - the normalized adjacency (sym or mean), the same for every layer
-            and built once per pretrain call (guarded by the dense size
-            limit);
-  sampled - per batch and layer, row i averages a bounded sample of the
-            entity's neighbors (rows scaled by 1/count), the scalable path.
-            Each entity above the fanout draws one uniform key per neighbor
-            and keeps the fanout smallest, all in one array sort.
-            With fanout >= max degree the sample covers every neighbor and
-            sampled mode reproduces full mode under mean normalization.
+is sigmoid(S_l @ x @ W_l) and backward is S_l.T @ (...). sample_layer_draws
+builds S_l in both modes; row i holds the entity's neighbors, capped at the
+fanout, and the entity itself when self-loops are on:
+  sampled - per batch and layer, each entity above the fanout draws one
+            uniform key per neighbor and keeps the fanout smallest, all in
+            one array sort; each row is scaled by 1/count, and an isolated
+            entity falls back to itself. This is the scalable path.
+  full    - the fanout is the maximum degree, so nothing is drawn: one
+            operator, shared by every layer and built once per pretrain
+            call, normalized sym (1/sqrt(count_i * count_j)) or mean
+            (1/count_i). With fanout >= max degree, sampled mode therefore
+            reproduces full mode under mean normalization.
 
 A batch computes only the rows its pairs read (the GraphSAGE minibatch
 scheme): the top layer keeps those rows of S_L, each lower layer keeps the
@@ -47,7 +48,7 @@ from .errors import (
     require_finite_positive,
     require_positive,
 )
-from .graph import DENSE_ADJACENCY_GUARD, RELATIONS, Graph, Triple, TripleSet
+from .graph import RELATIONS, Graph, Triple, TripleSet
 from .numeric import ParamStore, adam_step, incidence, sigmoid
 from .rng import RngStream
 
@@ -63,7 +64,7 @@ class PretrainConfig:
     epochs: int = 5
     negatives_per_positive: int = 1
     mode: str = "full"  # or "sampled"
-    aggregation: str = "sym"  # or "mean"
+    aggregation: str = "sym"  # or "mean"; full mode only, sampled mode averages its draw
     self_loops: bool = True
 
     def __post_init__(self):
@@ -106,79 +107,58 @@ def init_params(n_entities: int, n_relations: int, cfg: PretrainConfig, rng: Rng
     return PretrainParams(store, cfg.layers)
 
 
-def _sparse_norm_adjacency(g: Graph, self_loops: bool, kind: str):
-    """Sparse normalized adjacency (CSR)."""
-    n = g.n_entities
-    rows = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    cols = np.concatenate(g.adjacency) if n else np.zeros(0, dtype=np.int64)
-    if self_loops:
-        rows = np.concatenate([rows, np.arange(n, dtype=np.int64)])
-        cols = np.concatenate([cols, np.arange(n, dtype=np.int64)])
-    a = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n), dtype=np.float64)
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    if kind == "sym":
-        with np.errstate(divide="ignore"):
-            dinv = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-        norm = sp.diags(dinv) @ a @ sp.diags(dinv)
-    else:
-        with np.errstate(divide="ignore"):
-            dinv = np.where(deg > 0, 1.0 / deg, 0.0)
-        norm = sp.diags(dinv) @ a
-    return norm.tocsr()
+def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream | None = None) -> list:
+    """The per-layer operators S of one encoder pass, in either mode.
 
-
-def _full_operators(g: Graph, cfg: PretrainConfig) -> list:
-    """Full mode's per-layer operators: the normalized adjacency, shared by every layer."""
-    if g.n_entities > DENSE_ADJACENCY_GUARD:
-        raise CapacityError(
-            f"full mode on {g.n_entities} entities exceeds the guard of "
-            f"{DENSE_ADJACENCY_GUARD}; use sampled mode"
-        )
-    return [_sparse_norm_adjacency(g, cfg.self_loops, cfg.aggregation)] * cfg.layers
-
-
-def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream) -> list:
-    """Draw the per-layer operators S of one sampled-mode forward pass.
-
-    Row i of S averages the entity's draw: all neighbors when degree <=
-    fanout, otherwise a uniform fanout-sized subset without replacement, plus
-    the entity itself when self-loops are on (isolated entities fall back to
-    just themselves). Each row is scaled by 1/count. Only entities above the
-    fanout consume randomness: per layer, one uniform key per neighbor of
-    each such entity, which keeps the fanout neighbors with the smallest keys.
+    Row i holds the entity's neighbors, then the entity itself with
+    self-loops. Full mode keeps every neighbor (its fanout is the maximum
+    degree), never reads rng, and every layer shares its one operator,
+    weighted 1/sqrt(count_i * count_j) (sym) or 1/count_i (mean), counts
+    including the self-loop. Sampled mode keeps a uniform fanout-sized subset
+    of a larger neighborhood: per layer, one uniform key per neighbor, the
+    fanout smallest kept; it scales each row by 1/count, and an isolated
+    entity falls back to itself.
     """
+    full = cfg.mode == "full"
+    if rng is None and not full:
+        raise ConfigError("sampled mode needs precomputed draws or an rng stream")
     n, deg = g.n_entities, g.degrees
+    fanout = g.max_degree() if full else cfg.fanout
     ids = np.arange(n, dtype=np.int64)
-    has_self = (deg == 0) | cfg.self_loops
-    counts = np.minimum(deg, cfg.fanout) + has_self
+    has_self = ((deg == 0) & (not full)) | cfg.self_loops
+    counts = np.minimum(deg, fanout) + has_self
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    data = np.repeat(1.0 / counts, counts)
+    sym = full and cfg.aggregation == "sym"
+    # an empty row (full mode, isolated, no self-loop) never reads its scale
+    scale = 1.0 / np.maximum(np.sqrt(counts) if sym else counts, 1)
+    data = np.repeat(scale, counts)
 
     # row slots of the neighbors of entities that keep their whole neighborhood
     neighbors = np.concatenate(g.adjacency) if n else np.zeros(0, dtype=np.int64)
     owner = np.repeat(ids, deg)
     offset = np.arange(len(neighbors)) - np.repeat(np.cumsum(deg) - deg, deg)
-    keep = deg[owner] <= cfg.fanout
+    keep = deg[owner] <= fanout
     keep_slots = indptr[owner[keep]] + offset[keep]
     # the neighbors of entities above the fanout, grouped by entity; sorting
     # by owner + key shuffles each group, and its first fanout entries are kept
-    big = np.flatnonzero(deg > cfg.fanout)
-    big_slots = (indptr[big, None] + np.arange(cfg.fanout)).ravel()
+    big = np.flatnonzero(deg > fanout)
+    big_slots = (indptr[big, None] + np.arange(fanout)).ravel()
     big_owner, big_neighbors = owner[~keep], neighbors[~keep]
-    big_first = ((np.cumsum(deg[big]) - deg[big])[:, None] + np.arange(cfg.fanout)).ravel()
+    big_first = ((np.cumsum(deg[big]) - deg[big])[:, None] + np.arange(fanout)).ravel()
     self_slots = indptr[1:][has_self] - 1
 
     operators = []
-    for _ in range(cfg.layers):
+    for _ in range(1 if full else cfg.layers):
         indices = np.empty(indptr[-1], dtype=np.int64)
         indices[keep_slots] = neighbors[keep]
         if len(big):
             shuffled = np.argsort(big_owner + rng.random(len(big_owner)))
             indices[big_slots] = big_neighbors[shuffled[big_first]]
         indices[self_slots] = ids[has_self]
-        operators.append(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
-    return operators
+        values = data * scale[indices] if sym else data
+        operators.append(sp.csr_matrix((values, indices, indptr), shape=(n, n)))
+    return operators * cfg.layers if full else operators
 
 
 def _restrict(operators: list, rows: np.ndarray):
@@ -237,14 +217,8 @@ def _encode_backward(params: PretrainParams, cache: dict, d_out: np.ndarray):
 
 
 def _operators(g: Graph, cfg: PretrainConfig, draws, rng: RngStream | None = None) -> list:
-    """The given per-layer operators, else full mode's or a fresh draw from rng."""
-    if draws is not None:
-        return draws
-    if cfg.mode == "full":
-        return _full_operators(g, cfg)
-    if rng is None:
-        raise ConfigError("sampled mode needs precomputed draws or an rng stream")
-    return sample_layer_draws(g, cfg, rng)
+    """The given per-layer operators, else a fresh sample_layer_draws."""
+    return draws if draws is not None else sample_layer_draws(g, cfg, rng)
 
 
 def encode_entities(
@@ -444,7 +418,7 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
         [[tr.head, tr.relation, tr.tail] for tr in tset.triples], dtype=np.int64
     )
     npp = cfg.negatives_per_positive
-    full = _full_operators(g, cfg) if cfg.mode == "full" else None
+    full = sample_layer_draws(g, cfg) if cfg.mode == "full" else None
     known = _known_keys(g.triples)
     losses: list[float] = []
     for epoch in range(cfg.epochs):

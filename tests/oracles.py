@@ -19,11 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kdcn.errors import CapacityError, DimensionError, MetricError
-from kdcn.graph import DENSE_ADJACENCY_GUARD, Graph
+from kdcn.graph import Graph
 from kdcn.model import Featurizer, KdcnModel
 from kdcn.numeric import relu, sigmoid
 from kdcn.pretrain import PretrainConfig
 from kdcn.rng import RngStream
+
+# the dense adjacency oracle holds n*n floats; above this it refuses
+DENSE_ADJACENCY_GUARD = 10_000
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

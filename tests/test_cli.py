@@ -6,9 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdcn.cli import CONFIG_KEYS, SECTIONS, _section_keys, load_config, main
+from kdcn.errors import KdcnError
 from kdcn.model import MODEL_MAGIC, MODEL_VERSION, load_model_values
+from kdcn.pretrain import PretrainCheckpoint, load_checkpoint
 
 TINY_CONFIG = """
 # tiny world so the whole pipeline runs in seconds
@@ -410,6 +414,31 @@ class TestMalformedEvents:
         assert "record 1: user name 'a\\tb'" in err[0], err
         assert not (tmp_path / "triples.tsv").exists() and not (tmp_path / "vocab.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"type": "user_profile", "tags": 5}, "'tags' of 'user_profile' must be an array"),
+            ({"type": "user_profile", "tags": "ab"}, "'tags' of 'user_profile' must be an array"),
+            ({"keywords": None}, "'keywords' of 'session_log' must be an array"),
+            ({"type": "item_listing", "properties": [5]}, "'properties' of 'item_listing' must be"),
+            ({"type": "item_listing", "properties": [{"value": "v"}]}, "'properties' of 'item_listing'"),
+            ({"type": "item_listing", "title": 5}, "'title' of 'item_listing' must be a string"),
+            ({"type": "item_listing", "dense": "ab"}, "'dense' of 'item_listing' must be an array"),
+            ({"type": "item_listing", "dense": [1.5, True]}, "'dense' of 'item_listing' must be"),
+        ],
+    )
+    def test_field_of_wrong_json_type_names_the_line(self, tmp_path, capsys, fields, named):
+        base = {
+            "type": "session_log", "user": "u", "session": "s", "seller": "x", "intention": "n",
+            "keywords": ["k"], "item": "i", "category": "c",
+        }
+        events = tmp_path / "events.jsonl"
+        good = {"type": "user_profile", "user": "a", "tags": ["t"]}
+        events.write_text(json.dumps(good) + "\n" + json.dumps({**base, **fields}) + "\n")
+        err = self.errors(capsys, ["build-kg", "--out", str(tmp_path)])
+        assert err[0].startswith(f"error: {events}:2: field {named}"), err
+        assert not (tmp_path / "triples.tsv").exists()
+
 
 class TestUnreadableInputs:
     @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
@@ -429,6 +458,46 @@ class TestUnreadableInputs:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0], err
+
+
+BINARY_READERS = {"ckge.bin": load_checkpoint, "kdcn.bin": load_model_values}
+
+
+def _well_formed(result) -> bool:
+    if isinstance(result, PretrainCheckpoint):
+        entity, relation = result.entity_table, result.relation_table
+        return entity.ndim == relation.ndim == 2 and entity.shape[1] == relation.shape[1]
+    return all(isinstance(k, str) and v.ndim == 2 and v.dtype == np.float64 for k, v in result.items())
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    # hypothesis reruns a test body many times, so the file lives in a module-scoped directory
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("name", BINARY_READERS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_binary_file_is_kdcn_error_or_valid(trained_dir, fuzz_dir, name, data):
+    """A truncated file is a KdcnError; a file with flipped bits (biased toward the
+    first KiB, where the header and manifest sit) is a KdcnError or loads well formed."""
+    raw = bytearray((trained_dir / name).read_bytes())
+    truncate = data.draw(st.booleans())
+    if truncate:
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        head = 8 * min(len(raw), 1024)
+        bits = st.one_of(st.integers(0, head - 1), st.integers(0, 8 * len(raw) - 1))
+        for bit in data.draw(st.lists(bits, min_size=1, max_size=4)):
+            raw[bit // 8] ^= 1 << (bit % 8)
+    path = fuzz_dir / name
+    path.write_bytes(bytes(raw))
+    try:
+        result = BINARY_READERS[name](path)
+    except KdcnError:
+        return
+    assert not truncate and _well_formed(result)
 
 
 def _masked_report(path: Path) -> str:

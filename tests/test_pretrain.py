@@ -70,24 +70,38 @@ class TestEncode:
 
     def test_sparse_normalization_matches_dense_op(self):
         w = small_world(seed=9)
+        for i in range(3):
+            w.tset.entity_id("user", f"lonely{i}", create=True)
         g = Graph(w.tset)
         for kind in ("sym", "mean"):
             for self_loops in (True, False):
-                sparse = pt._sparse_norm_adjacency(g, self_loops, kind)
+                cfg = pt.PretrainConfig(dim=4, layers=2, aggregation=kind, self_loops=self_loops)
+                operators = pt.sample_layer_draws(g, cfg)
+                assert len(operators) == cfg.layers and operators[0] is operators[1]
                 dense = normalized_adjacency(g, self_loops=self_loops, kind=kind)
-                assert np.abs(sparse.toarray() - dense).max() < 1e-14
+                assert np.abs(operators[0].toarray() - dense).max() < 1e-14
 
-    def test_full_mode_respects_dense_guard(self):
-        from kdcn.errors import CapacityError
+    def test_full_mode_consumes_no_randomness(self):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"full mode read rng.{name}")
 
+        g = Graph(small_world(seed=9).tset)
+        cfg = pt.PretrainConfig(dim=4, layers=2, fanout=1)  # the fanout is for sampled mode only
+        drawn = pt.sample_layer_draws(g, cfg, Untouchable())
+        built = pt.sample_layer_draws(g, cfg)
+        assert all((a != b).nnz == 0 for a, b in zip(drawn, built))
+
+    def test_full_mode_encodes_past_the_dense_oracle_guard(self):
         ts = TripleSet()
         for i in range(10_001):
             ts.entity_id("user", f"u{i}", create=True)
         g = Graph(ts)
         cfg = pt.PretrainConfig(dim=2, layers=1)
         params = pt.init_params(g.n_entities, 9, cfg, RngStream(0))
-        with pytest.raises(CapacityError):
-            pt.encode_entities(params, g, cfg)
+        out = pt.encode_entities(params, g, cfg)
+        expected = sigmoid(params.entity_table @ params.gcn_weights[0])
+        assert np.abs(out - expected).max() < 1e-12
 
     def test_sampled_equals_full_mean_at_covering_fanout(self):
         w = small_world(seed=5)
@@ -181,10 +195,7 @@ class TestRestrictedEncoder:
         n = g.n_entities
         cfg = pt.PretrainConfig(dim=5, layers=2, **self.MODES[mode])
         params = pt.init_params(n, 9, cfg, RngStream(23))
-        if cfg.mode == "sampled":
-            operators = pt.sample_layer_draws(g, cfg, RngStream(24))
-        else:
-            operators = pt._full_operators(g, cfg)
+        operators = pt.sample_layer_draws(g, cfg, RngStream(24))
         rng = RngStream(25)
         tr = w.tset.triples[0]
         rows = {
@@ -431,13 +442,13 @@ class TestPretrainLoop:
         cfg = pt.PretrainConfig(dim=6, epochs=2, batch_size=40, lr=0.01)
         assert len(w.tset) > 2 * cfg.batch_size  # at least 3 batches per epoch
         calls = []
-        build = pt._sparse_norm_adjacency
+        build = pt.sample_layer_draws
 
         def counting(*args, **kwargs):
             calls.append(args)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(pt, "_sparse_norm_adjacency", counting)
+        monkeypatch.setattr(pt, "sample_layer_draws", counting)
         pt.pretrain(w.tset, g, cfg, RngStream(12))
         assert len(calls) == 1
 

@@ -112,6 +112,7 @@ FORMATS = {
             [
                 "{", "[1,", "nope", '{"a": }', "[" * 100_000, "5", "[]",
                 '{"type": "user_profile", "user": "u"}', '{"type": ["x"]}', '{"user": "u"}',
+                '{"type": "user_profile", "user": "u", "tags": "ab"}',
             ]
         ),
         list,
