@@ -1,3 +1,6 @@
+import platform
+import resource
+import sys
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdcn.errors import DimensionError, TrainingError
+from kdcn import numeric
 from kdcn.numeric import ParamStore, adam_step, finite_diff_check, incidence, sigmoid
 from kdcn.rng import RngStream
 from oracles import adam_reference, conv_seq, matmul, softmax_rows, two_branch_sigmoid
@@ -70,6 +74,64 @@ class TestSigmoid:
             warnings.simplefilter("error")
             y = sigmoid(x)
         assert np.array_equal(y, two_branch_sigmoid(x))
+
+    def test_same_bits_as_two_branch_formula(self):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+                   745.0, -745.0, 1e-320, -1e-320]
+        rng = RngStream(3)
+        inputs = [
+            np.array([special]),
+            rng.normal(0.0, 4.0, (300, 64)),
+            rng.uniform(-800.0, 800.0, (50, 7)),
+            rng.normal(0.0, 2.0, (40, 30))[:, ::3],  # non-contiguous
+        ]
+        with np.errstate(invalid="ignore"):
+            for x in inputs:
+                y, want = sigmoid(x), two_branch_sigmoid(x)
+                assert y.shape == want.shape
+                assert np.array_equal(y.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("x", [np.array(-2.0), np.float64(0.5), 3.0, -1])
+    def test_scalar_and_0d_inputs(self, x):
+        y = sigmoid(x)
+        assert np.ndim(y) == 0
+        assert np.float64(y).view(np.uint64) == np.float64(two_branch_sigmoid(x)).view(np.uint64)
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+class TestKeepFreedMemory:
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="the allocator setting applies to glibc only",
+    )
+    def test_freed_block_is_reused_without_faults(self):
+        n = (8 << 20) // 8  # 8 MiB of float64, 2048 pages of 4 KiB
+        a = np.ones(n)
+        del a
+        before = _minor_faults()
+        a = np.ones(n)
+        faults = _minor_faults() - before
+        assert a[-1] == 1.0
+        assert faults < 64
+
+    def test_silent_no_op_without_glibc(self, monkeypatch, capsys):
+        monkeypatch.setattr(numeric.platform, "libc_ver", lambda *a, **k: ("musl", "1.2"))
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("loaded the C library on a non-glibc platform")
+
+        monkeypatch.setattr(numeric.ctypes, "CDLL", no_load)
+        assert numeric.keep_freed_memory() is False
+        assert capsys.readouterr() == ("", "")
+
+    def test_silent_no_op_without_mallopt(self, monkeypatch, capsys):
+        monkeypatch.setattr(numeric.platform, "libc_ver", lambda *a, **k: ("glibc", "2.36"))
+        monkeypatch.setattr(numeric.ctypes, "CDLL", lambda *a, **k: object())
+        assert numeric.keep_freed_memory() is False
+        assert capsys.readouterr() == ("", "")
 
 
 class TestSoftmaxRows:
