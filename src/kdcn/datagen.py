@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -126,17 +127,9 @@ def generate_world(cfg: WorldConfig) -> World:
     seller_cats = {s: _pick_distinct(rng, cats, int(rng.integers(1, 3))) for s in sellers}
     sellers_by_cat = {c: [s for s in sellers if c in seller_cats[s]] for c in cats}
 
-    user_tags = {}
-    user_pref_cats = {}
-    for u in users:
-        chosen = _pick_distinct(rng, tags, int(rng.integers(2, 4)))
-        user_tags[u] = chosen
-        prefs = sorted({c for t in chosen for c in tag_pref[t]})
-        user_pref_cats[u] = prefs
-
-    events: list[dict] = []
-    for u in users:
-        events.append({"type": "user_profile", "user": u, "tags": user_tags[u]})
+    user_tags = {u: _pick_distinct(rng, tags, int(rng.integers(2, 4))) for u in users}
+    user_pref_cats = {u: sorted({c for t in user_tags[u] for c in tag_pref[t]}) for u in users}
+    events = [{"type": "user_profile", "user": u, "tags": user_tags[u]} for u in users]
 
     item_category = {}
     item_categories = {}
@@ -160,15 +153,11 @@ def generate_world(cfg: WorldConfig) -> World:
         title_kws = _pick_distinct(rng, category_keywords[cat], n_kw)
         item_title_kws[item] = title_kws
         item_titles[item] = " ".join(title_kws)
-        n_props = int(rng.integers(2, 5))
-        props = []
-        for p in range(n_props):
-            props.append(
-                {
-                    "property": PROPERTY_NAMES[p % len(PROPERTY_NAMES)],
-                    "value": _pick(rng, category_values[cat]),
-                }
-            )
+        props = [
+            {"property": PROPERTY_NAMES[p % len(PROPERTY_NAMES)],
+             "value": _pick(rng, category_values[cat])}
+            for p in range(int(rng.integers(2, 5)))
+        ]
         dense = [
             round(float(rng.uniform(5.0, 200.0)), 2),
             float(rng.integers(0, 1000)),
@@ -192,18 +181,14 @@ def generate_world(cfg: WorldConfig) -> World:
     user_cluster = {}
     for u in users:
         pool = [it for c in user_pref_cats[u] for it in items_by_category[c]]
-        if not pool:
-            pool = items
-        user_cluster[u] = _pick_distinct(rng, pool, 20)
+        user_cluster[u] = _pick_distinct(rng, pool or items, 20)
 
     session_user = []
     session_category = []
     for i in range(cfg.n_sessions):
         u = _pick(rng, users)
-        if user_pref_cats[u] and rng.random() < 0.8:
-            cat = _pick(rng, user_pref_cats[u])
-        else:
-            cat = _pick(rng, cats)
+        prefs = user_pref_cats[u]
+        cat = _pick(rng, prefs) if prefs and rng.random() < 0.8 else _pick(rng, cats)
         session_user.append(u)
         session_category.append(cat)
         kws = _pick_distinct(rng, category_keywords[cat], int(rng.integers(6, 10)))
@@ -297,10 +282,7 @@ def generate_samples(
     for _ in range(n):
         user = _pick(rng, world.users)
         prefs = world.user_pref_cats[user]
-        if prefs and rng.random() < 0.8:
-            cat = _pick(rng, prefs)
-        else:
-            cat = _pick(rng, world.categories)
+        cat = _pick(rng, prefs) if prefs and rng.random() < 0.8 else _pick(rng, world.categories)
         query_kws = _pick_distinct(rng, world.category_keywords[cat], int(rng.integers(2, 5)))
         if prefs and rng.random() < 0.5:
             pool = [it for c in prefs for it in world.items_by_category[c]]
@@ -370,14 +352,8 @@ def tag_category_mutual_information(world: World) -> float:
 
 
 def mutual_information(pairs) -> float:
-    joint: dict[tuple, int] = {}
-    mx: dict[object, int] = {}
-    my: dict[object, int] = {}
-    for x, y in pairs:
-        joint[(x, y)] = joint.get((x, y), 0) + 1
-        mx[x] = mx.get(x, 0) + 1
-        my[y] = my.get(y, 0) + 1
-    n = len(pairs)
+    joint, n = Counter(pairs), len(pairs)
+    mx, my = Counter(x for x, _ in pairs), Counter(y for _, y in pairs)
     mi = 0.0
     for (x, y), c in joint.items():
         pxy = c / n

@@ -3,14 +3,18 @@
 The graph holds typed triples over ten entity kinds connected by exactly
 nine schema relations (user tags, item catalog facts, and conversation
 session facts). Triples keep their direction for the translation scorer;
-the structural encoder sees an undirected, deduplicated adjacency.
+the structural encoder sees an undirected, deduplicated adjacency. Numeric
+code reads one array form of each: TripleSet.array, the triples as a k x 3
+int64 array, and Graph's CSR arrays (indptr, indices, degrees).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +47,7 @@ class EntityRef:
     name: str
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     head: int
     relation: int
     tail: int
@@ -55,14 +58,15 @@ class TripleSet:
 
     Entity ids are dense and assigned at first mention, scanning each triple
     head-first; serializing and re-reading a TripleSet therefore reproduces
-    the same ids.
+    the same ids. The list and the dedup set share one Triple per triple.
     """
 
     def __init__(self):
         self.entities: list[EntityRef] = []
         self.triples: list[Triple] = []
         self._id_by_key: dict[tuple[str, str], int] = {}
-        self._triple_keys: set[tuple[int, int, int]] = set()
+        self._seen: set[Triple] = set()
+        self._array: np.ndarray | None = None
 
     @property
     def n_entities(self) -> int:
@@ -101,20 +105,25 @@ class TripleSet:
             raise SchemaError(f"unknown relation '{relation}'")
         h = self.entity_id(sig[0], head_name, create=True)
         t = self.entity_id(sig[1], tail_name, create=True)
-        key = (h, RELATION_IDS[relation], t)
-        if key in self._triple_keys:
+        tr = Triple(h, RELATION_IDS[relation], t)
+        if tr in self._seen:
             return False
-        self._triple_keys.add(key)
-        self.triples.append(Triple(*key))
+        self._seen.add(tr)
+        self.triples.append(tr)
+        self._array = None
         return True
 
     def has(self, head: int, relation: int, tail: int) -> bool:
-        return (head, relation, tail) in self._triple_keys
+        return (head, relation, tail) in self._seen
 
-    def known_array(self) -> np.ndarray:
-        """Every (head, relation, tail) that has() accepts, as a k x 3 int64 array, unordered."""
-        flat = chain.from_iterable(self._triple_keys)
-        return np.fromiter(flat, dtype=np.int64, count=3 * len(self._triple_keys)).reshape(-1, 3)
+    @property
+    def array(self) -> np.ndarray:
+        """The triples as a read-only k x 3 int64 array, in order; rebuilt after an add."""
+        if self._array is None:
+            flat = chain.from_iterable(self.triples)
+            self._array = np.fromiter(flat, dtype=np.int64, count=3 * len(self)).reshape(-1, 3)
+            self._array.flags.writeable = False
+        return self._array
 
     def name_of(self, eid: int) -> str:
         return self.entities[eid].name
@@ -244,34 +253,38 @@ def prune_triples(tset: TripleSet, min_count: int = 1) -> TripleSet:
     """
     if min_count <= 1:
         return tset
-    counts = np.zeros(tset.n_entities, dtype=np.int64)
-    for tr in tset.triples:
-        counts[tr.tail] += 1
+    tails = tset.array[:, 2]
+    keep = np.bincount(tails, minlength=tset.n_entities)[tails] >= min_count
     out = TripleSet()
-    for tr in tset.triples:
-        if counts[tr.tail] >= min_count:
-            out.add(tset.name_of(tr.head), RELATIONS[tr.relation], tset.name_of(tr.tail))
+    for tr in compress(tset.triples, keep):
+        out.add(tset.name_of(tr.head), RELATIONS[tr.relation], tset.name_of(tr.tail))
     return out
 
 
 class Graph:
-    """Undirected view of a TripleSet for structural aggregation.
+    """Undirected view of a TripleSet for structural aggregation, in CSR form.
 
-    Adjacency is symmetric, deduplicated across relations, sorted per entity,
-    and never contains the entity itself (self-loops are a separate,
+    The neighbors of entity i are indices[indptr[i]:indptr[i+1]], sorted,
+    from one sort of the edge keys u*n + v of both directions. No relation
+    joins a kind to itself and no two join the same pair of kinds, so no
+    edge repeats and no entity is its own neighbor (self-loops are a
     configurable step of normalization).
     """
 
     def __init__(self, tset: TripleSet):
         self.triples = tset
-        self.n_entities = tset.n_entities
-        neighbor_sets: list[set[int]] = [set() for _ in range(self.n_entities)]
-        for tr in tset.triples:
-            if tr.head != tr.tail:
-                neighbor_sets[tr.head].add(tr.tail)
-                neighbor_sets[tr.tail].add(tr.head)
-        self.adjacency = [np.array(sorted(s), dtype=np.int64) for s in neighbor_sets]
-        self.degrees = np.array([len(a) for a in self.adjacency], dtype=np.int64)
+        n = self.n_entities = tset.n_entities
+        u, v = tset.array[:, 0], tset.array[:, 2]
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        self.indices = keys % n
+        self.degrees = np.bincount(keys // n, minlength=n)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=self.indptr[1:])
+
+    @cached_property
+    def adjacency(self) -> list[np.ndarray]:
+        """Per-entity views of indices: row i is entity i's neighbor ids."""
+        return np.split(self.indices, self.indptr[1:-1]) if self.n_entities else []
 
     def max_degree(self) -> int:
         return int(self.degrees.max()) if self.n_entities else 0

@@ -27,7 +27,7 @@ rows that the layer above reads, and the columns of each kept block are
 compacted to them. Both modes share this path; encode_entities is the
 all-rows case. Negatives are drawn per batch as arrays: head/tail flips
 and candidate ids, checked against the sorted keys of the known triples,
-with only the rejected rows redrawn.
+with only the rejected rows redrawn; hits_at_k draws its candidates alike.
 """
 
 from __future__ import annotations
@@ -134,27 +134,23 @@ def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream | None = No
     scale = 1.0 / np.maximum(np.sqrt(counts) if sym else counts, 1)
     data = np.repeat(scale, counts)
 
-    # row slots of the neighbors of entities that keep their whole neighborhood
-    neighbors = np.concatenate(g.adjacency) if n else np.zeros(0, dtype=np.int64)
+    # row i keeps the first min(deg_i, fanout) of its CSR neighbors; for an
+    # entity above the fanout they are first shuffled, by sorting owner + a
+    # uniform key over the CSR positions of such entities' neighbors
     owner = np.repeat(ids, deg)
-    offset = np.arange(len(neighbors)) - np.repeat(np.cumsum(deg) - deg, deg)
-    keep = deg[owner] <= fanout
-    keep_slots = indptr[owner[keep]] + offset[keep]
-    # the neighbors of entities above the fanout, grouped by entity; sorting
-    # by owner + key shuffles each group, and its first fanout entries are kept
-    big = np.flatnonzero(deg > fanout)
-    big_slots = (indptr[big, None] + np.arange(fanout)).ravel()
-    big_owner, big_neighbors = owner[~keep], neighbors[~keep]
-    big_first = ((np.cumsum(deg[big]) - deg[big])[:, None] + np.arange(fanout)).ravel()
+    drawn = np.flatnonzero(deg[owner] > fanout)
+    position = np.arange(len(owner)) - g.indptr[owner]
+    kept = np.flatnonzero(position < fanout)
+    slots = indptr[owner[kept]] + position[kept]
     self_slots = indptr[1:][has_self] - 1
 
     operators = []
     for _ in range(1 if full else cfg.layers):
         indices = np.empty(indptr[-1], dtype=np.int64)
-        indices[keep_slots] = neighbors[keep]
-        if len(big):
-            shuffled = np.argsort(big_owner + rng.random(len(big_owner)))
-            indices[big_slots] = big_neighbors[shuffled[big_first]]
+        order = np.arange(len(owner))
+        if len(drawn):
+            order[drawn] = drawn[np.argsort(owner[drawn] + rng.random(len(drawn)))]
+        indices[slots] = g.indices[order[kept]]
         indices[self_slots] = ids[has_self]
         values = data * scale[indices] if sym else data
         operators.append(sp.csr_matrix((values, indices, indptr), shape=(n, n)))
@@ -269,9 +265,14 @@ def _triple_keys(triples: np.ndarray, n_entities: int) -> np.ndarray:
     return (triples[:, 0] * len(RELATIONS) + triples[:, 1]) * n_entities + triples[:, 2]
 
 
+def _member(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which keys occur in table, a sorted key array closed by a sentinel above any key."""
+    return table[np.searchsorted(table, keys)] == keys
+
+
 def _known_keys(tset: TripleSet) -> np.ndarray:
     """Sorted keys of every known triple, closed by a sentinel above any key."""
-    keys = np.sort(_triple_keys(tset.known_array(), tset.n_entities))
+    keys = np.sort(_triple_keys(tset.array, tset.n_entities))
     return np.append(keys, np.iinfo(np.int64).max)
 
 
@@ -297,10 +298,10 @@ def corrupt_batch(
         rows[:, 2] = np.where(head, rows[:, 2], candidate)
         neg[todo] = rows
         keys = _triple_keys(rows, n_entities)
-        todo = todo[known[np.searchsorted(known, keys)] == keys]
+        todo = todo[_member(known, keys)]
         if not len(todo):
             return neg
-    first = Triple(*(int(v) for v in pos[todo[0]]))
+    first = Triple(*pos[todo[0]].tolist())
     raise SamplingError(
         f"no valid corruption found for {len(todo)} triple(s), e.g. {first}, "
         f"after {max_attempts} attempts"
@@ -309,9 +310,9 @@ def corrupt_batch(
 
 def negative_sample(triple: Triple, g: Graph, rng: RngStream, max_attempts: int = 100) -> Triple:
     """Corrupt one triple's head or tail: the one-row case of corrupt_batch."""
-    pos = np.array([[triple.head, triple.relation, triple.tail]], dtype=np.int64)
+    pos = np.array([triple], dtype=np.int64)
     row = corrupt_batch(pos, _known_keys(g.triples), g.n_entities, rng, max_attempts)[0]
-    return Triple(*(int(v) for v in row))
+    return Triple(*row.tolist())
 
 
 def _pair_scores(params: PretrainParams, operators: list, pos: np.ndarray, neg: np.ndarray):
@@ -414,9 +415,7 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
     rng_encode = rng.child("encode")
 
     params = init_params(tset.n_entities, tset.n_relations, cfg, rng_init)
-    triples = np.array(
-        [[tr.head, tr.relation, tr.tail] for tr in tset.triples], dtype=np.int64
-    )
+    triples = tset.array
     npp = cfg.negatives_per_positive
     full = sample_layer_draws(g, cfg) if cfg.mode == "full" else None
     known = _known_keys(g.triples)
@@ -480,6 +479,10 @@ def load_checkpoint(path) -> PretrainCheckpoint:
     return PretrainCheckpoint(entity, relation)
 
 
+# candidates scored together by hits_at_k, bounding its temporaries to 4096 * dim floats
+_HITS_BLOCK = 4096
+
+
 def hits_at_k(
     ckpt: PretrainCheckpoint,
     tset: TripleSet,
@@ -494,25 +497,36 @@ def hits_at_k(
     entities that do not form a known-true triple with the same head and
     relation. Rank counts candidates scoring <= the true tail (ties count
     against the hit).
+
+    Candidates are drawn as arrays, n_candidates-1 per round for each triple
+    still short; a triple keeps what it has after 50 * n_candidates draws.
     """
     x, rel = ckpt.entity_table, ckpt.relation_table
-    n = tset.n_entities
-    hits = 0
-    for tr in eval_triples:
-        chosen: list[int] = []
-        seen = {tr.tail}
-        attempts = 0
-        while len(chosen) < n_candidates - 1 and attempts < 50 * n_candidates:
-            cand = int(rng.integers(0, n))
-            attempts += 1
-            if cand in seen or tset.has(tr.head, tr.relation, cand):
-                continue
-            seen.add(cand)
-            chosen.append(cand)
-        base = x[tr.head] + rel[tr.relation]
-        true_score = np.linalg.norm(base - x[tr.tail])
-        cand_scores = np.linalg.norm(base[None, :] - x[chosen], axis=1)
-        rank = 1 + int(np.sum(cand_scores <= true_score))
-        if rank <= k:
-            hits += 1
-    return hits / max(len(eval_triples), 1)
+    n, m, cap = tset.n_entities, len(eval_triples), 50 * n_candidates
+    ev = np.array(eval_triples, dtype=np.int64).reshape(m, 3)
+    known = _known_keys(tset)
+    # (row, id) keys i*n + id: every row's true tail, then the kept draws in draw order
+    taken = np.arange(m) * n + ev[:, 2]
+    todo = np.arange(m)
+    for attempts in range(0, cap, max(n_candidates - 1, 1)):
+        if not len(todo):
+            break
+        owner = np.repeat(todo, min(n_candidates - 1, cap - attempts))
+        rows = ev[owner]
+        rows[:, 2] = rng.integers(0, n, len(owner))
+        unknown = ~_member(known, _triple_keys(rows, n))
+        taken = np.concatenate([taken, owner[unknown] * n + rows[unknown, 2]])
+        taken = taken[np.sort(np.unique(taken, return_index=True)[1])]
+        todo = np.flatnonzero(np.bincount(taken // n, minlength=m) < n_candidates)
+    # per row, in draw order (a stable sort): the true tail, then n_candidates-1 draws at most
+    order = np.argsort(taken // n, kind="stable")
+    row, ids = taken[order] // n, taken[order] % n
+    keep = np.arange(len(row)) - np.searchsorted(row, row) < n_candidates
+    row, ids = row[keep], ids[keep]
+    score = np.empty(len(row))
+    for s in range(0, len(row), _HITS_BLOCK):
+        r, t = row[s : s + _HITS_BLOCK], ids[s : s + _HITS_BLOCK]
+        score[s : s + _HITS_BLOCK] = np.linalg.norm(x[ev[r, 0]] + rel[ev[r, 1]] - x[t], axis=1)
+    # rank: the row's entries scoring <= its true tail (its first entry), the tail included
+    rank = np.bincount(row, weights=score <= score[np.searchsorted(row, row)], minlength=m)
+    return np.count_nonzero(rank <= k) / max(m, 1)

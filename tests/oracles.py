@@ -2,12 +2,13 @@
 
 These are the direct, per-entity, per-sample, per-layer, per-head or dense
 forms of operations that ``kdcn`` implements with batched arrays, a head
-axis, in-place updates and sparse operators: the graph encoder's dense
-adjacency, neighbor draws and unrestricted forward and backward, Adam's
-textbook form, the ranker's per-sample feature blocks (behavior means,
-user-state convolutions, per-slot dialogue attention and its query and
-title means, assembly) and towers, the cross tower layer by layer, the
-dialogue attention head by head, and AUC by counting every
+axis, in-place updates and sparse operators: the graph's per-entity
+neighbor sets, filtered Hits@k drawn one candidate at a time, the graph
+encoder's dense adjacency, neighbor draws and unrestricted forward and
+backward, Adam's textbook form, the ranker's per-sample feature blocks
+(behavior means, user-state convolutions, per-slot dialogue attention and
+its query and title means, assembly) and towers, the cross tower layer by
+layer, the dialogue attention head by head, and AUC by counting every
 positive-negative pair. Nothing under ``src/`` uses them; the tests
 compare the library against them.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kdcn.errors import CapacityError, DimensionError, MetricError
-from kdcn.graph import Graph
+from kdcn.graph import Graph, TripleSet
 from kdcn.model import Featurizer, KdcnModel
 from kdcn.numeric import relu, sigmoid
 from kdcn.pretrain import PretrainConfig
@@ -81,6 +82,46 @@ def conv_seq(b: np.ndarray, filt: np.ndarray, bias: float) -> np.ndarray:
     for t in range(k - n + 1):
         out[t] = np.sum(b[:, t : t + n] * filt) + bias
     return out
+
+
+def neighbor_lists(tset: TripleSet) -> list[np.ndarray]:
+    """Per-entity adjacency from one Python set per entity: symmetric,
+    deduplicated, sorted, self-loops dropped."""
+    neighbor_sets: list[set[int]] = [set() for _ in range(tset.n_entities)]
+    for tr in tset.triples:
+        if tr.head != tr.tail:
+            neighbor_sets[tr.head].add(tr.tail)
+            neighbor_sets[tr.tail].add(tr.head)
+    return [np.array(sorted(s), dtype=np.int64) for s in neighbor_sets]
+
+
+def hits_at_k_reference(ckpt, tset: TripleSet, eval_triples, rng: RngStream, k: int, n_candidates: int) -> float:
+    """Filtered tail-prediction Hits@k, drawing candidates one at a time.
+
+    Per triple: draw uniform ids, skipping the true tail, repeats and ids
+    that make a known triple, until n_candidates-1 are chosen or 50 *
+    n_candidates draws are spent; rank counts candidates scoring <= the
+    true tail.
+    """
+    x, rel = ckpt.entity_table, ckpt.relation_table
+    hits = 0
+    for tr in eval_triples:
+        chosen: list[int] = []
+        seen = {tr.tail}
+        attempts = 0
+        while len(chosen) < n_candidates - 1 and attempts < 50 * n_candidates:
+            cand = int(rng.integers(0, tset.n_entities))
+            attempts += 1
+            if cand in seen or tset.has(tr.head, tr.relation, cand):
+                continue
+            seen.add(cand)
+            chosen.append(cand)
+        base = x[tr.head] + rel[tr.relation]
+        true_score = np.linalg.norm(base - x[tr.tail])
+        cand_scores = np.linalg.norm(base[None, :] - x[chosen], axis=1)
+        if 1 + int(np.sum(cand_scores <= true_score)) <= k:
+            hits += 1
+    return hits / max(len(eval_triples), 1)
 
 
 def normalized_adjacency(g: Graph, self_loops: bool = True, kind: str = "sym") -> np.ndarray:

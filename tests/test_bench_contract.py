@@ -3,7 +3,8 @@
 bench/tracer.py wraps kdcn functions by module and attribute path, and
 bench/probes.py binds pretrain_loss_grads' arguments by position and reads
 Graph's adjacency. A name that moves makes a traced run report a null
-metric instead of failing, so these tests pin the names here.
+metric instead of failing, so these tests pin the names here, along with
+the access patterns bench/ relies on.
 """
 
 import importlib.util
@@ -11,6 +12,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kdcn import pretrain
@@ -53,3 +55,27 @@ def test_graph_exposes_per_entity_adjacency():
     assert len(g.adjacency) == g.n_entities
     assert all(neighbors.dtype.kind == "i" for neighbors in g.adjacency)
     assert [neighbors.tolist() for neighbors in g.adjacency] == [[1], [0, 2], [1]]
+
+
+def test_triples_is_one_stored_list_between_adds():
+    # workloads.shard() indexes tset.triples[i] in a loop, so reading it must not rebuild it
+    ts = TripleSet()
+    ts.add("u1", "user-has-tag", "female")
+    ts.add("u2", "user-has-tag", "male")
+    triples = ts.triples
+    assert isinstance(triples, list)
+    assert ts.triples is triples and ts.triples[1] is triples[1]
+    ts.add("u3", "user-has-tag", "male")
+    assert ts.triples is ts.triples and len(ts.triples) == 3
+
+
+def test_adjacency_rows_are_csr_slices():
+    ts = TripleSet()
+    for user, tags in (("u1", ["a", "b"]), ("u2", ["a"]), ("u3", [])):
+        for tag in tags:
+            ts.add(user, "user-has-tag", tag)
+    ts.entity_id("user", "lonely", create=True)
+    g = Graph(ts)
+    assert len(g.adjacency) == g.n_entities == 5
+    for i, row in enumerate(g.adjacency):
+        assert np.array_equal(row, g.indices[g.indptr[i] : g.indptr[i + 1]])

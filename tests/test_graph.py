@@ -2,9 +2,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdcn.errors import CapacityError, IngestionError, ParseError, SchemaError
 from kdcn.graph import (
+    ENTITY_KINDS,
+    RELATION_SIGNATURES,
     RELATIONS,
     Graph,
     TripleSet,
@@ -16,7 +20,7 @@ from kdcn.graph import (
     save_vocab,
 )
 from kdcn.rng import RngStream
-from oracles import normalized_adjacency, sample_neighbors
+from oracles import neighbor_lists, normalized_adjacency, sample_neighbors
 
 
 def two_node_graph():
@@ -294,6 +298,53 @@ class TestGraphStructure:
             for j in g.adjacency[i]:
                 assert i in g.adjacency[j]
             assert g.degrees[i] == len(g.adjacency[i])
+
+    def test_schema_makes_a_simple_graph(self):
+        # Graph relies on this: no relation joins a kind to itself and no two
+        # join the same pair of kinds, so no edge repeats and none is a loop
+        pairs = [frozenset(sig) for sig in RELATION_SIGNATURES.values()]
+        assert all(len(pair) == 2 for pair in pairs)
+        assert len(set(pairs)) == len(pairs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(sorted(ENTITY_KINDS)), st.integers(0, 3)), max_size=4),
+        st.lists(st.tuples(st.integers(0, 3), st.sampled_from(RELATIONS), st.integers(0, 3)), max_size=40),
+        st.lists(st.tuples(st.sampled_from(sorted(ENTITY_KINDS)), st.integers(0, 3)), max_size=4),
+    )
+    def test_csr_matches_per_entity_sets(self, before, triples, after):
+        # entities named only before or after the triples may stay isolated
+        ts = TripleSet()
+        for kind, i in before:
+            ts.entity_id(kind, f"e{i}", create=True)
+        for h, rel, t in triples:
+            ts.add(f"e{h}", rel, f"e{t}")
+        for kind, i in after:
+            ts.entity_id(kind, f"e{i}", create=True)
+        assert ts.array.dtype == np.int64 and ts.array.shape == (len(ts), 3)
+        assert ts.array.tolist() == [list(tr) for tr in ts.triples]
+        g = Graph(ts)
+        expected = neighbor_lists(ts)
+        assert len(g.adjacency) == g.n_entities == ts.n_entities
+        assert [a.tolist() for a in g.adjacency] == [a.tolist() for a in expected]
+        assert g.degrees.tolist() == [len(a) for a in expected]
+        assert g.indptr.tolist() == np.concatenate([[0], np.cumsum(g.degrees)]).tolist()
+        assert g.indices.tolist() == [j for a in expected for j in a.tolist()]
+
+    def test_empty_graph(self):
+        g = Graph(TripleSet())
+        assert g.adjacency == [] and g.max_degree() == 0
+        assert g.indptr.tolist() == [0] and len(g.indices) == len(g.degrees) == 0
+
+    def test_array_follows_adds(self):
+        ts = TripleSet()
+        ts.add("u1", "user-has-tag", "t1")
+        first = ts.array
+        assert ts.array is first and not first.flags.writeable
+        assert not ts.add("u1", "user-has-tag", "t1")  # a duplicate leaves the array
+        assert ts.array is first
+        ts.add("u2", "user-has-tag", "t1")
+        assert ts.array.tolist() == [[0, 0, 1], [2, 0, 1]]
 
     def test_prune_drops_rare_entities(self):
         ts = TripleSet()

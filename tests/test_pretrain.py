@@ -11,7 +11,7 @@ from kdcn.errors import CapacityError, ConfigError, DimensionError, FormatError,
 from kdcn.graph import RELATIONS, Graph, Triple, TripleSet
 from kdcn.numeric import finite_diff_check, sigmoid
 from kdcn.rng import RngStream
-from oracles import encode_stack, gcn_layer, layer_draws, normalized_adjacency
+from oracles import encode_stack, gcn_layer, hits_at_k_reference, layer_draws, normalized_adjacency
 
 
 def small_world(seed=2, **overrides):
@@ -250,15 +250,12 @@ class TestCorruptBatch:
         assert not np.array_equal(self.corrupt(g, pos, 28), self.corrupt(g, pos, 29))
 
     def test_saturated_graph_raises(self):
-        ts = TripleSet()
-        ts.add("a", "user-has-tag", "b")
-        for h in range(2):
-            for t in range(2):
-                ts._triple_keys.add((h, 0, t))
-        g = Graph(ts)
+        # over two entities, every (h, 0, t) is known, so no corruption is valid
+        saturated = np.array([[h, 0, t] for h in range(2) for t in range(2)], dtype=np.int64)
+        known = np.append(np.sort(pt._triple_keys(saturated, 2)), np.iinfo(np.int64).max)
         pos = np.array([[0, 0, 1]] * 5, dtype=np.int64)
         with pytest.raises(SamplingError, match="5 triple"):
-            self.corrupt(g, pos, 30)
+            pt.corrupt_batch(pos, known, 2, RngStream(30))
 
     def test_key_overflow_is_capacity_error(self):
         # keys run up to R*n*n - 1; n_max is the largest n that keeps that,
@@ -329,15 +326,79 @@ class TestNegativeSample:
         )
 
     def test_saturated_graph_raises(self):
-        ts = TripleSet()
-        ts.add("a", "user-has-tag", "b")
-        # make every corruption a known triple
-        for h in range(2):
-            for t in range(2):
-                ts._triple_keys.add((h, 0, t))
-        g = Graph(ts)
-        with pytest.raises(SamplingError):
-            pt.negative_sample(ts.triples[0], g, RngStream(10))
+        # the schema keeps a TripleSet from ever saturating, so the graph is
+        # built over a stand-in whose array holds every (h, 0, t) of two entities
+        class Saturated:
+            n_entities = 2
+            array = np.array([[h, 0, t] for h in range(2) for t in range(2)], dtype=np.int64)
+
+        g = Graph(Saturated())
+        with pytest.raises(SamplingError, match="1 triple"):
+            pt.negative_sample(Triple(0, 0, 1), g, RngStream(10))
+
+
+class TestHitsAtK:
+    def checkpoint(self, n, seed, dim=4):
+        rng = RngStream(seed)
+        return pt.PretrainCheckpoint(rng.normal(0.0, 1.0, (n, dim)), rng.normal(0.0, 1.0, (9, dim)))
+
+    def valid_count(self, tset, tr):
+        """Entities that may stand in for tr's tail: not the tail, no known triple."""
+        return sum(
+            c != tr.tail and not tset.has(tr.head, tr.relation, c) for c in range(tset.n_entities)
+        )
+
+    @pytest.mark.parametrize("k", [5, 10, 20, 40, 60])
+    def test_fixed_candidate_set_matches_oracle(self, k):
+        # n_candidates - 1 >= n_entities: every valid entity is a candidate,
+        # so the draw order cannot matter
+        w = small_world(seed=3)
+        n = w.tset.n_entities
+        ckpt = self.checkpoint(n, 40)
+        # the last two are not in the set, so only the tail rule keeps their tail out
+        eval_triples = w.tset.triples[::3] + [Triple(2, 0, 2), Triple(5, 0, 3)]
+        got = pt.hits_at_k(ckpt, w.tset, eval_triples, RngStream(41), k=k, n_candidates=n + 1)
+        ref = hits_at_k_reference(ckpt, w.tset, eval_triples, RngStream(42), k=k, n_candidates=n + 1)
+        assert got == ref
+        assert 0.0 < got < 1.0
+
+    def test_ties_count_against_the_hit(self):
+        w = small_world(seed=3)
+        n = w.tset.n_entities
+        tied = pt.PretrainCheckpoint(np.zeros((n, 4)), np.zeros((9, 4)))
+        tr = w.tset.triples[5]
+        v = self.valid_count(w.tset, tr)
+        for n_candidates, rank in ((n + 1, v + 1), (20, 20)):
+            # every candidate scores exactly what the true tail scores
+            for k, hit in ((rank - 1, 0.0), (rank, 1.0)):
+                args = (tied, w.tset, [tr])
+                assert pt.hits_at_k(*args, RngStream(43), k=k, n_candidates=n_candidates) == hit
+                assert hits_at_k_reference(*args, RngStream(43), k, n_candidates) == hit
+
+    def test_sampled_candidates_match_oracle_on_average(self):
+        # fewer candidates than valid entities: both draw a uniform subset,
+        # so their Hits@3 agree on average over seeds
+        w = small_world(seed=3)
+        ckpt = self.checkpoint(w.tset.n_entities, 48)
+        means = [
+            np.mean([hits(ckpt, w.tset, w.tset.triples, RngStream(s), 3, 10) for s in range(20)])
+            for hits in (pt.hits_at_k, hits_at_k_reference)
+        ]
+        assert 0.2 < means[0] < 0.8
+        assert abs(means[0] - means[1]) < 0.05, means
+
+    def test_same_seed_repeats(self):
+        w = small_world(seed=3)
+        ckpt = self.checkpoint(w.tset.n_entities, 44)
+        runs = [
+            pt.hits_at_k(ckpt, w.tset, w.tset.triples, RngStream(45), k=5, n_candidates=10)
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
+
+    def test_no_triples_scores_zero(self):
+        w = small_world(seed=3)
+        assert pt.hits_at_k(self.checkpoint(w.tset.n_entities, 46), w.tset, [], RngStream(47)) == 0.0
 
 
 class TestMarginLoss:
