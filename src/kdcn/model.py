@@ -38,6 +38,12 @@ batched paths are tested to match them. Ablation flags remove feature
 blocks or towers structurally, so a disabled block contributes no parameters
 at all.
 
+The model's dtype is its featurizer's table's, with no setting for it: fit
+trains in float32, the precision ckge.bin and kdcn.bin store, and rank
+serves what those files hold. A model built on a float64 checkpoint table,
+as the gradient oracle builds it, stays float64 end to end. Every parameter
+slot, batch array and temporary takes that dtype.
+
 Behavior pooling is one sparse operator. A Dataset holds a CSR matrix P with
 one row per (sample, behavior kind) and 1/count at that list's item ids, so
 the per-kind mean embeddings are P @ table and, when the entity table is
@@ -52,7 +58,7 @@ from __future__ import annotations
 import os
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -71,11 +77,13 @@ from .errors import (
 )
 from .graph import EntityRef, check_event
 from .metrics import auc
-from .numeric import ParamStore, adam_step, incidence, relu, sigmoid
+from .numeric import ParamStore, adam_step, as_float, incidence, relu, sigmoid
 from .pretrain import PretrainCheckpoint
 from .rng import RngStream
 
 _CLAMP = 1e-12
+# in exact arithmetic, sigmoid(x) lies in (_CLAMP, 1 - _CLAMP) iff |x| < _CLAMP_LOGIT
+_CLAMP_LOGIT = float(np.log((1.0 - _CLAMP) / _CLAMP))
 _ATTN_SLOTS = ("attn_query", "attn_key", "attn_value")
 _TOKEN_RE = re.compile(r"[^0-9a-zA-Z_]+")
 
@@ -166,15 +174,15 @@ def item_meta_from_events(events) -> dict[str, ItemMeta]:
 
 @dataclass
 class Batch:
-    """Index arrays and constants for one minibatch."""
+    """Index arrays and constants for one minibatch; floats in the table's dtype."""
 
     n: int
     pool: sp.csr_matrix  # (n*k, entities): pool @ table gives the per-kind behavior means
     kw_ids: np.ndarray  # (n, P) int, 0 where padded
-    kw_mask: np.ndarray  # (n, P) float64, 1 for real keywords
+    kw_mask: np.ndarray  # (n, P) bool, True for real keywords
     cat_idx: np.ndarray  # (n, S) int, -1 where padded
     dense: np.ndarray  # (n, n_dense) standardized
-    labels: np.ndarray  # (n,) float64
+    labels: np.ndarray  # (n,) 0 or 1
 
 
 class Dataset:
@@ -195,7 +203,7 @@ class Dataset:
         self.cat_idx = f.category_slots([s.categories for s in samples])
         self.dense = f.standardize([s.dense for s in samples])
         self.pool = f.pooling_operator([s.behaviors for s in samples])
-        self.labels = np.array([s.label for s in samples], dtype=np.float64)
+        self.labels = np.array([s.label for s in samples], dtype=f.table.dtype)
 
     def batch(self, idx: np.ndarray) -> Batch:
         idx = np.asarray(idx, dtype=np.int64)
@@ -246,7 +254,8 @@ class Featurizer:
     """Maps raw samples onto entity ids, category indices and dense stats.
 
     Dense standardization statistics come from the training split only
-    (fit_stats must run before prepare).
+    (fit_stats must run before prepare). The table keeps the checkpoint's
+    float dtype (see numeric.as_float), and the featurized floats take it.
     """
 
     def __init__(
@@ -257,7 +266,7 @@ class Featurizer:
         cfg: TrainConfig,
     ):
         self.cfg = cfg
-        self.table = np.asarray(checkpoint.entity_table, dtype=np.float64)
+        self.table = as_float(checkpoint.entity_table)
         self.dim = checkpoint.dim
         self.item_meta = item_meta
         self._item_ids = {e.name: e.id for e in entities if e.kind == "item"}
@@ -303,7 +312,7 @@ class Featurizer:
         query, query_mask = _pad_rows(query_ids, self.cfg.max_query_keywords, 0)
         titles = [self.title_keyword_ids(item) for item in items]
         title, title_mask = _pad_rows(titles, self.cfg.max_title_keywords, 0)
-        mask = np.concatenate([query_mask, title_mask], axis=1).astype(np.float64)
+        mask = np.concatenate([query_mask, title_mask], axis=1)
         return np.concatenate([query, title], axis=1), mask
 
     def category_slots(self, categories: list[list[str]]) -> np.ndarray:
@@ -313,14 +322,17 @@ class Featurizer:
         return _pad_rows([[index[c] for c in cats[:slots]] for cats in categories], slots, -1)[0]
 
     def standardize(self, dense: list[list[float]]) -> np.ndarray:
-        """(rows, n_dense) dense statistics scaled by the training-split mean and std."""
+        """(rows, n_dense) dense statistics scaled by the training-split mean and std.
+
+        Scaled in float64, then rounded to the table's dtype.
+        """
         for i, row in enumerate(dense):
             if len(row) != self.n_dense:
                 raise SchemaError(
                     f"sample {i}: dense vector has {len(row)} values, expected {self.n_dense}"
                 )
         raw = np.array(dense, dtype=np.float64).reshape(len(dense), self.n_dense)
-        return (raw - self.dense_mean) / self.dense_std
+        return ((raw - self.dense_mean) / self.dense_std).astype(self.table.dtype, copy=False)
 
     def pooling_operator(self, behaviors: list[list[list[str]]]) -> sp.csr_matrix:
         """The (rows*k, entities) behavior-pooling operator P.
@@ -340,7 +352,7 @@ class Featurizer:
         except KeyError as exc:
             raise KeyError(f"unknown item '{exc.args[0]}'") from None
         indptr = np.concatenate([[0], np.cumsum(counts)])
-        weights = np.repeat(1.0 / np.maximum(counts, 1), counts)
+        weights = np.repeat(1.0 / np.maximum(counts, 1), counts).astype(self.table.dtype, copy=False)
         return sp.csr_matrix(
             (weights, np.array(ids, dtype=np.int64), indptr), shape=(len(lists), len(self.table))
         )
@@ -382,6 +394,7 @@ class KdcnModel:
         self.n_dense = featurizer.n_dense
         self.n_behavior_kinds = featurizer.n_behavior_kinds
         self.frozen_table = featurizer.table
+        self.dtype = featurizer.table.dtype
         self.u_dim = len(cfg.conv_widths) * cfg.conv_filters if cfg.use_user_state else 0
         self.d_dim = 2 * self.dim if cfg.use_dialogue else 0
         self.f_width = cfg.n_cat_slots * cfg.cat_dim + self.n_dense + self.u_dim + self.d_dim
@@ -394,12 +407,17 @@ class KdcnModel:
     @classmethod
     def build(cls, cfg: TrainConfig, featurizer: Featurizer, rng: RngStream) -> "KdcnModel":
         model = cls(cfg, featurizer)
-        store, d = model.store, model.dim
+        d = model.dim
+
+        def add(name: str, value: np.ndarray) -> None:
+            # initial values are drawn in float64 and rounded to the model's dtype
+            model.store.add(name, value.astype(model.dtype, copy=False))
+
         if cfg.use_dialogue and d % cfg.attention_heads != 0:
             raise DimensionError(
                 f"embedding dim {d} not divisible by {cfg.attention_heads} attention heads"
             )
-        store.add(
+        add(
             "cat_table",
             rng.uniform(
                 -1.0 / np.sqrt(cfg.cat_dim),
@@ -409,30 +427,30 @@ class KdcnModel:
         )
         if cfg.use_user_state:
             for width in cfg.conv_widths:
-                store.add(
+                add(
                     f"conv_w{width}",
                     _xavier(rng, (cfg.conv_filters, d * width), d * width, 1),
                 )
-                store.add(f"conv_b{width}", np.zeros((cfg.conv_filters, 1)))
+                add(f"conv_b{width}", np.zeros((cfg.conv_filters, 1)))
         if cfg.use_dialogue:
             head_dim = d // cfg.attention_heads
             for name in _ATTN_SLOTS:
-                store.add(name, _xavier(rng, (d, d), d, head_dim))
+                add(name, _xavier(rng, (d, d), d, head_dim))
         if cfg.use_cross:
             for i in range(cfg.n_cross):
-                store.add(f"cross_w{i}", _xavier(rng, (model.f_width, 1), model.f_width, 1))
-                store.add(f"cross_b{i}", np.zeros((model.f_width, 1)))
+                add(f"cross_w{i}", _xavier(rng, (model.f_width, 1), model.f_width, 1))
+                add(f"cross_b{i}", np.zeros((model.f_width, 1)))
         if cfg.use_deep:
             width_in = model.f_width
             for i in range(cfg.deep_layers):
-                store.add(
+                add(
                     f"deep_w{i}", _xavier(rng, (cfg.deep_width, width_in), width_in, cfg.deep_width)
                 )
-                store.add(f"deep_b{i}", np.zeros((cfg.deep_width, 1)))
+                add(f"deep_b{i}", np.zeros((cfg.deep_width, 1)))
                 width_in = cfg.deep_width
-        store.add("logits_w", _xavier(rng, (model.logits_in, 1), model.logits_in, 1))
+        add("logits_w", _xavier(rng, (model.logits_in, 1), model.logits_in, 1))
         if cfg.finetune_embeddings:
-            store.add("entity_table", featurizer.table.copy())
+            add("entity_table", featurizer.table.copy())
         return model
 
     # ---- parameter views -------------------------------------------------
@@ -444,7 +462,7 @@ class KdcnModel:
 
     def _cross_stack(self, prefix: str) -> np.ndarray:
         """The n_cross slots named prefix0, prefix1, ... as the columns of one (F, L) array."""
-        out = np.empty((self.f_width, self.cfg.n_cross))
+        out = np.empty((self.f_width, self.cfg.n_cross), dtype=self.dtype)
         for i in range(self.cfg.n_cross):
             out[:, i] = self.store.value(f"{prefix}{i}")[:, 0]
         return out
@@ -456,7 +474,7 @@ class KdcnModel:
         k = self.n_behavior_kinds
         k_eff = max(k, max(self.cfg.conv_widths))
         mean = batch.pool @ table
-        bmat = np.zeros((batch.n, self.dim, k_eff))
+        bmat = np.zeros((batch.n, self.dim, k_eff), dtype=self.dtype)
         bmat[:, :, :k] = mean.reshape(batch.n, k, self.dim).transpose(0, 2, 1)
         return bmat
 
@@ -499,7 +517,7 @@ class KdcnModel:
         ranked = counts[order]
         offsets = np.concatenate([[0], np.cumsum(ranked)])  # first keyword of each row
         lengths, firsts = np.unique(ranked, return_index=True)
-        out = np.zeros((n, 2, heads, head_dim))  # rows with L = 0 stay 0
+        out = np.zeros((n, 2, heads, head_dim), dtype=self.dtype)  # rows with L = 0 stay 0
         buckets = []
         for length, lo, hi in zip(lengths, firsts, chain(firsts[1:], [n])):
             if length == 0:
@@ -518,7 +536,7 @@ class KdcnModel:
             nq = n_query[rows, None]
             in_query = np.arange(length) < nq
             g = np.stack([in_query / np.maximum(nq, 1), ~in_query / np.maximum(length - nq, 1)], 1)
-            g = g[:, None]
+            g = g[:, None].astype(self.dtype)
             r = g @ attn
             out[rows] = (r @ v).transpose(0, 2, 1, 3)
             buckets.append((rows, block, q, k, v, attn, g, r))
@@ -566,7 +584,7 @@ class KdcnModel:
         cache["z_out"] = z_out
         logit = (z_out @ self.store.value("logits_w"))[:, 0]
         p = sigmoid(logit)
-        cache["p"] = p
+        cache["logit"], cache["p"] = logit, p
         return p, cache
 
     def predict_batch(self, batch: Batch) -> np.ndarray:
@@ -585,8 +603,7 @@ class KdcnModel:
         p, cache = self.forward(batch)
         y = batch.labels
         loss = log_loss(p, y)
-        unclamped = (p > _CLAMP) & (p < 1.0 - _CLAMP)
-        dlogit = np.where(unclamped, p - y, 0.0) / batch.n
+        dlogit = logit_grad(cache["logit"], p, y)
 
         z_out = cache["z_out"]
         w_logits = store.value("logits_w")
@@ -641,7 +658,7 @@ class KdcnModel:
                 dpooled = du[:, col : col + n_f] * (conv_cache["max"] > 0)
                 col += n_f
                 p = conv_cache["windows"].shape[1]
-                dvals = np.zeros((batch.n, n_f, p))
+                dvals = np.zeros((batch.n, n_f, p), dtype=self.dtype)
                 np.put_along_axis(dvals, conv_cache["arg"][:, :, None], dpooled[:, :, None], axis=2)
                 store.grad(f"conv_w{width}")[...] += np.einsum(
                     "bfp,bpdn->fdn", dvals, conv_cache["windows"]
@@ -689,7 +706,7 @@ def scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     One sparse incidence product with one entry per source row, much
     cheaper per row than np.add.at. An id outside [0, n) raises IndexError.
     """
-    return incidence(ids, np.ones(len(ids)), n) @ rows
+    return incidence(ids, np.ones(len(ids), dtype=rows.dtype), n) @ rows
 
 
 def cross_tower(f: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -702,10 +719,10 @@ def cross_tower(f: np.ndarray, w: np.ndarray, b: np.ndarray):
     written once. Returns (x_L, cache for cross_tower_backward).
     """
     n_layers = w.shape[1]
-    prefix = np.cumsum(np.concatenate([np.zeros((1, len(w))), b.T]), axis=0)  # rows B_0 .. B_L
+    prefix = np.cumsum(np.concatenate([np.zeros((1, len(w)), b.dtype), b.T]), axis=0)  # B_0 .. B_L
     offsets = np.einsum("lf,fl->l", prefix[:-1], w)
     g = f @ w
-    c = np.ones((len(f), n_layers + 1))
+    c = np.ones((len(f), n_layers + 1), dtype=g.dtype)
     for l in range(n_layers):
         c[:, l + 1] = c[:, l] * (1.0 + g[:, l]) + offsets[l]
     # in place: a second n x F temporary costs more than the arithmetic
@@ -742,6 +759,16 @@ def cross_tower_backward(f: np.ndarray, dx: np.ndarray, cache) -> tuple[np.ndarr
     return df, dw, db
 
 
+def logit_grad(logit: np.ndarray, p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d mean log_loss / d logit: (p - y) / n, and 0 where log_loss clamps p.
+
+    The clamp is decided on the logit, not on p, so it is the same in every
+    dtype: a float32 sigmoid rounds to exactly 1.0 from about 16.6 on, far
+    inside the clamp, and a confidently wrong row keeps its gradient.
+    """
+    return np.where(np.abs(logit) < _CLAMP_LOGIT, p - y, 0.0) / len(p)
+
+
 def log_loss(p, y) -> float:
     """Mean binary cross-entropy with probabilities clamped away from 0/1."""
     p = np.asarray(p, dtype=np.float64).ravel()
@@ -774,8 +801,14 @@ def fit(
     entities: list[EntityRef],
     item_meta: dict[str, ItemMeta],
 ) -> FitResult:
-    """Minibatch Adam training with per-epoch loss and validation AUC."""
-    featurizer = Featurizer(checkpoint, entities, item_meta, cfg)
+    """Minibatch Adam training with per-epoch loss and validation AUC.
+
+    Trains in float32: an in-memory float64 checkpoint table is rounded to
+    float32 first, as export_checkpoint would store it, so training on a
+    pretrain() result and on its ckge.bin gives the same model.
+    """
+    table = np.asarray(checkpoint.entity_table, dtype=np.float32)
+    featurizer = Featurizer(replace(checkpoint, entity_table=table), entities, item_meta, cfg)
     featurizer.fit_stats(train_samples)
     model = KdcnModel.build(cfg, featurizer, rng.child("init"))
     train_set = featurizer.prepare(train_samples)
@@ -836,7 +869,7 @@ def save_model(model: KdcnModel, path) -> None:
 
 
 def load_model_values(path) -> dict[str, np.ndarray]:
-    """Read a model file back into name -> float64 array (f32 precision)."""
+    """Read a model file back into name -> float32 array, as stored."""
     with open(path, "rb") as fh:
 
         def read(n: int, what: str) -> bytes:
@@ -873,7 +906,7 @@ def load_model_values(path) -> dict[str, np.ndarray]:
         values = {}
         for name, rows, cols in manifest:
             raw = read(4 * rows * cols, f"payload for slot '{name}'")
-            values[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(rows, cols)
+            values[name] = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(rows, cols)
     return values
 
 
@@ -926,9 +959,9 @@ def rank_candidates(
         kw_mask=kw_mask,
         cat_idx=featurizer.category_slots([meta.categories for meta in metas]),
         dense=featurizer.standardize([meta.dense for meta in metas]),
-        labels=np.zeros(len(names)),
+        labels=np.zeros(len(names), dtype=model.dtype),
     )
-    scores = np.empty(len(candidates))
+    scores = np.empty(len(candidates), dtype=model.dtype)
     scores[np.array(canonical, dtype=np.int64)] = model.predict_batch(batch)
     order = sorted(range(len(candidates)), key=lambda i: (-scores[i], ids[i]))
     return [(candidates[i], float(scores[i])) for i in order]

@@ -1,8 +1,12 @@
 """Numeric core: activations, Adam, checked sparse incidence, and a finite-difference checker.
 
-All tensors are 2-D float64 numpy arrays in row-major order ("Tensor2D").
-Model code works with plain arrays; trainable state lives in a ParamStore,
-whose slots pair a value with its gradient accumulator and Adam moments.
+All tensors are 2-D float arrays in row-major order ("Tensor2D"), float32 or
+float64. Every function here keeps its operand's dtype; anything else (lists,
+ints) becomes float64. The ranker trains and serves in float32, the precision
+its checkpoint and model files store; pretraining and the gradient oracle run
+in float64. Model code works with plain arrays; trainable state lives in a
+ParamStore, whose slots pair a value with its gradient accumulator and Adam
+moments, all of the value's dtype.
 Backward passes elsewhere in the package are written by hand per layer, and
 finite_diff_check is the oracle that keeps them honest.
 
@@ -28,7 +32,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionError, TrainingError
 
-Tensor2D = np.ndarray  # 2-D float64, row-major
+Tensor2D = np.ndarray  # 2-D float32 or float64, row-major
 
 # mallopt parameters and values (glibc malloc.h); 32 MiB is the largest mmap
 # threshold glibc accepts on 64-bit. Setting the trim threshold alone would
@@ -60,9 +64,15 @@ def keep_freed_memory() -> bool:
 keep_freed_memory()
 
 
+def as_float(data) -> np.ndarray:
+    """data as an array: float32 and float64 arrays keep their dtype, the rest become float64."""
+    arr = np.asarray(data)
+    return arr if arr.dtype in (np.float32, np.float64) else arr.astype(np.float64)
+
+
 def tensor(data) -> np.ndarray:
-    """Coerce nested lists/arrays to a contiguous 2-D float64 array."""
-    arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+    """Coerce nested lists/arrays to a contiguous 2-D float array (see as_float)."""
+    arr = np.ascontiguousarray(as_float(data))
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-D tensor, got shape {arr.shape}")
     return arr
@@ -74,8 +84,9 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     With e = exp(-|x|) it is 1/(1+e) for x >= 0 and e/(1+e) below; one
     shared division keeps the two-branch form's exact values. Since e <= 1,
     max(e, x >= 0) is that numerator exactly, without a branch on the sign.
+    The result has x's dtype (see as_float).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_float(x)
     e = np.abs(x, out=np.empty_like(x))  # out= keeps a 0-d input an array
     np.negative(e, out=e)
     np.exp(e, out=e)
@@ -152,19 +163,23 @@ def adam_step(
 ) -> None:
     """Apply one bias-corrected Adam update to every slot, then zero grads.
 
-    Works in place: one work buffer, sized for the largest slot and shared
-    by all, and each slot's spent gradient hold the intermediates. Every
-    operation keeps the operand order of the textbook form, so the result
-    is the same to the bit.
+    Works in place: one work buffer per dtype, sized for the largest slot
+    and shared by all, and each slot's spent gradient hold the
+    intermediates, so every slot updates in its own dtype. Every operation
+    keeps the operand order of the textbook form, so the result is the same
+    to the bit.
     """
-    buf = np.empty(max((slot.grad.size for slot in store.slots.values()), default=0))
+    size = max((slot.grad.size for slot in store.slots.values()), default=0)
+    bufs: dict[np.dtype, np.ndarray] = {}
     for name, slot in store.slots.items():
         if not np.all(np.isfinite(slot.grad)):
             raise TrainingError(f"non-finite gradient in slot '{name}'")
         slot.step_count += 1
         t = slot.step_count
         g, m, v = slot.grad, slot.adam_m, slot.adam_v
-        s = buf[: g.size].reshape(g.shape)
+        if g.dtype not in bufs:
+            bufs[g.dtype] = np.empty(size, dtype=g.dtype)
+        s = bufs[g.dtype][: g.size].reshape(g.shape)
         m *= beta1
         m += np.multiply(g, 1.0 - beta1, out=s)
         v *= beta2

@@ -460,6 +460,7 @@ def export_checkpoint(ckpt: PretrainCheckpoint, path) -> None:
 
 
 def load_checkpoint(path) -> PretrainCheckpoint:
+    """Read a checkpoint back as the float32 tables it stores."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -473,7 +474,7 @@ def load_checkpoint(path) -> PretrainCheckpoint:
     expected = 4 * dim * (n_e + n_r)
     if len(payload) != expected:
         raise FormatError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    flat = np.frombuffer(payload, dtype="<f4").astype(np.float32)
     entity = flat[: n_e * dim].reshape(n_e, dim)
     relation = flat[n_e * dim :].reshape(n_r, dim)
     return PretrainCheckpoint(entity, relation)

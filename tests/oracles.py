@@ -253,8 +253,9 @@ def adam_reference(store, lr: float, beta1: float = 0.9, beta2: float = 0.999, e
 
 
 def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function from one exp of -|x|, split on the sign of x."""
-    x = np.asarray(x, dtype=np.float64)
+    """Logistic function from one exp of -|x|, split on the sign of x, in x's float dtype."""
+    x = np.asarray(x)
+    x = x if x.dtype == np.float32 else x.astype(np.float64)
     z = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 

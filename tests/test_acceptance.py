@@ -101,6 +101,8 @@ def _kdcn_gradcheck(finetune: bool) -> float:
     worst_overall = None
     for attempt in range(3):
         model = km.KdcnModel.build(cfg, feat, RngStream(88))
+        # the oracle checks the float64 build; a float32 one would need a looser bound
+        assert {slot.value.dtype for slot in model.store.slots.values()} == {np.dtype(np.float64)}
         jitter = RngStream(400 + attempt)
         for name in model.store.names():
             model.store.value(name)[...] += jitter.uniform(

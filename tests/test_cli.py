@@ -466,8 +466,11 @@ BINARY_READERS = {"ckge.bin": load_checkpoint, "kdcn.bin": load_model_values}
 def _well_formed(result) -> bool:
     if isinstance(result, PretrainCheckpoint):
         entity, relation = result.entity_table, result.relation_table
-        return entity.ndim == relation.ndim == 2 and entity.shape[1] == relation.shape[1]
-    return all(isinstance(k, str) and v.ndim == 2 and v.dtype == np.float64 for k, v in result.items())
+        return (
+            entity.ndim == relation.ndim == 2 and entity.shape[1] == relation.shape[1]
+            and entity.dtype == relation.dtype == np.float32
+        )
+    return all(isinstance(k, str) and v.ndim == 2 and v.dtype == np.float32 for k, v in result.items())
 
 
 @pytest.fixture(scope="module")

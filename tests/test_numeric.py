@@ -91,6 +91,14 @@ class TestSigmoid:
                 assert y.shape == want.shape
                 assert np.array_equal(y.view(np.uint64), want.view(np.uint64))
 
+    def test_float32_keeps_its_dtype_and_bits(self):
+        x = RngStream(4).normal(0.0, 8.0, (200, 64)).astype(np.float32)
+        y = sigmoid(x)
+        assert y.dtype == np.float32
+        assert np.array_equal(y.view(np.uint32), two_branch_sigmoid(x).view(np.uint32))
+        # float32 saturates far earlier than float64: exactly 1 at x = 20
+        assert sigmoid(np.float32(20.0)) == 1.0 and sigmoid(20.0) < 1.0
+
     @pytest.mark.parametrize("x", [np.array(-2.0), np.float64(0.5), 3.0, -1])
     def test_scalar_and_0d_inputs(self, x):
         y = sigmoid(x)
@@ -189,6 +197,25 @@ class TestConvSeq:
             assert out[t] == pytest.approx(expected, rel=1e-12)
 
 
+class TestDtypes:
+    def test_tensor_keeps_float32_and_float64(self):
+        for dtype in (np.float32, np.float64):
+            assert numeric.tensor(np.ones((2, 3), dtype)).dtype == dtype
+        assert numeric.tensor([[1, 2]]).dtype == np.float64
+        assert numeric.tensor(np.ones((1, 2), np.int32)).dtype == np.float64
+        assert numeric.tensor(np.ones((1, 2), np.float16)).dtype == np.float64
+
+    def test_store_slots_take_the_value_dtype(self):
+        store = ParamStore()
+        store.add("a", np.ones((2, 3), np.float32))
+        store.add("b", [[1.0]])
+        for name, dtype in (("a", np.float32), ("b", np.float64)):
+            slot = store[name]
+            assert {a.dtype for a in (slot.value, slot.grad, slot.adam_m, slot.adam_v)} == {
+                np.dtype(dtype)
+            }
+
+
 class TestAdam:
     def test_zero_gradient_is_identity(self):
         store = ParamStore()
@@ -228,12 +255,19 @@ class TestAdam:
         assert np.all(store.grad("w") == 0)
 
     def test_bit_identical_to_textbook_form(self):
+        self.check_against_textbook_form(np.float64)
+
+    def test_float32_bit_identical_to_textbook_form(self):
+        self.check_against_textbook_form(np.float32)
+
+    @staticmethod
+    def check_against_textbook_form(dtype):
         # the slot shapes of a small pretraining store, 30 steps of random grads
         shapes = {"entity_table": (300, 16), "relation_table": (9, 16), "gcn_w0": (16, 16)}
         stores = [ParamStore(), ParamStore()]
         init = RngStream(31)
         for name, shape in shapes.items():
-            value = init.uniform(-1, 1, shape)
+            value = init.uniform(-1, 1, shape).astype(dtype)
             for store in stores:
                 store.add(name, value.copy())
         grads = RngStream(32)
@@ -250,6 +284,23 @@ class TestAdam:
             assert np.array_equal(new.adam_m, ref.adam_m), name
             assert np.array_equal(new.adam_v, ref.adam_v), name
             assert np.all(new.grad == 0)
+            assert new.value.dtype == new.adam_m.dtype == new.adam_v.dtype == dtype
+
+    def test_mixed_dtypes_update_each_slot_in_its_own(self):
+        # the float32 slot is the largest, so a single shared buffer would be float32
+        grads = RngStream(33)
+        g64, g32 = grads.normal(0.0, 1.0, (4, 5)), grads.normal(0.0, 1.0, (40, 5))
+        mixed, alone = ParamStore(), ParamStore()
+        mixed.add("w64", np.ones((4, 5)))
+        mixed.add("w32", np.ones((40, 5), np.float32))
+        alone.add("w64", np.ones((4, 5)))
+        for _ in range(3):
+            mixed.grad("w64")[...] = alone.grad("w64")[...] = g64
+            mixed.grad("w32")[...] = g32
+            adam_step(mixed, lr=0.01)
+            adam_step(alone, lr=0.01)
+        assert np.array_equal(mixed.value("w64"), alone.value("w64"))
+        assert mixed.value("w32").dtype == mixed["w32"].adam_v.dtype == np.float32
 
     def test_nonfinite_gradient_names_slot(self):
         store = ParamStore()
