@@ -2,11 +2,11 @@
 
 All tensors are 2-D float arrays in row-major order ("Tensor2D"), float32 or
 float64. Every function here keeps its operand's dtype; anything else (lists,
-ints) becomes float64. The ranker trains and serves in float32, the precision
-its checkpoint and model files store; pretraining and the gradient oracle run
-in float64. Model code works with plain arrays; trainable state lives in a
-ParamStore, whose slots pair a value with its gradient accumulator and Adam
-moments, all of the value's dtype.
+ints) becomes float64. Pretraining and the ranker train in float32, the
+precision the checkpoint and model files store, and the ranker serves it; the
+gradient oracle runs in float64. Model code works with plain arrays;
+trainable state lives in a ParamStore, whose slots pair a value with its
+gradient accumulator and Adam moments, all of the value's dtype.
 Backward passes elsewhere in the package are written by hand per layer, and
 finite_diff_check is the oracle that keeps them honest.
 

@@ -28,6 +28,12 @@ compacted to them. Both modes share this path; encode_entities is the
 all-rows case. Negatives are drawn per batch as arrays: head/tail flips
 and candidate ids, checked against the sorted keys of the known triples,
 with only the rejected rows redrawn; hits_at_k draws its candidates alike.
+
+pretrain trains in float32, the precision ckge.bin stores: it rounds the
+float64 draws of init_params once, and every operator below it keeps the
+dtype of the params it is given, so the parameters, their gradients, Adam's
+moments and the returned checkpoint are float32. Params straight from
+init_params, as the gradient oracle uses them, stay float64 throughout.
 """
 
 from __future__ import annotations
@@ -107,6 +113,14 @@ def init_params(n_entities: int, n_relations: int, cfg: PretrainConfig, rng: Rng
     return PretrainParams(store, cfg.layers)
 
 
+def _float32(params: PretrainParams) -> PretrainParams:
+    """A fresh store holding params' values rounded to float32."""
+    store = ParamStore()
+    for name in params.store.names():
+        store.add(name, params.store.value(name).astype(np.float32))
+    return PretrainParams(store, params.layers)
+
+
 def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream | None = None) -> list:
     """The per-layer operators S of one encoder pass, in either mode.
 
@@ -157,13 +171,14 @@ def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream | None = No
     return operators * cfg.layers if full else operators
 
 
-def _restrict(operators: list, rows: np.ndarray):
+def _restrict(operators: list, rows: np.ndarray, dtype: np.dtype):
     """Restrict the encoder stack to the output rows a batch reads.
 
     Works from the top layer down: layer l keeps the rows of S_l that the
     layer above reads, with its columns compacted to the rows that layer l-1
     must produce. Returns the entity-table rows that layer 1 reads and the
-    compact operators A_l, bottom layer first.
+    compact operators A_l of the given dtype, bottom layer first (scipy
+    would upcast a float32 product with a float64 operator).
     """
     compact = []
     for s in reversed(operators):
@@ -173,7 +188,8 @@ def _restrict(operators: list, rows: np.ndarray):
         rows = np.flatnonzero(used)
         local = np.empty(s.shape[1], dtype=np.int64)
         local[rows] = np.arange(len(rows))
-        a = sp.csr_matrix((a.data, local[a.indices], a.indptr), shape=(a.shape[0], len(rows)))
+        data = a.data.astype(dtype, copy=False)
+        a = sp.csr_matrix((data, local[a.indices], a.indptr), shape=(a.shape[0], len(rows)))
         compact.append(a)
     return rows, compact[::-1]
 
@@ -184,7 +200,7 @@ def _encode_forward(params: PretrainParams, operators: list, rows: np.ndarray):
     Layer l computes sigmoid(A_l @ x @ W_l) over its compact rows (see
     _restrict). Returns (output, cache) for the matching backward.
     """
-    table_rows, compact = _restrict(operators, rows)
+    table_rows, compact = _restrict(operators, rows, params.entity_table.dtype)
     x = params.entity_table[table_rows]
     cache: dict = {"table_rows": table_rows, "operators": compact, "inputs": [], "outputs": []}
     for a, w in zip(compact, params.gcn_weights):
@@ -212,11 +228,6 @@ def _encode_backward(params: PretrainParams, cache: dict, d_out: np.ndarray):
     return grad, d_ws
 
 
-def _operators(g: Graph, cfg: PretrainConfig, draws, rng: RngStream | None = None) -> list:
-    """The given per-layer operators, else a fresh sample_layer_draws."""
-    return draws if draws is not None else sample_layer_draws(g, cfg, rng)
-
-
 def encode_entities(
     params: PretrainParams,
     g: Graph,
@@ -229,7 +240,8 @@ def encode_entities(
     Uses the given per-layer operators; without them, full mode builds its
     own and sampled mode draws them from rng.
     """
-    out, _ = _encode_forward(params, _operators(g, cfg, draws, rng), np.arange(g.n_entities))
+    operators = draws if draws is not None else sample_layer_draws(g, cfg, rng)
+    out, _ = _encode_forward(params, operators, np.arange(g.n_entities))
     return out
 
 
@@ -338,7 +350,8 @@ def pretrain_loss(
     draws=None,
 ) -> float:
     """Margin ranking loss of fixed positive/negative pairs (pure forward)."""
-    _, _, _, s, _ = _pair_scores(params, _operators(g, cfg, draws), pos, neg)
+    operators = draws if draws is not None else sample_layer_draws(g, cfg)
+    _, _, _, s, _ = _pair_scores(params, operators, pos, neg)
     return margin_loss(s[: len(pos)], s[len(pos) :], cfg.margin)
 
 
@@ -350,15 +363,19 @@ def pretrain_loss_grads(
     neg: np.ndarray,
     draws=None,
 ) -> float:
-    """Compute the pair loss and accumulate analytic grads into the store."""
-    pairs, ends, diff, s, cache = _pair_scores(params, _operators(g, cfg, draws), pos, neg)
+    """Compute the pair loss and accumulate analytic grads into the store.
+
+    Every term takes the dtype of the params, so the gradients keep it too.
+    """
+    operators = draws if draws is not None else sample_layer_draws(g, cfg)
+    pairs, ends, diff, s, cache = _pair_scores(params, operators, pos, neg)
     margins = s[: len(pos)] + cfg.margin - s[len(pos) :]
     active = margins > 0
     loss = float(margins[active].sum())
 
     # d loss / d score: +1 for active positives, -1 for active negatives;
     # a zero residual has no direction and gets no gradient
-    sign = np.concatenate([1.0 * active, -1.0 * active]) * (s > 0)
+    sign = np.concatenate([1.0 * active, -1.0 * active]).astype(s.dtype) * (s > 0)
     unit = diff / np.where(s > 0, s, 1.0)[:, None]
     unit *= sign[:, None]
 
@@ -367,7 +384,7 @@ def pretrain_loss_grads(
     # after the encoded ones)
     m = cache["operators"][-1].shape[0]
     targets = np.stack([ends[:, 0], ends[:, 1], m + pairs[:, 1]], axis=1).ravel()
-    signs = np.tile([1.0, -1.0, 1.0], len(pairs))
+    signs = np.tile(np.array([1.0, -1.0, 1.0], dtype=s.dtype), len(pairs))
     d_all = incidence(targets, signs, m + len(params.relation_table), per_col=3) @ unit
 
     d_table, d_ws = _encode_backward(params, cache, d_all[:m])
@@ -395,7 +412,6 @@ class PretrainCheckpoint:
 class PretrainResult:
     checkpoint: PretrainCheckpoint
     epoch_losses: list[float] = field(default_factory=list)
-    params: PretrainParams | None = None
 
 
 def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> PretrainResult:
@@ -407,14 +423,15 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
     Full mode builds its propagation operator once per call; sampled mode
     draws new operators for every batch. Per-epoch mean loss (per positive
     pair) is recorded. The returned checkpoint holds the encoder output as
-    the entity table.
+    the entity table. Training runs in float32 on the rounded float64 draws
+    of init_params, so the checkpoint is float32, as ckge.bin stores it.
     """
     rng_init = rng.child("init")
     rng_shuffle = rng.child("shuffle")
     rng_negative = rng.child("negative")
     rng_encode = rng.child("encode")
 
-    params = init_params(tset.n_entities, tset.n_relations, cfg, rng_init)
+    params = _float32(init_params(tset.n_entities, tset.n_relations, cfg, rng_init))
     triples = tset.array
     npp = cfg.negatives_per_positive
     full = sample_layer_draws(g, cfg) if cfg.mode == "full" else None
@@ -427,7 +444,7 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
             bidx = order[bstart : bstart + cfg.batch_size]
             pos = np.repeat(triples[bidx], npp, axis=0)
             neg = corrupt_batch(pos, known, g.n_entities, rng_negative)
-            draws = _operators(g, cfg, full, rng_encode)
+            draws = full if full is not None else sample_layer_draws(g, cfg, rng_encode)
             loss = pretrain_loss_grads(params, g, cfg, pos, neg, draws)
             if not np.isfinite(loss):
                 raise TrainingError(
@@ -440,7 +457,7 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
 
     entity_out = encode_entities(params, g, cfg, rng_encode, full)
     ckpt = PretrainCheckpoint(entity_out, params.relation_table.copy())
-    return PretrainResult(ckpt, losses, params)
+    return PretrainResult(ckpt, losses)
 
 
 CHECKPOINT_MAGIC = b"CKGE"

@@ -10,7 +10,8 @@ backward, Adam's textbook form, the ranker's per-sample feature blocks
 its query and title means, assembly) and towers, the cross tower layer by
 layer, the dialogue attention head by head, and AUC by counting every
 positive-negative pair. Nothing under ``src/`` uses them; the tests
-compare the library against them.
+compare the library against them. widened_checkpoint lifts pretrain()'s
+float32 tables to float64, for the ranker build the gradient oracle checks.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from kdcn.errors import CapacityError, DimensionError, MetricError
 from kdcn.graph import Graph, TripleSet
 from kdcn.model import Featurizer, KdcnModel
 from kdcn.numeric import relu, sigmoid
-from kdcn.pretrain import PretrainConfig
+from kdcn.pretrain import PretrainCheckpoint, PretrainConfig
 from kdcn.rng import RngStream
 
 # the dense adjacency oracle holds n*n floats; above this it refuses
@@ -122,6 +123,11 @@ def hits_at_k_reference(ckpt, tset: TripleSet, eval_triples, rng: RngStream, k: 
         if 1 + int(np.sum(cand_scores <= true_score)) <= k:
             hits += 1
     return hits / max(len(eval_triples), 1)
+
+
+def widened_checkpoint(ckpt: PretrainCheckpoint) -> PretrainCheckpoint:
+    """The checkpoint with both tables widened (exactly) to float64."""
+    return PretrainCheckpoint(ckpt.entity_table.astype(np.float64), ckpt.relation_table.astype(np.float64))
 
 
 def normalized_adjacency(g: Graph, self_loops: bool = True, kind: str = "sym") -> np.ndarray:

@@ -20,7 +20,15 @@ from kdcn.graph import RELATIONS, Graph, TripleSet, load_triples, save_triples
 from kdcn.metrics import auc, epochs_to_threshold
 from kdcn.numeric import finite_diff_check
 from kdcn.rng import RngStream
-from oracles import AttentionParams, DialogueInput, auc_bruteforce, cross_forward, dialogue_interaction, softmax_rows
+from oracles import (
+    AttentionParams,
+    DialogueInput,
+    auc_bruteforce,
+    cross_forward,
+    dialogue_interaction,
+    softmax_rows,
+    widened_checkpoint,
+)
 
 
 def report(num: int, passed: bool, detail: str) -> None:
@@ -89,6 +97,8 @@ def _kdcn_gradcheck(finetune: bool) -> float:
     ckpt = pt.pretrain(
         world.tset, g, pt.PretrainConfig(dim=8, layers=1, epochs=1, lr=0.01), RngStream(77)
     ).checkpoint
+    # pretrain() returns float32; widened, the table builds the float64 ranker the oracle checks
+    ckpt = widened_checkpoint(ckpt)
     split = generate_samples(world, 40, ClickModel(), RngStream(77).child("s"))
     meta = km.item_meta_from_events(world.events)
     cfg = km.TrainConfig(

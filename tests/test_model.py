@@ -29,6 +29,7 @@ from oracles import (
     predict,
     sample_features,
     scatter_dtable,
+    widened_checkpoint,
 )
 
 
@@ -44,6 +45,8 @@ def small_setup(seed=2, n_samples=60, **cfg_overrides):
         world.tset, g, pt.PretrainConfig(dim=8, layers=1, epochs=1, lr=0.01),
         RngStream(seed),
     ).checkpoint
+    # pretrain() returns float32; widened, the table builds the float64 ranker the oracles check
+    ckpt = widened_checkpoint(ckpt)
     split = generate_samples(world, n_samples, ClickModel(), RngStream(seed).child("s"))
     meta = km.item_meta_from_events(world.events)
     cfg_kwargs = dict(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from kdcn.graph import RELATIONS, Graph, Triple, TripleSet
 from kdcn.numeric import finite_diff_check, sigmoid
 from kdcn.rng import RngStream
 from oracles import encode_stack, gcn_layer, hits_at_k_reference, layer_draws, normalized_adjacency
+from test_model import RejectsFloat64, float_dtypes, slot_dtypes
 
 
 def small_world(seed=2, **overrides):
@@ -115,6 +117,17 @@ class TestEncode:
         full = pt.encode_entities(params, g, cfg_full)
         samp = pt.encode_entities(params, g, cfg_samp, RngStream(4))
         assert np.abs(full - samp).max() < 1e-9
+
+    def test_sampled_equals_full_mean_at_covering_fanout_in_float32(self):
+        # the same operators in the precision pretrain() trains in: bit-equal outputs
+        g = Graph(small_world(seed=5).tset)
+        cfg_full = pt.PretrainConfig(dim=6, layers=2, aggregation="mean", mode="full")
+        cfg_samp = dataclasses.replace(cfg_full, mode="sampled", fanout=max(g.max_degree(), 1))
+        params = pt._float32(pt.init_params(g.n_entities, 9, cfg_full, RngStream(3)))
+        full = pt.encode_entities(params, g, cfg_full)
+        samp = pt.encode_entities(params, g, cfg_samp, RngStream(4))
+        assert full.dtype == samp.dtype == np.float32
+        assert np.array_equal(full, samp)
 
 
 class TestSampleLayerDraws:
@@ -464,7 +477,8 @@ class TestPretrainLoop:
         cfg = pt.PretrainConfig(dim=6, epochs=0)
         rng = RngStream(11)
         result = pt.pretrain(w.tset, g, cfg, rng)
-        fresh = pt.init_params(w.tset.n_entities, 9, cfg, RngStream(11).child("init"))
+        # pretrain() trains on init_params' draws rounded to float32
+        fresh = pt._float32(pt.init_params(w.tset.n_entities, 9, cfg, RngStream(11).child("init")))
         expected = pt.encode_entities(fresh, g, cfg)
         assert np.array_equal(result.checkpoint.entity_table, expected)
         assert np.array_equal(result.checkpoint.relation_table, fresh.relation_table)
@@ -512,6 +526,69 @@ class TestPretrainLoop:
         monkeypatch.setattr(pt, "sample_layer_draws", counting)
         pt.pretrain(w.tset, g, cfg, RngStream(12))
         assert len(calls) == 1
+
+
+class TestPretrainDtype:
+    """pretrain() trains in float32; operators keep the dtype of the params they get."""
+
+    F32, F64 = {np.dtype(np.float32)}, {np.dtype(np.float64)}
+
+    def batch(self, g, cfg, dtype):
+        drawn = pt.init_params(g.n_entities, 9, cfg, RngStream(1))
+        params = pt._float32(drawn) if dtype == np.float32 else drawn
+        pos = g.triples.array[:16]
+        neg = pt.corrupt_batch(pos, pt._known_keys(g.triples), g.n_entities, RngStream(2))
+        draws = pt.sample_layer_draws(g, cfg, RngStream(3))
+        return params, pos, neg, draws
+
+    @pytest.mark.parametrize("mode", ["full", "sampled"])
+    def test_pretrain_keeps_every_slot_and_the_checkpoint_float32(self, mode, monkeypatch):
+        g = Graph(small_world().tset)
+        cfg = pt.PretrainConfig(dim=6, epochs=2, batch_size=64, lr=0.01, mode=mode, fanout=3)
+        stores = []
+        step = pt.adam_step
+        monkeypatch.setattr(pt, "adam_step", lambda store, lr: (stores.append(store), step(store, lr)))
+        ckpt = pt.pretrain(g.triples, g, cfg, RngStream(12)).checkpoint
+        assert stores and all(s is stores[0] for s in stores)
+        assert slot_dtypes(stores[0]) == self.F32
+        assert float_dtypes([ckpt.entity_table, ckpt.relation_table]) == self.F32
+
+    @pytest.mark.parametrize("mode", ["full", "sampled"])
+    def test_one_step_computes_in_float32(self, mode):
+        g = Graph(small_world(seed=4).tset)
+        cfg = pt.PretrainConfig(dim=6, layers=2, mode=mode, fanout=3)
+        params, pos, neg, draws = self.batch(g, cfg, np.float32)
+        *_, s, cache = pt._pair_scores(params, draws, pos, neg)
+        assert s.dtype == np.float32
+        assert float_dtypes(cache) == self.F32
+        assert {a.dtype for a in cache["operators"]} == self.F32
+        # the backward adds into the gradients; none of its terms may be float64
+        for slot in params.store.slots.values():
+            slot.grad = slot.grad.view(RejectsFloat64)
+        pt.pretrain_loss_grads(params, g, cfg, pos, neg, draws)
+        assert slot_dtypes(params.store) == self.F32
+        assert all(np.any(slot.grad) for slot in params.store.slots.values())
+
+    def test_float64_params_stay_float64(self):
+        g = Graph(small_world(seed=4).tset)
+        cfg = pt.PretrainConfig(dim=6, layers=2, mode="sampled", fanout=3)
+        params, pos, neg, draws = self.batch(g, cfg, np.float64)
+        *_, cache = pt._pair_scores(params, draws, pos, neg)
+        assert float_dtypes(cache) == self.F64
+        assert {a.dtype for a in cache["operators"]} == self.F64
+        pt.pretrain_loss_grads(params, g, cfg, pos, neg, draws)
+        assert slot_dtypes(params.store) == self.F64
+        assert pt.encode_entities(params, g, cfg, draws=draws).dtype == np.float64
+
+    def test_checkpoint_file_round_trip_is_bit_exact(self, tmp_path):
+        g = Graph(small_world().tset)
+        cfg = pt.PretrainConfig(dim=6, epochs=1, batch_size=64, lr=0.01)
+        ckpt = pt.pretrain(g.triples, g, cfg, RngStream(13)).checkpoint
+        pt.export_checkpoint(ckpt, tmp_path / "c.bin")
+        loaded = pt.load_checkpoint(tmp_path / "c.bin")
+        for got, want in ((loaded.entity_table, ckpt.entity_table), (loaded.relation_table, ckpt.relation_table)):
+            assert got.dtype == want.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 class TestConfigErrors:
