@@ -48,9 +48,14 @@ Behavior pooling is one sparse operator. A Dataset holds a CSR matrix P with
 one row per (sample, behavior kind) and 1/count at that list's item ids, so
 the per-kind mean embeddings are P @ table and, when the entity table is
 fine-tuned, its gradient is P.T @ dmean; frozen and fine-tuned runs share
-that path. rank_candidates featurizes a request's behaviors and query once,
-repeats the k pooling rows for every candidate, and fills only the
-per-candidate title keywords, categories and dense statistics.
+that path. The user state belongs to the behaviors, not to the candidate,
+so a Batch pools and convolves per behavior context (k rows of P each) and
+its context array gives each row its context: the forward gathers the
+contexts' user states onto the rows, and the backward sums the rows'
+gradients back per context. A Dataset batch makes every sample its own
+context. rank_candidates scores a request over one context, featurized
+once with the query, and gathers each candidate's title keywords and
+category slots from the per-item arrays the Featurizer builds once.
 """
 
 from __future__ import annotations
@@ -177,7 +182,8 @@ class Batch:
     """Index arrays and constants for one minibatch; floats in the table's dtype."""
 
     n: int
-    pool: sp.csr_matrix  # (n*k, entities): pool @ table gives the per-kind behavior means
+    pool: sp.csr_matrix  # (contexts*k, entities): pool @ table gives the per-kind behavior means
+    context: np.ndarray  # (n,) int, each row's behavior context
     kw_ids: np.ndarray  # (n, P) int, 0 where padded
     kw_mask: np.ndarray  # (n, P) bool, True for real keywords
     cat_idx: np.ndarray  # (n, S) int, -1 where padded
@@ -198,7 +204,7 @@ class Dataset:
         self.n = len(samples)
         query_ids = {q: f.query_keyword_ids(q) for q in {s.query for s in samples}}
         self.kw_ids, self.kw_mask = f.keyword_slots(
-            [query_ids[s.query] for s in samples], [s.candidate_item for s in samples]
+            [query_ids[s.query] for s in samples], f.item_rows([s.candidate_item for s in samples])
         )
         self.cat_idx = f.category_slots([s.categories for s in samples])
         self.dense = f.standardize([s.dense for s in samples])
@@ -211,6 +217,7 @@ class Dataset:
         return Batch(
             n=len(idx),
             pool=self.pool[(idx[:, None] * k + np.arange(k)).ravel()],
+            context=np.arange(len(idx)),
             kw_ids=self.kw_ids[idx],
             kw_mask=self.kw_mask[idx],
             cat_idx=self.cat_idx[idx],
@@ -256,6 +263,11 @@ class Featurizer:
     Dense standardization statistics come from the training split only
     (fit_stats must run before prepare). The table keeps the checkpoint's
     float dtype (see numeric.as_float), and the featurized floats take it.
+
+    At construction every item of item_meta gets a row, in item_meta's
+    order, in the per-item arrays: padded title keyword ids (title_ids,
+    title_mask), category slots (item_cat_idx) and the item's entity id
+    (item_entity_ids, -1 for an item that is no graph entity).
     """
 
     def __init__(
@@ -274,7 +286,12 @@ class Featurizer:
         cat_names = sorted(e.name for e in entities if e.kind == "category")
         self.category_index = {name: i for i, name in enumerate(cat_names)}
         self.n_categories = len(cat_names)
-        self._title_ids_cache: dict[str, list[int]] = {}
+        self._item_rows = {name: row for row, name in enumerate(item_meta)}
+        metas = item_meta.values()
+        titles = [extract_keywords(m.title, self.keyword_vocab, cfg.max_title_keywords) for m in metas]
+        self.title_ids, self.title_mask = _pad_rows(titles, cfg.max_title_keywords, 0)
+        self.item_cat_idx = self.category_slots([m.categories for m in metas])
+        self.item_entity_ids = np.array([self._item_ids.get(n, -1) for n in item_meta], dtype=np.int64)
         self.n_dense: int | None = None
         self.n_behavior_kinds: int | None = None
         self.dense_mean: np.ndarray | None = None
@@ -285,35 +302,28 @@ class Featurizer:
             raise KeyError(f"unknown item '{name}'")
         return self._item_ids[name]
 
-    def title_keyword_ids(self, item_name: str) -> list[int]:
-        cached = self._title_ids_cache.get(item_name)
-        if cached is None:
-            if item_name not in self.item_meta:
-                raise KeyError(f"no metadata for item '{item_name}'")
-            cached = extract_keywords(
-                self.item_meta[item_name].title,
-                self.keyword_vocab,
-                self.cfg.max_title_keywords,
-            )
-            self._title_ids_cache[item_name] = cached
-        return cached
+    def item_rows(self, names: list[str]) -> np.ndarray:
+        """Each named item's row in the per-item arrays; KeyError for an item without metadata."""
+        try:
+            return np.array([self._item_rows[name] for name in names], dtype=np.int64)
+        except KeyError as exc:
+            raise KeyError(f"no metadata for item '{exc.args[0]}'") from None
 
     def query_keyword_ids(self, query: str) -> list[int]:
         return extract_keywords(query, self.keyword_vocab, self.cfg.max_query_keywords)
 
     def keyword_slots(
-        self, query_ids: list[list[int]], items: list[str]
+        self, query_ids: list[list[int]], rows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per row, the query keyword ids in the first max_query slots, then the
-        item's title keyword ids in the max_title slots after them.
+        title keyword ids of the item at that row of the per-item arrays in the
+        max_title slots after them.
 
         Returns (kw_ids, kw_mask), both (rows, max_query + max_title).
         """
         query, query_mask = _pad_rows(query_ids, self.cfg.max_query_keywords, 0)
-        titles = [self.title_keyword_ids(item) for item in items]
-        title, title_mask = _pad_rows(titles, self.cfg.max_title_keywords, 0)
-        mask = np.concatenate([query_mask, title_mask], axis=1)
-        return np.concatenate([query, title], axis=1), mask
+        mask = np.concatenate([query_mask, self.title_mask[rows]], axis=1)
+        return np.concatenate([query, self.title_ids[rows]], axis=1), mask
 
     def category_slots(self, categories: list[list[str]]) -> np.ndarray:
         """Category indices of the first n_cat_slots categories per row, -1 padded."""
@@ -470,12 +480,13 @@ class KdcnModel:
     # ---- batched forward -------------------------------------------------
 
     def _behavior_matrices(self, batch: Batch, table: np.ndarray) -> np.ndarray:
-        """(n, d, k_eff) per-kind behavior means, zero-padded to the widest filter."""
+        """(contexts, d, k_eff) per-kind behavior means, zero-padded to the widest filter."""
         k = self.n_behavior_kinds
         k_eff = max(k, max(self.cfg.conv_widths))
         mean = batch.pool @ table
-        bmat = np.zeros((batch.n, self.dim, k_eff), dtype=self.dtype)
-        bmat[:, :, :k] = mean.reshape(batch.n, k, self.dim).transpose(0, 2, 1)
+        n_ctx = len(mean) // k
+        bmat = np.zeros((n_ctx, self.dim, k_eff), dtype=self.dtype)
+        bmat[:, :, :k] = mean.reshape(n_ctx, k, self.dim).transpose(0, 2, 1)
         return bmat
 
     def _user_state_forward(self, bmat: np.ndarray, cache: dict) -> np.ndarray:
@@ -527,7 +538,12 @@ class KdcnModel:
             q, k, v = (qkv[:, :, i].transpose(0, 2, 1, 3) for i in range(3))
             # every key is real: a plain softmax over (n_b, heads, L, L)
             attn = q @ k.transpose(0, 1, 3, 2)
-            attn -= attn.max(axis=3, keepdims=True)
+            # the row max as a running maximum over the L key columns: numpy's
+            # reduction over a short axis costs several times more per element
+            top = attn[..., :1].copy()
+            for j in range(1, length):
+                np.maximum(top, attn[..., j : j + 1], out=top)
+            attn -= top
             np.exp(attn, out=attn)
             attn /= np.einsum("nhij->nhi", attn)[..., None]
             # pool before the value product: G holds 1/n_q at the first n_q
@@ -552,7 +568,7 @@ class KdcnModel:
         if cfg.use_user_state:
             bmat = self._behavior_matrices(batch, table)
             cache["bmat"] = bmat
-            parts.append(self._user_state_forward(bmat, cache))
+            parts.append(self._user_state_forward(bmat, cache)[batch.context])
         if cfg.use_dialogue:
             parts.append(self._dialogue_forward(batch, table, cache))
         return np.concatenate(parts, axis=1)
@@ -648,7 +664,9 @@ class KdcnModel:
         offset = s_cat + self.n_dense
 
         if cfg.use_user_state:
-            du = df[:, offset : offset + self.u_dim]
+            n_ctx = len(cache["bmat"])
+            # the rows of a context share its user state, so their gradients add up
+            du = scatter_rows(batch.context, df[:, offset : offset + self.u_dim], n_ctx)
             offset += self.u_dim
             dbmat = np.zeros_like(cache["bmat"]) if finetune else None
             col = 0
@@ -658,7 +676,7 @@ class KdcnModel:
                 dpooled = du[:, col : col + n_f] * (conv_cache["max"] > 0)
                 col += n_f
                 p = conv_cache["windows"].shape[1]
-                dvals = np.zeros((batch.n, n_f, p), dtype=self.dtype)
+                dvals = np.zeros((n_ctx, n_f, p), dtype=self.dtype)
                 np.put_along_axis(dvals, conv_cache["arg"][:, :, None], dpooled[:, :, None], axis=2)
                 store.grad(f"conv_w{width}")[...] += np.einsum(
                     "bfp,bpdn->fdn", dvals, conv_cache["windows"]
@@ -671,7 +689,7 @@ class KdcnModel:
                         dbmat[:, :, t : t + width] += dwin[:, t]
             if finetune:
                 k = self.n_behavior_kinds
-                dmean = dbmat[:, :, :k].transpose(0, 2, 1).reshape(batch.n * k, self.dim)
+                dmean = dbmat[:, :, :k].transpose(0, 2, 1).reshape(n_ctx * k, self.dim)
                 dtable += batch.pool.T @ dmean
 
         if cfg.use_dialogue:
@@ -931,37 +949,38 @@ def rank_candidates(
 ) -> list[tuple[str, float]]:
     """Score candidate items for one context; descending probability.
 
-    The behaviors and the query are featurized once per request; only the
-    title keywords, categories and dense statistics vary per candidate.
-    Ties break by ascending item entity id, so the ordering is deterministic
-    and invariant to the input candidate order.
+    The behaviors and the query are featurized once per request, and the
+    batch pools and convolves the behaviors once: every candidate row
+    shares behavior context 0. Each candidate's title keywords and category
+    slots are rows of the featurizer's per-item arrays; its dense statistics
+    are standardized per request. Ties break by ascending item entity id,
+    so the ordering is deterministic and invariant to the input candidate
+    order.
     """
     if len(candidates) > model.cfg.candidate_cap:
         raise CapacityError(
             f"{len(candidates)} candidates exceed the cap of {model.cfg.candidate_cap}"
         )
-    for name in candidates:
-        if name not in featurizer.item_meta:
-            raise KeyError(f"unknown candidate item '{name}'")
-    ids = [featurizer.item_id(name) for name in candidates]
+    rows = featurizer.item_rows(candidates)
+    ids = featurizer.item_entity_ids[rows]
+    if (ids < 0).any():
+        raise KeyError(f"unknown item '{candidates[int(np.argmin(ids))]}'")
     # score in a canonical order so results are bit-identical under any
     # permutation of the input list
-    canonical = sorted(range(len(candidates)), key=ids.__getitem__)
-    names = [candidates[i] for i in canonical]
-    metas = [featurizer.item_meta[name] for name in names]
-    context = featurizer.pooling_operator([behaviors])
-    query_ids = featurizer.query_keyword_ids(query)
-    kw_ids, kw_mask = featurizer.keyword_slots([query_ids] * len(names), names)
+    canonical = np.argsort(ids, kind="stable")
+    rows = rows[canonical]
+    n = len(candidates)
+    kw_ids, kw_mask = featurizer.keyword_slots([featurizer.query_keyword_ids(query)] * n, rows)
     batch = Batch(
-        n=len(names),
-        pool=context[np.tile(np.arange(context.shape[0]), len(names))],
+        n=n,
+        pool=featurizer.pooling_operator([behaviors]),
+        context=np.zeros(n, dtype=np.int64),
         kw_ids=kw_ids,
         kw_mask=kw_mask,
-        cat_idx=featurizer.category_slots([meta.categories for meta in metas]),
-        dense=featurizer.standardize([meta.dense for meta in metas]),
-        labels=np.zeros(len(names), dtype=model.dtype),
+        cat_idx=featurizer.item_cat_idx[rows],
+        dense=featurizer.standardize([featurizer.item_meta[candidates[i]].dense for i in canonical]),
+        labels=np.zeros(n, dtype=model.dtype),
     )
-    scores = np.empty(len(candidates), dtype=model.dtype)
-    scores[np.array(canonical, dtype=np.int64)] = model.predict_batch(batch)
-    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], ids[i]))
-    return [(candidates[i], float(scores[i])) for i in order]
+    scores = np.empty(n, dtype=model.dtype)
+    scores[canonical] = model.predict_batch(batch)
+    return [(candidates[i], float(scores[i])) for i in np.lexsort((ids, -scores))]

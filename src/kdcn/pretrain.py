@@ -29,11 +29,12 @@ all-rows case. Negatives are drawn per batch as arrays: head/tail flips
 and candidate ids, checked against the sorted keys of the known triples,
 with only the rejected rows redrawn; hits_at_k draws its candidates alike.
 
-pretrain trains in float32, the precision ckge.bin stores: it rounds the
-float64 draws of init_params once, and every operator below it keeps the
-dtype of the params it is given, so the parameters, their gradients, Adam's
-moments and the returned checkpoint are float32. Params straight from
-init_params, as the gradient oracle uses them, stay float64 throughout.
+pretrain trains in float32, the precision ckge.bin stores: it builds its
+params from the float64 draws of init_draws rounded once, and every operator
+below it keeps the dtype of the params it is given, so the parameters, their
+gradients, Adam's moments and the returned checkpoint are float32. The params
+of init_params, the same draws as the gradient oracle uses them, stay
+float64 throughout.
 """
 
 from __future__ import annotations
@@ -102,23 +103,31 @@ class PretrainParams:
         return [self.store.value(f"gcn_w{i}") for i in range(self.layers)]
 
 
-def init_params(n_entities: int, n_relations: int, cfg: PretrainConfig, rng: RngStream) -> PretrainParams:
-    """Uniform init in [-6/sqrt(d), 6/sqrt(d)] for all tables and weights."""
+def init_draws(
+    n_entities: int, n_relations: int, cfg: PretrainConfig, rng: RngStream
+) -> dict[str, np.ndarray]:
+    """Uniform float64 draws in [-6/sqrt(d), 6/sqrt(d)] for all tables and weights, by slot name."""
     bound = 6.0 / np.sqrt(cfg.dim)
-    store = ParamStore()
-    store.add("entity_table", rng.uniform(-bound, bound, (n_entities, cfg.dim)))
-    store.add("relation_table", rng.uniform(-bound, bound, (n_relations, cfg.dim)))
+    draws = {
+        "entity_table": rng.uniform(-bound, bound, (n_entities, cfg.dim)),
+        "relation_table": rng.uniform(-bound, bound, (n_relations, cfg.dim)),
+    }
     for i in range(cfg.layers):
-        store.add(f"gcn_w{i}", rng.uniform(-bound, bound, (cfg.dim, cfg.dim)))
-    return PretrainParams(store, cfg.layers)
+        draws[f"gcn_w{i}"] = rng.uniform(-bound, bound, (cfg.dim, cfg.dim))
+    return draws
 
 
-def _float32(params: PretrainParams) -> PretrainParams:
-    """A fresh store holding params' values rounded to float32."""
+def params_from(values: dict[str, np.ndarray], layers: int) -> PretrainParams:
+    """Params whose slots hold values, in their dtype."""
     store = ParamStore()
-    for name in params.store.names():
-        store.add(name, params.store.value(name).astype(np.float32))
-    return PretrainParams(store, params.layers)
+    for name, value in values.items():
+        store.add(name, value)
+    return PretrainParams(store, layers)
+
+
+def init_params(n_entities: int, n_relations: int, cfg: PretrainConfig, rng: RngStream) -> PretrainParams:
+    """The float64 params of init_draws, as the gradient oracles start from them."""
+    return params_from(init_draws(n_entities, n_relations, cfg, rng), cfg.layers)
 
 
 def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream | None = None) -> list:
@@ -424,14 +433,16 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
     draws new operators for every batch. Per-epoch mean loss (per positive
     pair) is recorded. The returned checkpoint holds the encoder output as
     the entity table. Training runs in float32 on the rounded float64 draws
-    of init_params, so the checkpoint is float32, as ckge.bin stores it.
+    of init_draws, so the checkpoint is float32, as ckge.bin stores it.
     """
     rng_init = rng.child("init")
     rng_shuffle = rng.child("shuffle")
     rng_negative = rng.child("negative")
     rng_encode = rng.child("encode")
 
-    params = _float32(init_params(tset.n_entities, tset.n_relations, cfg, rng_init))
+    drawn = init_draws(tset.n_entities, tset.n_relations, cfg, rng_init)
+    params = params_from({name: d.astype(np.float32) for name, d in drawn.items()}, cfg.layers)
+    del drawn  # free the float64 draws before training
     triples = tset.array
     npp = cfg.negatives_per_positive
     full = sample_layer_draws(g, cfg) if cfg.mode == "full" else None

@@ -22,7 +22,7 @@ import numpy as np
 
 from kdcn.errors import CapacityError, DimensionError, MetricError
 from kdcn.graph import Graph, TripleSet
-from kdcn.model import Featurizer, KdcnModel
+from kdcn.model import Featurizer, KdcnModel, extract_keywords
 from kdcn.numeric import relu, sigmoid
 from kdcn.pretrain import PretrainCheckpoint, PretrainConfig
 from kdcn.rng import RngStream
@@ -626,6 +626,12 @@ def attention_params(model: KdcnModel) -> AttentionParams:
     )
 
 
+def title_keyword_ids(featurizer: Featurizer, item: str) -> list[int]:
+    """The item's title keyword ids, extracted from its metadata."""
+    f = featurizer
+    return extract_keywords(f.item_meta[item].title, f.keyword_vocab, f.cfg.max_title_keywords)
+
+
 def sample_features(featurizer: Featurizer, sample) -> tuple[np.ndarray, list, list, list, np.ndarray]:
     """One sample's (d x k behavior matrix, keyword slot ids, keyword slot mask,
     category slots, dense row).
@@ -638,7 +644,7 @@ def sample_features(featurizer: Featurizer, sample) -> tuple[np.ndarray, list, l
     kw_ids, kw_mask = [], []
     groups = (
         (f.query_keyword_ids(sample.query), f.cfg.max_query_keywords),
-        (f.title_keyword_ids(sample.candidate_item), f.cfg.max_title_keywords),
+        (title_keyword_ids(f, sample.candidate_item), f.cfg.max_title_keywords),
     )
     for ids, width in groups:
         kw_ids += ids + [0] * (width - len(ids))

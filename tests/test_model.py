@@ -29,6 +29,7 @@ from oracles import (
     predict,
     sample_features,
     scatter_dtable,
+    title_keyword_ids,
     widened_checkpoint,
 )
 
@@ -509,7 +510,7 @@ class TestPredict:
             u = user_state(behavior_matrix(blog, feat.table), conv)
             d = dialogue_means(
                 DialogueInput(
-                    feat.query_keyword_ids(s.query), feat.title_keyword_ids(s.candidate_item)
+                    feat.query_keyword_ids(s.query), title_keyword_ids(feat, s.candidate_item)
                 ),
                 feat.table,
                 attn,
@@ -569,7 +570,7 @@ class TestDataset:
         ds = feat.prepare(samples)
         assert ds.kw_ids.shape == (len(samples), feat.cfg.max_title_keywords)
         for i, s in enumerate(samples):
-            title = feat.title_keyword_ids(s.candidate_item)
+            title = title_keyword_ids(feat, s.candidate_item)
             assert ds.kw_ids[i, : len(title)].tolist() == title
 
     def test_empty_sample_list(self):
@@ -646,6 +647,58 @@ class TestGradients:
             [200 + 7 * seed + attempt for attempt in range(3)],
         )
         assert max(errs.values()) < 1e-4, f"seed {seed}: gradient mismatch at 3 generic points: {errs}"
+
+
+# the behavior context of each of shared_context_case's 10 rows: 3 contexts,
+# shared by 4, 3 and 3 rows in mixed order
+SHARED_CONTEXT = np.array([0, 2, 0, 1, 1, 0, 2, 1, 0, 2])
+
+
+def shared_context_case(finetune):
+    """A build function, a batch of 10 rows over 3 shared behavior contexts,
+    and the same batch with each row's context repeated as its own.
+
+    The rows take their keywords, categories and dense statistics from 10
+    training samples and their behaviors from 3 others.
+    """
+    world, ckpt, split, meta, cfg = small_setup(seed=3, finetune_embeddings=finetune)
+    feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+    feat.fit_stats(split.train)
+    rows = feat.prepare(split.train[:10]).batch(np.arange(10))
+    contexts = feat.prepare(split.train[10:13]).batch(np.arange(3))
+    shared = dataclasses.replace(rows, pool=contexts.pool, context=SHARED_CONTEXT)
+    k = feat.n_behavior_kinds
+    repeated = contexts.pool[(SHARED_CONTEXT[:, None] * k + np.arange(k)).ravel()]
+    per_row = dataclasses.replace(rows, pool=repeated, context=np.arange(10))
+    return (lambda: km.KdcnModel.build(cfg, feat, RngStream(120))), shared, per_row
+
+
+class TestSharedContext:
+    """Rows that share a behavior context share its user state and sum their gradients into it."""
+
+    @pytest.mark.parametrize("finetune", [False, True])
+    def test_slots_match_finite_differences(self, finetune):
+        build, batch, _ = shared_context_case(finetune)
+        assert batch.pool.shape[0] < batch.n * build().n_behavior_kinds
+        errs = gradient_errors(build, batch, [300, 301, 302])
+        checked = [name for name in errs if name.startswith(("conv_w", "conv_b"))]
+        assert len(checked) == 2 * len(build().cfg.conv_widths)
+        assert ("entity_table" in errs) == finetune
+        assert max(errs.values()) < 1e-4, f"gradient mismatch at 3 generic points: {errs}"
+
+    @pytest.mark.parametrize("finetune", [False, True])
+    def test_equals_one_context_per_row(self, finetune):
+        build, shared, per_row = shared_context_case(finetune)
+        grads = []
+        for batch in (shared, per_row):
+            model = build()
+            _, p = model.loss_and_grads(batch)
+            grads.append((p, {name: model.store.grad(name).copy() for name in model.store.names()}))
+        (p_shared, g_shared), (p_rows, g_rows) = grads
+        assert np.array_equal(p_shared, p_rows)
+        assert g_shared.keys() == g_rows.keys()
+        for name in g_shared:
+            assert np.abs(g_shared[name] - g_rows[name]).max() <= 1e-15, name
 
 
 def float_dtypes(obj) -> set:
@@ -863,6 +916,63 @@ class TestRankCandidates:
         too_many = [world.items[0]] * (result.model.cfg.candidate_cap + 1)
         with pytest.raises(CapacityError):
             km.rank_candidates([[]] * 4, "kw1", too_many, result.model, result.featurizer)
+
+
+class TestRankContext:
+    """rank_candidates scores over one behavior context and the per-item arrays."""
+
+    def test_forward_sees_one_context(self, monkeypatch):
+        world, split, result = TestRankCandidates().build()
+        s, model = split.train[0], result.model
+        seen = []
+        forward = km.KdcnModel.forward
+
+        def spy(self, batch):
+            seen.append(batch)
+            return forward(self, batch)
+
+        monkeypatch.setattr(km.KdcnModel, "forward", spy)
+        cands = world.items[:7]
+        km.rank_candidates(s.behaviors, s.query, cands, model, result.featurizer)
+        assert len(seen) == 1
+        batch = seen[0]
+        assert batch.n == len(cands)
+        assert batch.pool.shape == (model.n_behavior_kinds, len(result.featurizer.table))
+        assert batch.context.shape == (len(cands),) and not batch.context.any()
+
+    @pytest.mark.parametrize("n_cat_slots", [1, 2])
+    def test_per_item_arrays_match_item_by_item(self, n_cat_slots):
+        world, ckpt, split, meta, cfg = small_setup(n_cat_slots=n_cat_slots)
+        feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+        width = cfg.max_title_keywords
+        assert feat.title_ids.shape == feat.title_mask.shape == (len(meta), width)
+        assert feat.item_cat_idx.shape == (len(meta), n_cat_slots)
+        for row, (name, item) in enumerate(meta.items()):
+            title = km.extract_keywords(item.title, feat.keyword_vocab, width)
+            assert feat.title_ids[row].tolist() == title + [0] * (width - len(title))
+            assert feat.title_mask[row].tolist() == [True] * len(title) + [False] * (width - len(title))
+            assert feat.item_cat_idx[row].tolist() == feat.category_slots([item.categories])[0].tolist()
+            assert feat.item_entity_ids[row] == feat.item_id(name)
+            assert feat.item_rows([name]).tolist() == [row]
+        assert any(len(item.categories) > 1 for item in meta.values())
+
+    def test_item_without_entity_is_key_error(self):
+        world, ckpt, split, meta, cfg = small_setup()
+        result = km.fit(split.train, [], ckpt, cfg, RngStream(13), world.tset.entities, meta)
+        s, item = split.train[0], meta[world.items[0]]
+        meta["ghost"] = km.ItemMeta("ghost", item.title, item.categories, item.dense)
+        feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+        feat.fit_stats(split.train)
+        assert feat.item_entity_ids[feat.item_rows(["ghost"])].tolist() == [-1]
+        with pytest.raises(KeyError, match="ghost"):
+            km.rank_candidates(s.behaviors, s.query, [world.items[1], "ghost"], result.model, feat)
+
+    def test_wrong_dense_length_is_schema_error(self):
+        world, split, result = TestRankCandidates().build()
+        feat, s, name = result.featurizer, split.train[0], world.items[1]
+        feat.item_meta[name].dense.append(0.0)
+        with pytest.raises(SchemaError, match="dense vector"):
+            km.rank_candidates(s.behaviors, s.query, [world.items[0], name], result.model, feat)
 
 
 class TestModelFile:

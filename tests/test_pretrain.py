@@ -25,6 +25,12 @@ def small_world(seed=2, **overrides):
     return generate_world(WorldConfig(**cfg))
 
 
+def float32_params(n_entities, cfg, rng):
+    """The params pretrain() starts from: the draws of init_draws rounded to float32."""
+    draws = pt.init_draws(n_entities, 9, cfg, rng)
+    return pt.params_from({name: d.astype(np.float32) for name, d in draws.items()}, cfg.layers)
+
+
 class TestGcnLayer:
     def test_zero_row_gives_half(self):
         out = gcn_layer(np.zeros((1, 3)), np.array([[1.0]]), np.eye(3))
@@ -123,7 +129,7 @@ class TestEncode:
         g = Graph(small_world(seed=5).tset)
         cfg_full = pt.PretrainConfig(dim=6, layers=2, aggregation="mean", mode="full")
         cfg_samp = dataclasses.replace(cfg_full, mode="sampled", fanout=max(g.max_degree(), 1))
-        params = pt._float32(pt.init_params(g.n_entities, 9, cfg_full, RngStream(3)))
+        params = float32_params(g.n_entities, cfg_full, RngStream(3))
         full = pt.encode_entities(params, g, cfg_full)
         samp = pt.encode_entities(params, g, cfg_samp, RngStream(4))
         assert full.dtype == samp.dtype == np.float32
@@ -477,8 +483,7 @@ class TestPretrainLoop:
         cfg = pt.PretrainConfig(dim=6, epochs=0)
         rng = RngStream(11)
         result = pt.pretrain(w.tset, g, cfg, rng)
-        # pretrain() trains on init_params' draws rounded to float32
-        fresh = pt._float32(pt.init_params(w.tset.n_entities, 9, cfg, RngStream(11).child("init")))
+        fresh = float32_params(w.tset.n_entities, cfg, RngStream(11).child("init"))
         expected = pt.encode_entities(fresh, g, cfg)
         assert np.array_equal(result.checkpoint.entity_table, expected)
         assert np.array_equal(result.checkpoint.relation_table, fresh.relation_table)
@@ -534,8 +539,10 @@ class TestPretrainDtype:
     F32, F64 = {np.dtype(np.float32)}, {np.dtype(np.float64)}
 
     def batch(self, g, cfg, dtype):
-        drawn = pt.init_params(g.n_entities, 9, cfg, RngStream(1))
-        params = pt._float32(drawn) if dtype == np.float32 else drawn
+        if dtype == np.float32:
+            params = float32_params(g.n_entities, cfg, RngStream(1))
+        else:
+            params = pt.init_params(g.n_entities, 9, cfg, RngStream(1))
         pos = g.triples.array[:16]
         neg = pt.corrupt_batch(pos, pt._known_keys(g.triples), g.n_entities, RngStream(2))
         draws = pt.sample_layer_draws(g, cfg, RngStream(3))
