@@ -8,6 +8,32 @@ preference cluster of items. The click model scores a (user, query, item)
 triplet from that planted structure alone, so a feature pipeline that reads
 the graph can recover it, and the affinity knob makes the labels anywhere
 from pure noise (alpha=0) to near-deterministic.
+
+generate_samples draws the samples in blocks of 1024 (fewer when a keyword
+pool is so wide that the block's query keys would pass 2^20). Within a
+block, each field is one array draw for all of the block's samples, in this
+order (a "coin" is one uniform float per sample; a "pick" is one
+integers(0, count) draw per sample over a ragged pool held as CSR arrays):
+
+1. the user, uniform over world.users;
+2. the query-category coin, then its pick: one of the user's preferred
+   categories when the user has any and the coin is below 0.8, else a
+   uniform category;
+3. the query length, uniform in 2..4 and cut to the category's pool size;
+4. the query keywords: one uniform key per slot of the widest pool among
+   the block's categories, keeping each sample's smallest keys in pool
+   order (a uniform subset without replacement);
+5. the candidate coin, then its pick: an item of the user's preferred
+   categories (with multiplicity) when the coin is below 0.5 and that pool
+   is not empty, else a uniform item;
+6. the label noise (standard normal), then the label coin: the label is 1
+   when the coin is below sigmoid(alpha * affinity + noise_std * noise);
+7. the behavior lengths, a (block, 4) array uniform in 0..6;
+8. one coin per behavior item, then its pick: the user's cluster when the
+   coin is below 0.7 and the cluster is not empty, else a uniform item.
+
+The affinity is ClickModel.affinity computed over a block at once, from
+(user, category), (item, keyword) and (user, item) membership keys.
 """
 
 from __future__ import annotations
@@ -16,10 +42,12 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from itertools import pairwise
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParseError, require_positive
+from .errors import ConfigError, ParseError, require_positive
 from .graph import TripleSet, ingest_events
 from .rng import RngStream
 from .textfile import read_lines, write_lines
@@ -262,11 +290,177 @@ class SampleSplit:
         return self.train + self.valid + self.test
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
+def _csr(rows, index: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged lists of names as (indptr, ids): row r holds ids[indptr[r]:indptr[r + 1]]."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    ids = np.fromiter((index[name] for row in rows for name in row), np.int64, int(indptr[-1]))
+    return indptr, ids
+
+
+def _pair_keys(indptr: np.ndarray, ids: np.ndarray, width: int) -> np.ndarray:
+    """The int64 keys row * width + id of a CSR list, for membership tests."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)) * width + ids
+
+
+class _Pools(NamedTuple):
+    """A world's ragged pools as (indptr, ids) CSR pairs over index ids, the
+    membership keys of the click model's three terms, and the names."""
+
+    prefs: tuple  # user -> preferred category ids
+    pref_items: tuple  # user -> the items of those categories, with multiplicity
+    cluster: tuple  # user -> cluster item ids
+    keywords: tuple  # category -> keyword ids, in pool order
+    item_cat: np.ndarray  # item -> primary category id
+    pref_keys: np.ndarray  # user * n_categories + category
+    title_keys: np.ndarray  # item * n_keywords + title keyword
+    cluster_keys: np.ndarray  # user * n_items + cluster item
+    item_names: np.ndarray  # object arrays: the names the ids index
+    kw_names: np.ndarray
+
+
+def _pools(world: World) -> _Pools:
+    kw_names = list(dict.fromkeys(
+        kw for pool in (*world.category_keywords.values(), *world.item_title_kws.values())
+        for kw in pool
+    ))
+    item_ix = {it: i for i, it in enumerate(world.items)}
+    cat_ix = {c: i for i, c in enumerate(world.categories)}
+    kw_ix = {kw: i for i, kw in enumerate(kw_names)}
+    prefs = [world.user_pref_cats[u] for u in world.users]
+    pref = _csr(prefs, cat_ix)
+    cluster = _csr([world.user_cluster[u] for u in world.users], item_ix)
+    titles = _csr([world.item_title_kws[it] for it in world.items], kw_ix)
+    return _Pools(
+        prefs=pref,
+        pref_items=_csr(
+            [[it for c in row for it in world.items_by_category[c]] for row in prefs], item_ix
+        ),
+        cluster=cluster,
+        keywords=_csr([world.category_keywords[c] for c in world.categories], kw_ix),
+        item_cat=np.array([cat_ix[world.item_category[it]] for it in world.items], dtype=np.int64),
+        pref_keys=_pair_keys(*pref, len(cat_ix)),
+        title_keys=_pair_keys(*titles, len(kw_ix)),
+        cluster_keys=_pair_keys(*cluster, len(item_ix)),
+        item_names=np.array(world.items, dtype=object),
+        kw_names=np.array(kw_names, dtype=object),
+    )
+
+
+def _pick_rows(rng: RngStream, indptr, ids, rows, use, n_all: int) -> np.ndarray:
+    """Per entry i, a uniform member of list rows[i] where use[i] holds and
+    that list is not empty, else a uniform id below n_all; one integers draw."""
+    counts = np.diff(indptr)[rows]
+    use = use & (counts > 0)
+    counts[~use] = n_all
+    picks = rng.integers(0, counts)
+    picks[use] = ids[indptr[rows[use]] + picks[use]]
+    return picks
+
+
+def _pick_positions(rng: RngStream, counts: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per row r, k[r] <= counts[r] distinct positions below counts[r] in
+    ascending order, concatenated over the rows.
+
+    Each row draws one uniform key per slot of the widest row (keys above 1
+    pad the slots at and past counts[r]) and keeps its k[r] smallest keys: a
+    uniform k[r]-subset, as _pick_distinct draws it.
+    """
+    width = int(counts.max(initial=0))
+    keys = rng.random((len(counts), width))
+    keys[np.arange(width) >= counts[:, None]] = 2.0
+    picks = np.argsort(keys, axis=1)[:, : min(int(k.max(initial=0)), width)]
+    dropped = np.arange(picks.shape[1]) >= k[:, None]
+    picks[dropped] = width  # sorts after the row's kept picks
+    picks.sort(axis=1)
+    return picks[~dropped]
+
+
+def _splits(flat: list, counts: np.ndarray) -> list[list]:
+    """flat cut into consecutive lists of the given lengths (slices: no spare capacity)."""
+    return [flat[a:b] for a, b in pairwise([0, *np.cumsum(counts).tolist()])]
+
+
+# samples drawn per block. The draws' temporary arrays scale with the block,
+# and their heap pages stay resident (see numeric.keep_freed_memory); the
+# query keys are a block x widest-pool matrix, kept under 8 MB.
+_BLOCK_SAMPLES = 1024
+_BLOCK_KEYS = 1 << 20
+
+
+def _draw_block(
+    world: World, pools: _Pools, n: int, click: ClickModel, rng: RngStream
+) -> tuple[list[Sample], np.ndarray]:
+    # imported here, not in the header: loading numeric (and scipy.sparse with
+    # it) before the rest of the package raised kdcn's import peak RSS by 1.5 MB
+    from .numeric import sigmoid
+
+    cfg = world.cfg
+    n_cats, n_items, n_kws = len(world.categories), len(pools.item_names), len(pools.kw_names)
+    user = rng.integers(0, len(world.users), size=n)
+    cat = _pick_rows(rng, *pools.prefs, user, rng.random(n) < 0.8, n_cats)
+    kw_ptr, kw_ids = pools.keywords
+    n_kw = np.diff(kw_ptr)[cat]
+    k = np.minimum(rng.integers(2, 5, size=n), n_kw)
+    query_kw = kw_ids[np.repeat(kw_ptr[cat], k) + _pick_positions(rng, n_kw, k)]
+    query_row = np.repeat(np.arange(n), k)
+    item = _pick_rows(rng, *pools.pref_items, user, rng.random(n) < 0.5, n_items)
+
+    tag_match = np.isin(user * n_cats + pools.item_cat[item], pools.pref_keys)
+    in_title = np.isin(item[query_row] * n_kws + query_kw, pools.title_keys)
+    overlap = np.bincount(query_row[in_title], minlength=n)
+    in_cluster = np.isin(user * n_items + item, pools.cluster_keys)
+    affinity = (
+        click.w_tag_match * tag_match.astype(np.float64)
+        + click.w_overlap * overlap
+        + click.w_cluster * in_cluster.astype(np.float64)
+    )
+    p = sigmoid(cfg.affinity_strength * affinity + cfg.noise_std * rng.normal(size=n))
+    label = rng.random(n) < p
+
+    lengths = rng.integers(0, 7, size=(n, BEHAVIOR_KINDS))
+    owner = np.repeat(user, lengths.sum(axis=1))
+    behavior = _pick_rows(rng, *pools.cluster, owner, rng.random(len(owner)) < 0.7, n_items)
+
+    queries = [" ".join(row) for row in _splits(pools.kw_names[query_kw].tolist(), k)]
+    behaviors = _splits(pools.item_names[behavior].tolist(), lengths.ravel())
+    samples = [
+        Sample(
+            user_id=world.users[u],
+            behaviors=behaviors[BEHAVIOR_KINDS * r : BEHAVIOR_KINDS * (r + 1)],
+            query=queries[r],
+            candidate_item=it,
+            categories=world.item_categories[it],
+            dense=world.item_dense[it],
+            label=lab,
+        )
+        for r, (u, it, lab) in enumerate(
+            zip(user.tolist(), pools.item_names[item].tolist(), label.astype(int).tolist())
+        )
+    ]
+    return samples, affinity
+
+
+def draw_samples(
+    world: World, n: int, click: ClickModel, rng: RngStream
+) -> tuple[list[Sample], np.ndarray]:
+    """Draw n labeled samples, with the float64 affinity of each.
+
+    The samples are drawn in blocks, and each field is one array draw for
+    the block, in the order of the module docstring. The affinity of sample
+    r equals click.affinity(world, user, query.split(), candidate) exactly.
+    """
+    if n < 0:
+        raise ConfigError(f"n_samples must be >= 0, got {n}")
+    pools = _pools(world)
+    widest = int(np.diff(pools.keywords[0]).max(initial=0))
+    block = max(1, min(_BLOCK_SAMPLES, _BLOCK_KEYS // max(widest, 1)))
+    samples, affinity = [], [np.zeros(0)]
+    for start in range(0, n, block):
+        drawn, drawn_affinity = _draw_block(world, pools, min(block, n - start), click, rng)
+        samples += drawn
+        affinity.append(drawn_affinity)
+    return samples, np.concatenate(affinity)
 
 
 def generate_samples(
@@ -276,45 +470,9 @@ def generate_samples(
 
     Labels are Bernoulli draws of sigmoid(alpha * affinity + noise); half the
     candidates come from the user's preferred categories, half uniformly.
+    A negative n is a ConfigError.
     """
-    cfg = world.cfg
-    samples: list[Sample] = []
-    for _ in range(n):
-        user = _pick(rng, world.users)
-        prefs = world.user_pref_cats[user]
-        cat = _pick(rng, prefs) if prefs and rng.random() < 0.8 else _pick(rng, world.categories)
-        query_kws = _pick_distinct(rng, world.category_keywords[cat], int(rng.integers(2, 5)))
-        if prefs and rng.random() < 0.5:
-            pool = [it for c in prefs for it in world.items_by_category[c]]
-            item = _pick(rng, pool) if pool else _pick(rng, world.items)
-        else:
-            item = _pick(rng, world.items)
-        affinity = click.affinity(world, user, query_kws, item)
-        p = _sigmoid(cfg.affinity_strength * affinity + cfg.noise_std * float(rng.normal()))
-        label = 1 if rng.random() < p else 0
-        behaviors = []
-        cluster = world.user_cluster[user]
-        for _kind in range(BEHAVIOR_KINDS):
-            length = int(rng.integers(0, 7))
-            chosen = []
-            for _j in range(length):
-                if cluster and rng.random() < 0.7:
-                    chosen.append(_pick(rng, cluster))
-                else:
-                    chosen.append(_pick(rng, world.items))
-            behaviors.append(chosen)
-        samples.append(
-            Sample(
-                user_id=user,
-                behaviors=behaviors,
-                query=" ".join(query_kws),
-                candidate_item=item,
-                categories=world.item_categories[item],
-                dense=world.item_dense[item],
-                label=label,
-            )
-        )
-    return split_loaded(samples)
+    return split_loaded(draw_samples(world, n, click, rng)[0])
 
 
 def save_samples(samples, path) -> None:

@@ -16,10 +16,12 @@ float32 tables to float64, for the ranker build the gradient oracle checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from kdcn.datagen import BEHAVIOR_KINDS, ClickModel, Sample, SampleSplit, World, _pick, _pick_distinct, split_loaded
 from kdcn.errors import CapacityError, DimensionError, MetricError
 from kdcn.graph import Graph, TripleSet
 from kdcn.model import Featurizer, KdcnModel, extract_keywords
@@ -672,3 +674,58 @@ def scatter_dtable(src, owner, counts, dmean: np.ndarray, n_entities: int) -> np
     dtable = np.zeros((n_entities, dmean.shape[1]))
     np.add.at(dtable, src, (dmean / np.maximum(counts, 1)[:, None])[owner])
     return dtable
+
+
+def _sigmoid(x: float) -> float:
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    z = math.exp(x)
+    return z / (1.0 + z)
+
+
+def generate_samples_reference(
+    world: World, n: int, click: ClickModel, rng: RngStream
+) -> SampleSplit:
+    """generate_samples one sample at a time, about 20 scalar draws each.
+
+    The same distribution as the library's array draws, from a different
+    random stream: tests compare the two by their statistics.
+    """
+    cfg = world.cfg
+    samples: list[Sample] = []
+    for _ in range(n):
+        user = _pick(rng, world.users)
+        prefs = world.user_pref_cats[user]
+        cat = _pick(rng, prefs) if prefs and rng.random() < 0.8 else _pick(rng, world.categories)
+        query_kws = _pick_distinct(rng, world.category_keywords[cat], int(rng.integers(2, 5)))
+        if prefs and rng.random() < 0.5:
+            pool = [it for c in prefs for it in world.items_by_category[c]]
+            item = _pick(rng, pool) if pool else _pick(rng, world.items)
+        else:
+            item = _pick(rng, world.items)
+        affinity = click.affinity(world, user, query_kws, item)
+        p = _sigmoid(cfg.affinity_strength * affinity + cfg.noise_std * float(rng.normal()))
+        label = 1 if rng.random() < p else 0
+        behaviors = []
+        cluster = world.user_cluster[user]
+        for _kind in range(BEHAVIOR_KINDS):
+            length = int(rng.integers(0, 7))
+            chosen = []
+            for _j in range(length):
+                if cluster and rng.random() < 0.7:
+                    chosen.append(_pick(rng, cluster))
+                else:
+                    chosen.append(_pick(rng, world.items))
+            behaviors.append(chosen)
+        samples.append(
+            Sample(
+                user_id=user,
+                behaviors=behaviors,
+                query=" ".join(query_kws),
+                candidate_item=item,
+                categories=world.item_categories[item],
+                dense=world.item_dense[item],
+                label=label,
+            )
+        )
+    return split_loaded(samples)

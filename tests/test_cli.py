@@ -118,6 +118,7 @@ class TestExitCodes:
             ("train", ["cat_dim = 0"], "cat_dim"),
             ("train", ["candidate_cap = 0"], "candidate_cap"),
             ("gen-data", ["n_users = 0"], "n_users"),
+            ("gen-data", ["n_samples = -5"], "n_samples must be >= 0, got -5"),
             ("pretrain", ["self_loops = ture"], "'self_loops': 'ture'"),
             ("pretrain", ["margin = nan"], "PretrainConfig.margin"),
             ("pretrain", ["margin = inf"], "PretrainConfig.margin"),
