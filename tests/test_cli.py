@@ -118,13 +118,13 @@ class TestExitCodes:
             ("train", ["cat_dim = 0"], "cat_dim"),
             ("train", ["candidate_cap = 0"], "candidate_cap"),
             ("gen-data", ["n_users = 0"], "n_users"),
-            ("gen-data", ["n_samples = -5"], "n_samples must be >= 0, got -5"),
             ("pretrain", ["self_loops = ture"], "'self_loops': 'ture'"),
             ("pretrain", ["margin = nan"], "PretrainConfig.margin"),
             ("pretrain", ["margin = inf"], "PretrainConfig.margin"),
             ("pretrain", ["pretrain_lr = -1"], "PretrainConfig.lr"),
             ("train", ["lr = nan"], "TrainConfig.lr"),
             ("train", ["lr = 0"], "TrainConfig.lr"),
+            ("gen-data", ["n_samples = -5"], "n_samples must be >= 0, got -5"),
         ],
     )
     def test_bad_config_value_is_data_error(self, workdir, capsys, command, lines, named):
