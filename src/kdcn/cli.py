@@ -109,6 +109,14 @@ def _section(cfg: dict, section: str, **fixed):
     return SECTIONS[section][0](**values, **fixed)
 
 
+def _names(flag: str, value: str) -> list[str]:
+    """A comma-separated option value; an empty list or an empty name is a usage error."""
+    names = value.split(",")
+    if "" in names:
+        raise UsageError(f"{flag} {value!r} names an empty item")
+    return names
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     write_lines(path, (",".join(row) for row in [header, *rows]))
 
@@ -207,8 +215,8 @@ def cmd_eval(args, cfg: dict) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     names = sorted(model_mod.ABLATIONS)
-    if args.configs:
-        requested = args.configs.split(",")
+    if args.configs is not None:
+        requested = _names("--configs", args.configs)
         unknown = [n for n in requested if n not in model_mod.ABLATIONS]
         if unknown:
             raise UsageError(f"unknown eval config(s) {unknown}; choose from {names}")
@@ -282,6 +290,7 @@ def _load_meta(path) -> tuple[model_mod.TrainConfig, dict]:
 
 def cmd_rank(args, cfg: dict) -> None:
     out = Path(args.out)
+    candidates = None if args.candidates is None else _names("--candidates", args.candidates)
     split, ckpt, entities, item_meta = _load_train_inputs(args, out)
     meta_path = args.meta or out / "kdcn.meta.json"
     tcfg, meta = _load_meta(meta_path)
@@ -311,14 +320,11 @@ def cmd_rank(args, cfg: dict) -> None:
     if behaviors is None:
         path = args.samples or out / "samples.jsonl"
         raise KdcnError(f"user '{args.user}' has no sample in {path}")
-    if args.candidates:
-        candidates = args.candidates.split(",")
-        repeated = sorted(name for name, n in Counter(candidates).items() if n > 1)
-        if repeated:
-            raise KdcnError(f"--candidates lists {', '.join(repeated)} more than once")
-    else:
-        candidates = sorted(item_meta, key=lambda n: featurizer.item_id(n))
-        candidates = candidates[: tcfg.candidate_cap]
+    if candidates is None:
+        candidates = sorted(item_meta, key=featurizer.item_id)[: tcfg.candidate_cap]
+    repeated = sorted(name for name, n in Counter(candidates).items() if n > 1)
+    if repeated:
+        raise KdcnError(f"--candidates lists {', '.join(repeated)} more than once")
     ranked = model_mod.rank_candidates(behaviors, args.query, candidates, mdl, featurizer)
     print(f"{'rank':>4}  {'item':<16} {'p_click':>8}")
     for i, (name, p) in enumerate(ranked, start=1):
@@ -374,7 +380,6 @@ def main(argv=None) -> int:
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), file=sys.stderr, end="")
         return 1
     except (KdcnError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

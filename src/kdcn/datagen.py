@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, require_positive
+from .errors import ConfigError, ParseError, require_at_least
 from .graph import TripleSet, ingest_events
 from .rng import RngStream
 from .textfile import read_lines, write_lines
@@ -71,7 +71,7 @@ class WorldConfig:
     noise_std: float = 0.5
 
     def __post_init__(self):
-        require_positive(self, "n_users", "n_items", "n_categories", "n_sellers", "n_tags",
+        require_at_least(self, 1, "n_users", "n_items", "n_categories", "n_sellers", "n_tags",
                          "n_keywords", "n_sessions")
 
 

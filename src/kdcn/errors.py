@@ -50,12 +50,12 @@ class ConfigError(KdcnError, ValueError):
     """A configuration value is out of range or names an unknown option."""
 
 
-def require_positive(config, *names: str) -> None:
-    """Raise ConfigError naming the first of the config's fields that is below 1."""
+def require_at_least(config, low: int, *names: str) -> None:
+    """Raise ConfigError naming the first of the config's fields that is below low."""
     for name in names:
         value = getattr(config, name)
-        if value < 1:
-            raise ConfigError(f"{type(config).__name__}.{name} must be >= 1, got {value}")
+        if value < low:
+            raise ConfigError(f"{type(config).__name__}.{name} must be >= {low}, got {value}")
 
 
 def require_finite_positive(config, *names: str) -> None:

@@ -113,9 +113,6 @@ class TripleSet:
         self._array = None
         return True
 
-    def has(self, head: int, relation: int, tail: int) -> bool:
-        return (head, relation, tail) in self._seen
-
     @property
     def array(self) -> np.ndarray:
         """The triples as a read-only k x 3 int64 array, in order; rebuilt after an add."""

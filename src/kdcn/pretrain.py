@@ -52,8 +52,8 @@ from .errors import (
     FormatError,
     SamplingError,
     TrainingError,
+    require_at_least,
     require_finite_positive,
-    require_positive,
 )
 from .graph import RELATIONS, Graph, Triple, TripleSet
 from .numeric import ParamStore, adam_step, incidence, sigmoid
@@ -75,7 +75,7 @@ class PretrainConfig:
     self_loops: bool = True
 
     def __post_init__(self):
-        require_positive(self, "dim", "layers", "fanout", "batch_size")
+        require_at_least(self, 1, "dim", "layers", "fanout", "batch_size", "negatives_per_positive")
         require_finite_positive(self, "margin", "lr")
         if self.mode not in ("full", "sampled"):
             raise ConfigError(f"unknown mode '{self.mode}'")

@@ -8,8 +8,8 @@ encoder's dense adjacency, neighbor draws and unrestricted forward and
 backward, Adam's textbook form, the ranker's per-sample feature blocks
 (behavior means, user-state convolutions, per-slot dialogue attention and
 its query and title means, assembly) and towers, the cross tower layer by
-layer, the dialogue attention head by head, and AUC by counting every
-positive-negative pair. Nothing under ``src/`` uses them; the tests
+layer, the dialogue attention head by head over a padded view of the
+ragged keywords, and AUC by counting every positive-negative pair. Nothing under ``src/`` uses them; the tests
 compare the library against them. widened_checkpoint lifts pretrain()'s
 float32 tables to float64, for the ranker build the gradient oracle checks.
 """
@@ -107,6 +107,7 @@ def hits_at_k_reference(ckpt, tset: TripleSet, eval_triples, rng: RngStream, k: 
     true tail.
     """
     x, rel = ckpt.entity_table, ckpt.relation_table
+    known = set(tset.triples)
     hits = 0
     for tr in eval_triples:
         chosen: list[int] = []
@@ -115,7 +116,7 @@ def hits_at_k_reference(ckpt, tset: TripleSet, eval_triples, rng: RngStream, k: 
         while len(chosen) < n_candidates - 1 and attempts < 50 * n_candidates:
             cand = int(rng.integers(0, tset.n_entities))
             attempts += 1
-            if cand in seen or tset.has(tr.head, tr.relation, cand):
+            if cand in seen or (tr.head, tr.relation, cand) in known:
                 continue
             seen.add(cand)
             chosen.append(cand)
@@ -635,25 +636,44 @@ def title_keyword_ids(featurizer: Featurizer, item: str) -> list[int]:
 
 
 def sample_features(featurizer: Featurizer, sample) -> tuple[np.ndarray, list, list, list, np.ndarray]:
-    """One sample's (d x k behavior matrix, keyword slot ids, keyword slot mask,
-    category slots, dense row).
-
-    The query keywords fill the first max_query_keywords slots and the title
-    keywords the max_title_keywords slots after them, each zero-padded.
-    """
+    """One sample's (d x k behavior matrix, query keyword ids, title keyword
+    ids, category slots, dense row)."""
     f = featurizer
     blog = BehaviorLog([[f.item_id(name) for name in beh] for beh in sample.behaviors])
-    kw_ids, kw_mask = [], []
-    groups = (
-        (f.query_keyword_ids(sample.query), f.cfg.max_query_keywords),
-        (title_keyword_ids(f, sample.candidate_item), f.cfg.max_title_keywords),
-    )
-    for ids, width in groups:
-        kw_ids += ids + [0] * (width - len(ids))
-        kw_mask += [1.0] * len(ids) + [0.0] * (width - len(ids))
+    query = f.query_keyword_ids(sample.query)
+    title = title_keyword_ids(f, sample.candidate_item)
     cats = [f.category_index[c] for c in sample.categories[: f.cfg.n_cat_slots]]
     dense = (np.asarray(sample.dense, dtype=np.float64) - f.dense_mean) / f.dense_std
-    return behavior_matrix(blog, f.table), kw_ids, kw_mask, cats, dense
+    return behavior_matrix(blog, f.table), query, title, cats, dense
+
+
+def keyword_lists(batch) -> list[tuple[list[int], list[int]]]:
+    """Each row's (query ids, title ids), read from a Batch's or a Dataset's
+    ragged keywords one row at a time."""
+    rows = []
+    for lo, hi, n_query in zip(batch.kw_ptr[:-1], batch.kw_ptr[1:], batch.n_query):
+        ids = batch.kw_ids[lo:hi].tolist()
+        rows.append((ids[:n_query], ids[n_query:]))
+    return rows
+
+
+def padded_keywords(batch, split: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The padded (n, width) view of a batch's ragged keywords: (ids, mask).
+
+    Row i's query keywords fill columns [0, n_q) and its title keywords
+    columns [split, split + n_t); elsewhere the id is 0 and the float mask 0.
+    """
+    ids = np.zeros((batch.n, width), dtype=np.int64)
+    mask = np.zeros((batch.n, width))
+    for i, (query, title) in enumerate(keyword_lists(batch)):
+        if len(query) > split or len(title) > width - split:
+            raise DimensionError(
+                f"row {i}: {len(query)} + {len(title)} keywords exceed {split} + {width - split} slots"
+            )
+        for lo, group in ((0, query), (split, title)):
+            ids[i, lo : lo + len(group)] = group
+            mask[i, lo : lo + len(group)] = 1.0
+    return ids, mask
 
 
 def behavior_scatter(featurizer: Featurizer, samples) -> tuple[np.ndarray, ...]:

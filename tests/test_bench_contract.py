@@ -2,21 +2,28 @@
 
 bench/tracer.py wraps kdcn functions by module and attribute path, and
 bench/probes.py binds pretrain_loss_grads' arguments by position and reads
-Graph's adjacency. A name that moves makes a traced run report a null
+Graph's adjacency. bench/workloads.py builds the rank-serve Featurizer the
+way `kdcn rank` does, by assigning the four statistics kdcn.meta.json stores. A name that moves makes a traced run report a null
 metric instead of failing, so these tests pin the names here, along with
 the access patterns bench/ relies on.
 """
 
+import dataclasses
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import kdcn.model as km
 from kdcn import pretrain
+from kdcn.datagen import ClickModel, WorldConfig, generate_samples, generate_world
 from kdcn.graph import Graph, TripleSet
+from kdcn.rng import RngStream
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -79,3 +86,44 @@ def test_adjacency_rows_are_csr_slices():
     assert len(g.adjacency) == g.n_entities == 5
     for i, row in enumerate(g.adjacency):
         assert np.array_equal(row, g.indices[g.indptr[i] : g.indptr[i + 1]])
+
+
+def test_featurizer_with_assigned_stats_matches_fit_stats():
+    world = generate_world(
+        WorldConfig(n_users=6, n_items=10, n_categories=3, n_sellers=3, n_tags=3,
+                    n_keywords=12, n_sessions=8, seed=4)
+    )
+    split = generate_samples(world, 60, ClickModel(), RngStream(4).child("samples"))
+    rng = RngStream(5)
+    ckpt = pretrain.PretrainCheckpoint(
+        rng.uniform(-0.5, 0.5, (world.tset.n_entities, 8)).astype(np.float32),
+        rng.uniform(-0.5, 0.5, (world.tset.n_relations, 8)).astype(np.float32),
+    )
+    meta = km.item_meta_from_events(world.events)
+    cfg = km.TrainConfig(cat_dim=3, deep_width=6, conv_filters=2, attention_heads=2,
+                         max_query_keywords=3, max_title_keywords=3)
+    fitted = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+    fitted.fit_stats(split.train)
+    # the four fields as kdcn.meta.json stores them, read back
+    stored = json.loads(json.dumps({
+        "n_dense": fitted.n_dense, "n_behavior_kinds": fitted.n_behavior_kinds,
+        "dense_mean": fitted.dense_mean.tolist(), "dense_std": fitted.dense_std.tolist(),
+    }))
+    assigned = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+    assigned.n_dense = stored["n_dense"]
+    assigned.n_behavior_kinds = stored["n_behavior_kinds"]
+    assigned.dense_mean = np.array(stored["dense_mean"])
+    assigned.dense_std = np.array(stored["dense_std"])
+
+    model = km.KdcnModel.build(cfg, fitted, RngStream(6))
+    idx = np.array([4, 0, 9, 9, 2])
+    a, b = (f.prepare(split.train[:12]).batch(idx) for f in (fitted, assigned))
+    for f in dataclasses.fields(km.Batch):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if sp.issparse(x):
+            x, y = x.toarray(), y.toarray()
+        assert np.asarray(x).dtype == np.asarray(y).dtype and np.array_equal(x, y), f.name
+    assert np.array_equal(model.predict_batch(a), model.predict_batch(b))
+    s, candidates = split.train[0], sorted(meta)[:7]
+    ranked = [km.rank_candidates(s.behaviors, s.query, candidates, model, f) for f in (fitted, assigned)]
+    assert ranked[0] == ranked[1]

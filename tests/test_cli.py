@@ -93,6 +93,21 @@ class TestExitCodes:
         out, cfg = workdir
         assert main(["eval", "--out", str(out), "--configs", "bogus"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--configs", ""],
+            ["eval", "--configs", "kdcn,"],
+            ["rank", "--user", "user0", "--query", "kw0", "--candidates", ""],
+            ["rank", "--user", "user0", "--query", "kw0", "--candidates", "item0,,item1"],
+        ],
+    )
+    def test_empty_name_is_usage_error(self, tmp_path, capsys, argv):
+        # checked before any input is read: tmp_path holds no artifact
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"usage error: {argv[-2]}"), err
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert main(["pretrain", "--out", str(tmp_path)]) == 2
 
@@ -125,6 +140,12 @@ class TestExitCodes:
             ("train", ["lr = nan"], "TrainConfig.lr"),
             ("train", ["lr = 0"], "TrainConfig.lr"),
             ("gen-data", ["n_samples = -5"], "n_samples must be >= 0, got -5"),
+            ("train", ["n_cat_slots = -1"], "TrainConfig.n_cat_slots must be >= 0, got -1"),
+            ("train", ["max_query_keywords = -1"], "TrainConfig.max_query_keywords"),
+            ("train", ["max_title_keywords = -3"], "TrainConfig.max_title_keywords"),
+            ("train", ["n_cross = -1"], "TrainConfig.n_cross"),
+            ("pretrain", ["negatives_per_positive = 0"], "PretrainConfig.negatives_per_positive must be >= 1"),
+            ("pretrain", ["negatives_per_positive = -1"], "PretrainConfig.negatives_per_positive"),
         ],
     )
     def test_bad_config_value_is_data_error(self, workdir, capsys, command, lines, named):

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kdcn.model as km
@@ -26,6 +26,8 @@ from oracles import (
     deep_forward,
     group_means,
     group_means_backward,
+    keyword_lists,
+    padded_keywords,
     predict,
     sample_features,
     scatter_dtable,
@@ -152,6 +154,17 @@ def dialogue_model(heads, finetune, n, **cfg_overrides):
     return model, feat.prepare(split.train[:n]).batch(np.arange(n))
 
 
+def with_keywords(batch, rows):
+    """The batch with row i's keywords replaced by rows[i] = (query ids, title ids)."""
+    ids = [query + title for query, title in rows]
+    return dataclasses.replace(
+        batch,
+        kw_ptr=np.cumsum([0] + [len(r) for r in ids]),
+        kw_ids=np.array([i for r in ids for i in r], dtype=np.int64),
+        n_query=np.array([len(query) for query, _ in rows], dtype=np.int64),
+    )
+
+
 def dialogue_case(heads, finetune, n=12, use_user_state=False):
     """A model (without the user-state block unless asked) with large random
     attention weights, and a batch whose first rows are edge cases.
@@ -161,16 +174,9 @@ def dialogue_case(heads, finetune, n=12, use_user_state=False):
     repeats across rows.
     """
     model, batch = dialogue_model(heads, finetune, n, use_user_state=use_user_state)
-    q = model.cfg.max_query_keywords
-    batch.kw_mask[:4] = 0.0
-    batch.kw_mask[1, :2] = 1.0
-    batch.kw_mask[2, q : q + 2] = 1.0
-    batch.kw_mask[3, q] = 1.0
-    batch.kw_ids[:4] = 5
-    batch.kw_ids[1, 1] = batch.kw_ids[2, q + 1] = 7
-    batch.kw_ids[batch.kw_mask == 0] = 0
-    assert batch.kw_mask[4:, :q].sum(axis=1).max() > 1 and batch.kw_mask[4:, q:].sum(axis=1).max() > 1
-    return model, batch
+    rows = [([], []), ([5, 7], []), ([], [5, 7]), ([], [5])] + keyword_lists(batch)[4:]
+    assert max(len(query) for query, _ in rows[4:]) > 1 and max(len(title) for _, title in rows[4:]) > 1
+    return model, with_keywords(batch, rows)
 
 
 # (query, title) real keyword counts per row of bucket_case: every total
@@ -182,34 +188,37 @@ BUCKET_ROWS = [
 
 
 def bucket_case(heads, finetune):
-    """A dialogue_model (without the user-state block) and a batch over 8 query
-    and 8 title slots with BUCKET_ROWS' counts in shuffled row order.
+    """A dialogue_model (without the user-state block) with 8 query and 8 title
+    keywords at most, and a batch with BUCKET_ROWS' (query, title) keyword
+    counts in shuffled row order.
 
-    The real slots sit at random columns of their group, and the keyword ids
-    are drawn from six entities, so they repeat within and across rows.
+    The keyword ids are drawn from six entities, so they repeat within and
+    across rows.
     """
     model, batch = dialogue_model(
         heads, finetune, len(BUCKET_ROWS), use_user_state=False,
         max_query_keywords=8, max_title_keywords=8,
     )
     rng = RngStream(43)
-    batch.kw_mask[...] = 0.0
+    rows = [None] * len(BUCKET_ROWS)
     for row, (n_query, n_title) in zip(rng.permutation(len(BUCKET_ROWS)), BUCKET_ROWS):
-        batch.kw_mask[row, rng.choice(8, n_query, replace=False)] = 1.0
-        batch.kw_mask[row, 8 + rng.choice(8, n_title, replace=False)] = 1.0
-    batch.kw_ids[...] = np.where(batch.kw_mask > 0, rng.integers(0, 6, batch.kw_ids.shape), 0)
-    return model, batch
+        rows[row] = (rng.integers(0, 6, n_query).tolist(), rng.integers(0, 6, n_title).tolist())
+    return model, with_keywords(batch, rows)
 
 
 def assert_matches_per_head_reference(model, batch):
     """The dialogue block output, the attention gradients and (when fine-tuned)
     the entity-table gradient equal the per-head oracle's within 1e-12.
 
-    Returns the (n, 2 * dim) block output.
+    The oracle runs over padded_keywords' view of the batch, with the query
+    in the first max_query_keywords slots. Returns the (n, 2 * dim) block
+    output.
     """
-    heads, split, mask = model.cfg.attention_heads, model.cfg.max_query_keywords, batch.kw_mask
+    cfg = model.cfg
+    heads, split = cfg.attention_heads, cfg.max_query_keywords
+    ids, mask = padded_keywords(batch, split, split + cfg.max_title_keywords)
     table = model.entity_table()
-    x = table[batch.kw_ids] * mask[:, :, None]
+    x = table[ids] * mask[:, :, None]
     wq, wk, wv = (model.store.value(n) for n in ("attn_query", "attn_key", "attn_value"))
 
     _, cache = model.forward(batch)
@@ -228,7 +237,7 @@ def assert_matches_per_head_reference(model, batch):
     assert close(model.store.grad("attn_value"), dwv)
     if model.cfg.finetune_embeddings:
         dtable = np.zeros_like(table)
-        np.add.at(dtable, batch.kw_ids, dx)
+        np.add.at(dtable, ids, dx)
         assert close(model.store.grad("entity_table"), dtable)
     for name in model.store.names():
         assert np.isfinite(model.store.grad(name)).all(), name
@@ -250,7 +259,7 @@ class TestDialogueAttention:
     @pytest.mark.parametrize("heads", [1, 4])
     def test_every_keyword_count_matches_per_head_reference(self, heads, finetune):
         model, batch = bucket_case(heads, finetune)
-        n_query, n_title = batch.kw_mask[:, :8].sum(axis=1), batch.kw_mask[:, 8:].sum(axis=1)
+        n_query, n_title = batch.n_query, np.diff(batch.kw_ptr) - batch.n_query
         lengths, rows = np.unique(n_query + n_title, return_counts=True)
         assert lengths.tolist() == list(range(17)) and rows.max() == 4 and rows.min() == 1
         out = assert_matches_per_head_reference(model, batch)
@@ -262,8 +271,7 @@ class TestDialogueAttention:
     @pytest.mark.parametrize("finetune", [False, True])
     def test_all_padding_batch_gives_zeros(self, finetune):
         model, batch = dialogue_case(2, finetune)
-        batch.kw_mask[...] = 0.0
-        batch.kw_ids[...] = 0
+        batch = with_keywords(batch, [([], [])] * batch.n)
         _, cache = model.forward(batch)
         assert not cache["f"][:, -model.d_dim :].any()
         model.store.zero_grads()
@@ -278,14 +286,18 @@ class TestDialogueAttention:
         model, batch = dialogue_case(heads, False)
         _, cache = model.forward(batch)
         slots, x, proj = cache["attn"][:3]
-        # slots: the flat (row * P + column) slot of each projected keyword
-        assert sorted(slots) == np.flatnonzero(batch.kw_mask).tolist()
-        padded = model.entity_table()[batch.kw_ids] * batch.kw_mask[:, :, None]
-        assert np.array_equal(x, padded.reshape(-1, model.dim)[slots])
+        # slots: the position in kw_ids of each projected keyword
+        assert sorted(slots) == list(range(len(batch.kw_ids)))
+        q = model.cfg.max_query_keywords
+        ids, mask = padded_keywords(batch, q, q + model.cfg.max_title_keywords)
+        # the real slots of the padded view, row-major, list the keywords in kw_ids' order
+        padded_slots = np.flatnonzero(mask)[slots]
+        padded = model.entity_table()[ids] * mask[:, :, None]
+        assert np.array_equal(x, padded.reshape(-1, model.dim)[padded_slots])
         assert proj.shape == (len(slots), 3, heads, model.dim // heads)
         for i, name in enumerate(("attn_query", "attn_key", "attn_value")):
             ref = (padded @ model.store.value(name).T).reshape(-1, heads, model.dim // heads)
-            assert close(proj[:, i], ref[slots])
+            assert close(proj[:, i], ref[padded_slots])
 
     @pytest.mark.parametrize("finetune", [False, True])
     def test_edge_rows_match_finite_differences(self, finetune):
@@ -538,6 +550,37 @@ def edge_samples(feat, samples):
     return out
 
 
+@st.composite
+def ragged_case(draw):
+    """Lists of ints (empty ones too) and a selection of their rows, repeats and any order allowed."""
+    lists = draw(st.lists(st.lists(st.integers(0, 99), max_size=5), max_size=8))
+    rows = draw(st.lists(st.integers(0, len(lists) - 1), max_size=12)) if lists else []
+    return lists, rows
+
+
+class TestRagged:
+    """_csr (with and without a lookup) and ragged_rows equal per-row Python slicing."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ragged_case())
+    @example(([[], [3, 1], [], [7]], [3, 1, 1, 0, 2]))
+    @example(([[4], []], []))
+    @example(([], []))
+    def test_match_per_row_slicing(self, case):
+        lists, rows = case
+        indptr, ids = km._csr(lists)
+        assert indptr.dtype == ids.dtype == np.int64
+        assert indptr.tolist() == [sum(map(len, lists[:i])) for i in range(len(lists) + 1)]
+        assert [ids[indptr[i] : indptr[i + 1]].tolist() for i in range(len(lists))] == lists
+        names = [[f"e{i}" for i in row] for row in lists]
+        by_lookup = km._csr(names, {f"e{i}": i for i in range(100)})
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(by_lookup, (indptr, ids)))
+        out, positions = km.ragged_rows(indptr, rows)
+        picked = [lists[r] for r in rows]
+        assert out.tolist() == [sum(map(len, picked[:j])) for j in range(len(rows) + 1)]
+        assert [ids[positions[out[j] : out[j + 1]]].tolist() for j in range(len(rows))] == picked
+
+
 class TestDataset:
     def build(self, **overrides):
         world, ckpt, split, meta, cfg = small_setup(**overrides)
@@ -550,33 +593,35 @@ class TestDataset:
         feat, samples = self.build(n_cat_slots=n_cat_slots)
         assert len(samples[3].categories) > n_cat_slots
         ds = feat.prepare(samples)
-        k, width = feat.n_behavior_kinds, ds.kw_ids.shape[1]
+        k = feat.n_behavior_kinds
         means = (ds.pool @ feat.table).reshape(ds.n, k, feat.dim)
+        keywords = keyword_lists(ds)
+        assert ds.kw_ptr[-1] == len(ds.kw_ids)
         for i, s in enumerate(samples):
-            bmat, kw_ids, kw_mask, cats, dense = sample_features(feat, s)
+            bmat, query, title, cats, dense = sample_features(feat, s)
             assert np.abs(means[i].T - bmat).max() <= 1e-15
-            assert ds.kw_ids[i].tolist() == kw_ids and len(kw_ids) == width
-            assert ds.kw_mask[i].tolist() == kw_mask
+            assert keywords[i] == (query, title)
             assert ds.cat_idx[i].tolist() == cats + [-1] * (n_cat_slots - len(cats))
             assert np.abs(ds.dense[i] - dense).max() <= 1e-15
         assert not means[0].any() and feat.query_keyword_ids(samples[2].query) == []
         idx = np.array([7, 0, 5, 5, 2])
         batch = ds.batch(idx)
         assert np.array_equal(batch.pool @ feat.table, means[idx].reshape(-1, feat.dim))
-        assert np.array_equal(batch.kw_ids, ds.kw_ids[idx])
+        assert keyword_lists(batch) == [keywords[i] for i in idx]
+        assert batch.kw_ptr[-1] == len(batch.kw_ids)
 
     def test_no_query_keyword_slots(self):
         feat, samples = self.build(max_query_keywords=0)
         ds = feat.prepare(samples)
-        assert ds.kw_ids.shape == (len(samples), feat.cfg.max_title_keywords)
-        for i, s in enumerate(samples):
-            title = title_keyword_ids(feat, s.candidate_item)
-            assert ds.kw_ids[i, : len(title)].tolist() == title
+        assert not ds.n_query.any()
+        for (query, title), s in zip(keyword_lists(ds), samples):
+            assert query == [] and title == title_keyword_ids(feat, s.candidate_item)
 
     def test_empty_sample_list(self):
         feat, _ = self.build()
         ds = feat.prepare([])
         assert ds.n == 0 and ds.pool.shape == (0, len(feat.table))
+        assert ds.kw_ptr.tolist() == [0] and len(ds.kw_ids) == len(ds.n_query) == 0
         assert ds.dense.shape == (0, feat.n_dense)
 
     def test_schema_errors_name_the_sample(self):
@@ -737,7 +782,7 @@ class TestDtype:
         model, f32 = result.model, {np.dtype(np.float32)}
         assert model.dtype == result.featurizer.table.dtype == np.float32
         batch = result.featurizer.prepare(split.train[:16]).batch(np.arange(16))
-        assert batch.kw_mask.dtype == bool
+        assert {a.dtype for a in (batch.kw_ptr, batch.kw_ids, batch.n_query)} == {np.dtype(np.int64)}
         assert float_dtypes([batch.dense, batch.labels, batch.pool.data]) == f32
         _, cache = model.forward(batch)
         assert float_dtypes(cache) == f32
@@ -944,13 +989,11 @@ class TestRankContext:
     def test_per_item_arrays_match_item_by_item(self, n_cat_slots):
         world, ckpt, split, meta, cfg = small_setup(n_cat_slots=n_cat_slots)
         feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
-        width = cfg.max_title_keywords
-        assert feat.title_ids.shape == feat.title_mask.shape == (len(meta), width)
+        assert len(feat.title_ids) == len(meta)
         assert feat.item_cat_idx.shape == (len(meta), n_cat_slots)
         for row, (name, item) in enumerate(meta.items()):
-            title = km.extract_keywords(item.title, feat.keyword_vocab, width)
-            assert feat.title_ids[row].tolist() == title + [0] * (width - len(title))
-            assert feat.title_mask[row].tolist() == [True] * len(title) + [False] * (width - len(title))
+            title = km.extract_keywords(item.title, feat.keyword_vocab, cfg.max_title_keywords)
+            assert feat.title_ids[row] == title
             assert feat.item_cat_idx[row].tolist() == feat.category_slots([item.categories])[0].tolist()
             assert feat.item_entity_ids[row] == feat.item_id(name)
             assert feat.item_rows([name]).tolist() == [row]
