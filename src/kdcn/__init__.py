@@ -4,14 +4,8 @@ from .datagen import ClickModel, Sample, SampleSplit, WorldConfig, generate_samp
 from .graph import Graph, Triple, TripleSet, ingest_events, load_triples, save_triples
 from .metrics import auc, epochs_to_threshold
 from .model import FitResult, KdcnModel, TrainConfig, fit, log_loss, rank_candidates
-from .numeric import ParamStore, adam_step, finite_diff_check
-from .pretrain import (
-    PretrainCheckpoint,
-    PretrainConfig,
-    export_checkpoint,
-    load_checkpoint,
-    transe_score,
-)
+from .numeric import ParamStore, adam_step
+from .pretrain import PretrainCheckpoint, PretrainConfig, export_checkpoint, load_checkpoint
 from .rng import RngStream
 
 # keep the submodules addressable (kdcn.pretrain is the module; the training
@@ -38,7 +32,6 @@ __all__ = [
     "datagen",
     "epochs_to_threshold",
     "export_checkpoint",
-    "finite_diff_check",
     "fit",
     "generate_samples",
     "generate_world",
@@ -54,5 +47,4 @@ __all__ = [
     "rank_candidates",
     "rng",
     "save_triples",
-    "transe_score",
 ]

@@ -18,15 +18,11 @@ value is a data error too.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 import time
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from . import datagen, graph, model as model_mod, pretrain as pretrain_mod
 from .errors import ConfigError, FormatError, KdcnError, ParseError
@@ -191,15 +187,7 @@ def cmd_train(args, cfg: dict) -> None:
         split.train, split.valid, ckpt, tcfg, RngStream(args.seed).child("train"),
         entities, item_meta,
     )
-    model_mod.save_model(result.model, out / "kdcn.bin")
-    meta = {
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in tcfg.__dict__.items()},
-        "dense_mean": result.featurizer.dense_mean.tolist(),
-        "dense_std": result.featurizer.dense_std.tolist(),
-        "n_dense": result.featurizer.n_dense,
-        "n_behavior_kinds": result.featurizer.n_behavior_kinds,
-    }
-    write_lines(out / "kdcn.meta.json", [json.dumps(meta, indent=2, sort_keys=True)])
+    model_mod.save_ranker(result.model, result.featurizer, out / "kdcn.meta.json", out / "kdcn.bin")
     _write_csv(
         out / "history.csv",
         ["epoch", "train_loss", "valid_auc"],
@@ -256,72 +244,27 @@ def cmd_eval(args, cfg: dict) -> None:
         print(f"{row[0]}: test_auc={row[1]} final_train_loss={row[2]}")
 
 
-def _load_meta(path) -> tuple[model_mod.TrainConfig, dict]:
-    """kdcn.meta.json as written by `train`; anything else is a FormatError naming the file."""
-    try:
-        meta = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError included
-        raise FormatError(f"{path}: not JSON ({exc})") from None
-    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
-        raise FormatError(f"{path}: expected an object with a 'config' object")
-    unknown = sorted(set(meta["config"]) - {f.name for f in fields(model_mod.TrainConfig)})
-    if unknown:
-        raise FormatError(f"{path}: unknown config key(s) {', '.join(unknown)}")
-    missing = [k for k in ("n_dense", "n_behavior_kinds", "dense_mean", "dense_std") if k not in meta]
-    if missing:
-        raise FormatError(f"{path}: missing {', '.join(missing)}")
-    for key in ("n_dense", "n_behavior_kinds"):
-        if type(meta[key]) is not int or meta[key] < 1:  # a bool is not a count
-            raise FormatError(f"{path}: {key} must be an integer >= 1, got {meta[key]!r}")
-    # fit_stats writes 1.0 for a spread at or below 1e-8, so a stored std is > 0
-    for key, low in (("dense_mean", -math.inf), ("dense_std", 0.0)):
-        if not isinstance(meta[key], list) or len(meta[key]) != meta["n_dense"]:
-            raise FormatError(f"{path}: {key} does not hold n_dense = {meta['n_dense']!r} values")
-        if not all(type(v) in (int, float) and low < v and abs(v) <= sys.float_info.max for v in meta[key]):
-            raise FormatError(f"{path}: {key} must hold finite float64 values > {low}")
-    stored = dict(meta["config"])
-    try:
-        if "conv_widths" in stored:  # JSON has no tuples
-            stored["conv_widths"] = tuple(stored["conv_widths"])
-        return model_mod.TrainConfig(**stored), meta
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: config: {exc}") from None
-
-
 def cmd_rank(args, cfg: dict) -> None:
     out = Path(args.out)
     candidates = None if args.candidates is None else _names("--candidates", args.candidates)
     split, ckpt, entities, item_meta = _load_train_inputs(args, out)
     meta_path = args.meta or out / "kdcn.meta.json"
-    tcfg, meta = _load_meta(meta_path)
+    mdl, featurizer = model_mod.load_ranker(
+        meta_path, args.model or out / "kdcn.bin", ckpt, entities, item_meta
+    )
     for key, name, cast in _section_keys("train"):
-        if key in cfg and _cast(key, cast, cfg[key]) != getattr(tcfg, name):
+        if key in cfg and _cast(key, cast, cfg[key]) != getattr(mdl.cfg, name):
             raise ConfigError(
                 f"config key '{key}' = {cfg[key]} differs from {meta_path}, which has "
-                f"{getattr(tcfg, name)!r}; rank takes its settings from {meta_path}"
+                f"{getattr(mdl.cfg, name)!r}; rank takes its settings from {meta_path}"
             )
-    featurizer = model_mod.Featurizer(ckpt, entities, item_meta, tcfg)
-    featurizer.n_dense = meta["n_dense"]
-    featurizer.n_behavior_kinds = meta["n_behavior_kinds"]
-    featurizer.dense_mean = np.array(meta["dense_mean"])
-    featurizer.dense_std = np.array(meta["dense_std"])
-    mdl = model_mod.KdcnModel.build(tcfg, featurizer, RngStream(0))
-    model_path = args.model or out / "kdcn.bin"
-    values = model_mod.load_model_values(model_path)
-    try:
-        model_mod.restore_model_values(mdl, values)
-    except FormatError as exc:
-        raise FormatError(
-            f"{meta_path} does not match {model_path}: {exc} "
-            f"(a kdcn.bin written by an earlier build must be retrained)"
-        ) from None
 
     behaviors = next((s.behaviors for s in split.all() if s.user_id == args.user), None)
     if behaviors is None:
         path = args.samples or out / "samples.jsonl"
         raise KdcnError(f"user '{args.user}' has no sample in {path}")
     if candidates is None:
-        candidates = sorted(item_meta, key=featurizer.item_id)[: tcfg.candidate_cap]
+        candidates = sorted(item_meta, key=featurizer.item_id)[: mdl.cfg.candidate_cap]
     repeated = sorted(name for name, n in Counter(candidates).items() if n > 1)
     if repeated:
         raise KdcnError(f"--candidates lists {', '.join(repeated)} more than once")

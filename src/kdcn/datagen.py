@@ -32,15 +32,17 @@ integers(0, count) draw per sample over a ragged pool held as CSR arrays):
 8. one coin per behavior item, then its pick: the user's cluster when the
    coin is below 0.7 and the cluster is not empty, else a uniform item.
 
-The affinity is ClickModel.affinity computed over a block at once, from
-(user, category), (item, keyword) and (user, item) membership keys.
+The affinity sums w_tag_match if the user prefers the item's category,
+w_overlap per query keyword in the item's title and w_cluster if the item
+is in the user's cluster, over a block at once from (user, category),
+(item, keyword) and (user, item) membership keys. Its per-sample form, the
+per-sample draw loop and the tag-topic mutual information are test oracles
+(tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import json
-import math
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import pairwise
 from typing import NamedTuple
@@ -48,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ParseError, require_at_least
-from .graph import TripleSet, ingest_events
+from .graph import TripleSet, csr_lists, ingest_events
 from .rng import RngStream
 from .textfile import read_lines, write_lines
 
@@ -83,15 +85,6 @@ class ClickModel:
     w_overlap: float = 0.75
     w_cluster: float = 1.0
 
-    def affinity(self, world: "World", user: str, query_keywords: list[str], item: str) -> float:
-        tag_match = 1.0 if world.item_category[item] in world.user_pref_cats[user] else 0.0
-        overlap = len(set(query_keywords) & set(world.item_title_kws[item]))
-        cluster = 1.0 if item in world.user_cluster_sets[user] else 0.0
-        return (
-            self.w_tag_match * tag_match
-            + self.w_overlap * overlap
-            + self.w_cluster * cluster
-        )
 
 
 @dataclass
@@ -290,14 +283,6 @@ class SampleSplit:
         return self.train + self.valid + self.test
 
 
-def _csr(rows, index: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged lists of names as (indptr, ids): row r holds ids[indptr[r]:indptr[r + 1]]."""
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in rows], out=indptr[1:])
-    ids = np.fromiter((index[name] for row in rows for name in row), np.int64, int(indptr[-1]))
-    return indptr, ids
-
-
 def _pair_keys(indptr: np.ndarray, ids: np.ndarray, width: int) -> np.ndarray:
     """The int64 keys row * width + id of a CSR list, for membership tests."""
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)) * width + ids
@@ -328,16 +313,16 @@ def _pools(world: World) -> _Pools:
     cat_ix = {c: i for i, c in enumerate(world.categories)}
     kw_ix = {kw: i for i, kw in enumerate(kw_names)}
     prefs = [world.user_pref_cats[u] for u in world.users]
-    pref = _csr(prefs, cat_ix)
-    cluster = _csr([world.user_cluster[u] for u in world.users], item_ix)
-    titles = _csr([world.item_title_kws[it] for it in world.items], kw_ix)
+    pref = csr_lists(prefs, cat_ix)
+    cluster = csr_lists([world.user_cluster[u] for u in world.users], item_ix)
+    titles = csr_lists([world.item_title_kws[it] for it in world.items], kw_ix)
     return _Pools(
         prefs=pref,
-        pref_items=_csr(
+        pref_items=csr_lists(
             [[it for c in row for it in world.items_by_category[c]] for row in prefs], item_ix
         ),
         cluster=cluster,
-        keywords=_csr([world.category_keywords[c] for c in world.categories], kw_ix),
+        keywords=csr_lists([world.category_keywords[c] for c in world.categories], kw_ix),
         item_cat=np.array([cat_ix[world.item_category[it]] for it in world.items], dtype=np.int64),
         pref_keys=_pair_keys(*pref, len(cat_ix)),
         title_keys=_pair_keys(*titles, len(kw_ix)),
@@ -448,7 +433,8 @@ def draw_samples(
 
     The samples are drawn in blocks, and each field is one array draw for
     the block, in the order of the module docstring. The affinity of sample
-    r equals click.affinity(world, user, query.split(), candidate) exactly.
+    r is exactly the module docstring's sum for its user, query keywords
+    and candidate.
     """
     if n < 0:
         raise ConfigError(f"n_samples must be >= 0, got {n}")
@@ -499,21 +485,3 @@ def split_loaded(samples: list[Sample]) -> SampleSplit:
         samples[:n_train], samples[n_train : n_train + n_valid], samples[n_train + n_valid :]
     )
 
-
-def tag_category_mutual_information(world: World) -> float:
-    """Empirical MI between a session user's first tag and the session topic."""
-    pairs = [
-        (world.user_tags[u][0], c)
-        for u, c in zip(world.session_user, world.session_category)
-    ]
-    return mutual_information(pairs)
-
-
-def mutual_information(pairs) -> float:
-    joint, n = Counter(pairs), len(pairs)
-    mx, my = Counter(x for x, _ in pairs), Counter(y for _, y in pairs)
-    mi = 0.0
-    for (x, y), c in joint.items():
-        pxy = c / n
-        mi += pxy * math.log(pxy * n * n / (mx[x] * my[y]))
-    return mi

@@ -60,11 +60,15 @@ category slots from the per-item arrays the Featurizer builds once.
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import re
 import struct
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,11 +84,12 @@ from .errors import (
     require_at_least,
     require_finite_positive,
 )
-from .graph import EntityRef, check_event
+from .graph import EntityRef, check_event, csr_lists
 from .metrics import auc
 from .numeric import ParamStore, adam_step, as_float, incidence, relu, sigmoid
 from .pretrain import PretrainCheckpoint
 from .rng import RngStream
+from .textfile import write_lines
 
 _CLAMP = 1e-12
 # in exact arithmetic, sigmoid(x) lies in (_CLAMP, 1 - _CLAMP) iff |x| < _CLAMP_LOGIT
@@ -123,6 +128,8 @@ class TrainConfig:
         require_at_least(self, 1, "batch_size", "deep_width", "cat_dim", "conv_filters",
                          "attention_heads", "candidate_cap")
         require_finite_positive(self, "lr")
+        if not self.conv_widths or min(self.conv_widths) < 1:
+            raise ConfigError(f"TrainConfig.conv_widths must hold widths >= 1, got {self.conv_widths}")
 
 
 # named ablations used by the evaluation report
@@ -206,7 +213,7 @@ class Dataset:
         query_ids = {q: f.query_keyword_ids(q) for q in {s.query for s in samples}}
         queries = [query_ids[s.query] for s in samples]
         rows = f.item_rows([s.candidate_item for s in samples])
-        self.kw_ptr, self.kw_ids = _csr([q + f.title_ids[r] for q, r in zip(queries, rows)])
+        self.kw_ptr, self.kw_ids = csr_lists([q + f.title_ids[r] for q, r in zip(queries, rows)])
         self.n_query = np.fromiter(map(len, queries), dtype=np.int64, count=self.n)
         self.cat_idx = f.category_slots([s.categories for s in samples])
         self.dense = f.standardize([s.dense for s in samples])
@@ -228,17 +235,6 @@ class Dataset:
             dense=self.dense[idx],
             labels=self.labels[idx],
         )
-
-
-def _csr(lists, lookup=None) -> tuple[np.ndarray, np.ndarray]:
-    """Row pointers (len(lists) + 1,) and the flat int64 ids of lists of ints, or
-    of lists of keys that lookup maps to ints: that spares a list of ints per
-    row, which for the 64k behavior lists of 16k samples cost 3 MB of RSS."""
-    counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    flat = chain.from_iterable(lists)
-    flat = flat if lookup is None else map(lookup.__getitem__, flat)
-    return indptr, np.fromiter(flat, dtype=np.int64, count=int(indptr[-1]))
 
 
 def ragged_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +325,7 @@ class Featurizer:
     def category_slots(self, categories: list[list[str]]) -> np.ndarray:
         """Category indices of the first n_cat_slots categories per row, -1 padded."""
         slots = self.cfg.n_cat_slots
-        indptr, ids = _csr([cats[:slots] for cats in categories], self.category_index)
+        indptr, ids = csr_lists([cats[:slots] for cats in categories], self.category_index)
         out = np.full((len(categories), slots), -1, dtype=np.int64)
         out[np.arange(slots) < np.diff(indptr)[:, None]] = ids
         return out
@@ -359,7 +355,7 @@ class Featurizer:
             if len(per_kind) != k:
                 raise SchemaError(f"sample {i}: {len(per_kind)} behavior kinds, expected {k}")
         try:
-            indptr, ids = _csr(list(chain.from_iterable(behaviors)), self._item_ids)
+            indptr, ids = csr_lists(list(chain.from_iterable(behaviors)), self._item_ids)
         except KeyError as exc:
             raise KeyError(f"unknown item '{exc.args[0]}'") from None
         counts = np.diff(indptr)
@@ -601,10 +597,6 @@ class KdcnModel:
 
     def predict_batch(self, batch: Batch) -> np.ndarray:
         return self.forward(batch)[0]
-
-    def loss(self, batch: Batch) -> float:
-        p, _ = self.forward(batch)
-        return log_loss(p, batch.labels)
 
     # ---- batched backward ------------------------------------------------
 
@@ -936,6 +928,100 @@ def restore_model_values(model: KdcnModel, values: dict[str, np.ndarray]) -> Non
         slot.value[...] = arr
 
 
+def save_ranker(model: KdcnModel, featurizer: Featurizer, meta_path, model_path) -> None:
+    """Write the served ranker: its slots to model_path (kdcn.bin, see
+    save_model) and its TrainConfig and featurizer statistics to meta_path
+    (kdcn.meta.json), which load_ranker reads back."""
+    save_model(model, model_path)
+    meta = {
+        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in model.cfg.__dict__.items()},
+        "dense_mean": featurizer.dense_mean.tolist(),
+        "dense_std": featurizer.dense_std.tolist(),
+        "n_dense": featurizer.n_dense,
+        "n_behavior_kinds": featurizer.n_behavior_kinds,
+    }
+    write_lines(meta_path, [json.dumps(meta, indent=2, sort_keys=True)])
+
+
+# the JSON form kdcn.meta.json stores each TrainConfig field type in: type ->
+# (check, what it must be); a bool is not an int, and an int is a float
+_JSON_FORMS = {
+    bool: (lambda v: type(v) is bool, "true or false"),
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) in (int, float), "a number"),
+    tuple: (lambda v: isinstance(v, list) and all(type(x) is int for x in v), "a list of integers"),
+}
+
+
+def _load_meta(path) -> tuple[TrainConfig, dict]:
+    """kdcn.meta.json as save_ranker writes it; anything else is a FormatError naming the file."""
+    try:
+        meta = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise FormatError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+        raise FormatError(f"{path}: expected an object with a 'config' object")
+    types = {f.name: type(f.default) for f in fields(TrainConfig)}
+    unknown = sorted(set(meta["config"]) - set(types))
+    if unknown:
+        raise FormatError(f"{path}: unknown config key(s) {', '.join(unknown)}")
+    for key, value in meta["config"].items():
+        fits, what = _JSON_FORMS[types[key]]
+        if not fits(value):
+            raise FormatError(f"{path}: config key '{key}' must be {what}, got {value!r}")
+    missing = [k for k in ("n_dense", "n_behavior_kinds", "dense_mean", "dense_std") if k not in meta]
+    if missing:
+        raise FormatError(f"{path}: missing {', '.join(missing)}")
+    for key in ("n_dense", "n_behavior_kinds"):
+        if type(meta[key]) is not int or meta[key] < 1:  # a bool is not a count
+            raise FormatError(f"{path}: {key} must be an integer >= 1, got {meta[key]!r}")
+    # fit_stats writes 1.0 for a spread at or below 1e-8, so a stored std is > 0
+    for key, low in (("dense_mean", -math.inf), ("dense_std", 0.0)):
+        if not isinstance(meta[key], list) or len(meta[key]) != meta["n_dense"]:
+            raise FormatError(f"{path}: {key} does not hold n_dense = {meta['n_dense']!r} values")
+        if not all(type(v) in (int, float) and low < v and abs(v) <= sys.float_info.max for v in meta[key]):
+            raise FormatError(f"{path}: {key} must hold finite float64 values > {low}")
+    # JSON has no tuples, and conv_widths is the one list
+    stored = {k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"].items()}
+    try:
+        return TrainConfig(**stored), meta
+    except ConfigError as exc:
+        raise FormatError(f"{path}: config: {exc}") from None
+
+
+def load_ranker(
+    meta_path,
+    model_path,
+    checkpoint: PretrainCheckpoint,
+    entities: list[EntityRef],
+    item_meta: dict[str, ItemMeta],
+) -> tuple[KdcnModel, Featurizer]:
+    """The served ranker that save_ranker wrote, on the given checkpoint,
+    entities and item metadata: (model, featurizer).
+
+    Every TrainConfig setting and the featurizer statistics come from
+    meta_path, the slots from model_path. A meta file that is not as
+    save_ranker writes it, or whose shapes do not fit the model file, is a
+    FormatError naming the file(s).
+    """
+    cfg, meta = _load_meta(meta_path)
+    featurizer = Featurizer(checkpoint, entities, item_meta, cfg)
+    featurizer.n_dense = meta["n_dense"]
+    featurizer.n_behavior_kinds = meta["n_behavior_kinds"]
+    featurizer.dense_mean = np.array(meta["dense_mean"])
+    featurizer.dense_std = np.array(meta["dense_std"])
+    model = KdcnModel.build(cfg, featurizer, RngStream(0))
+    values = load_model_values(model_path)
+    try:
+        restore_model_values(model, values)
+    except FormatError as exc:
+        raise FormatError(
+            f"{meta_path} does not match {model_path}: {exc} "
+            f"(a kdcn.bin written by an earlier build must be retrained)"
+        ) from None
+    return model, featurizer
+
+
 def rank_candidates(
     behaviors: list[list[str]],
     query: str,
@@ -967,7 +1053,7 @@ def rank_candidates(
     rows = rows[canonical]
     n = len(candidates)
     query_ids = featurizer.query_keyword_ids(query)
-    kw_ptr, kw_ids = _csr([query_ids + featurizer.title_ids[r] for r in rows])
+    kw_ptr, kw_ids = csr_lists([query_ids + featurizer.title_ids[r] for r in rows])
     batch = Batch(
         n=n,
         pool=featurizer.pooling_operator([behaviors]),

@@ -1,4 +1,4 @@
-"""Numeric core: activations, Adam, checked sparse incidence, and a finite-difference checker.
+"""Numeric core: activations, Adam and checked sparse incidence.
 
 All tensors are 2-D float arrays in row-major order ("Tensor2D"), float32 or
 float64. Every function here keeps its operand's dtype; anything else (lists,
@@ -7,8 +7,9 @@ precision the checkpoint and model files store, and the ranker serves it; the
 gradient oracle runs in float64. Model code works with plain arrays;
 trainable state lives in a ParamStore, whose slots pair a value with its
 gradient accumulator and Adam moments, all of the value's dtype.
-Backward passes elsewhere in the package are written by hand per layer, and
-finite_diff_check is the oracle that keeps them honest.
+Backward passes elsewhere in the package are written by hand per layer; the
+finite-difference checker that keeps them honest is a test oracle
+(tests/oracles.py).
 
 Importing this module (and so any kdcn module) tunes glibc's allocator once
 through keep_freed_memory: blocks up to 32 MiB come from the heap instead of
@@ -25,7 +26,6 @@ from __future__ import annotations
 import ctypes
 import platform
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -194,34 +194,3 @@ def adam_step(
         slot.value -= g
     store.zero_grads()
 
-
-def finite_diff_check(
-    fn: Callable[[], float],
-    store: ParamStore,
-    slot_name: str,
-    eps: float = 1e-5,
-) -> float:
-    """Compare the analytic gradient held in a slot against central differences.
-
-    fn must be a pure, deterministic scalar function of the store's current
-    values. The analytic gradient for slot_name must already be populated in
-    store[slot_name].grad. Returns the maximum over coordinates of
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    """
-    slot = store[slot_name]
-    analytic = slot.grad.copy()
-    value = slot.value
-    flat = value.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        f_plus = fn()
-        flat[i] = orig - eps
-        f_minus = fn()
-        flat[i] = orig
-        numeric = (f_plus - f_minus) / (2.0 * eps)
-        a = analytic.reshape(-1)[i]
-        err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-        worst = max(worst, err)
-    return worst

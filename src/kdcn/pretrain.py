@@ -32,9 +32,10 @@ with only the rejected rows redrawn; hits_at_k draws its candidates alike.
 pretrain trains in float32, the precision ckge.bin stores: it builds its
 params from the float64 draws of init_draws rounded once, and every operator
 below it keeps the dtype of the params it is given, so the parameters, their
-gradients, Adam's moments and the returned checkpoint are float32. The params
-of init_params, the same draws as the gradient oracle uses them, stay
-float64 throughout.
+gradients, Adam's moments and the returned checkpoint are float32. The
+gradient oracle's params, params_from on the float64 draws, stay float64
+throughout; they, the translation score, the margin loss and the
+forward-only loss are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import scipy.sparse as sp
 from .errors import (
     CapacityError,
     ConfigError,
-    DimensionError,
     FormatError,
     SamplingError,
     TrainingError,
@@ -123,11 +123,6 @@ def params_from(values: dict[str, np.ndarray], layers: int) -> PretrainParams:
     for name, value in values.items():
         store.add(name, value)
     return PretrainParams(store, layers)
-
-
-def init_params(n_entities: int, n_relations: int, cfg: PretrainConfig, rng: RngStream) -> PretrainParams:
-    """The float64 params of init_draws, as the gradient oracles start from them."""
-    return params_from(init_draws(n_entities, n_relations, cfg, rng), cfg.layers)
 
 
 def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream | None = None) -> list:
@@ -254,23 +249,6 @@ def encode_entities(
     return out
 
 
-def transe_score(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> float:
-    """L2 norm of h + r - t; lower means a more plausible triple."""
-    h, r, t = (np.asarray(v, dtype=np.float64).ravel() for v in (h, r, t))
-    if not (h.shape == r.shape == t.shape):
-        raise DimensionError(f"mismatched dims {h.shape}, {r.shape}, {t.shape}")
-    return float(np.linalg.norm(h + r - t))
-
-
-def margin_loss(pos, neg, gamma: float) -> float:
-    """Sum over pairs of max(0, pos + gamma - neg)."""
-    pos = np.asarray(pos, dtype=np.float64).ravel()
-    neg = np.asarray(neg, dtype=np.float64).ravel()
-    if pos.shape != neg.shape:
-        raise DimensionError(f"pos has {pos.size} scores, neg has {neg.size}")
-    return float(np.maximum(0.0, pos + gamma - neg).sum())
-
-
 def _triple_keys(triples: np.ndarray, n_entities: int) -> np.ndarray:
     """The int64 key (h*R + r)*n + t of each (h, r, t) row, R the relation count.
 
@@ -348,20 +326,6 @@ def _pair_scores(params: PretrainParams, operators: list, pos: np.ndarray, neg: 
     x, cache = _encode_forward(params, operators, rows)
     diff = x[ends[:, 0]] + params.relation_table[pairs[:, 1]] - x[ends[:, 1]]
     return pairs, ends, diff, np.linalg.norm(diff, axis=1), cache
-
-
-def pretrain_loss(
-    params: PretrainParams,
-    g: Graph,
-    cfg: PretrainConfig,
-    pos: np.ndarray,
-    neg: np.ndarray,
-    draws=None,
-) -> float:
-    """Margin ranking loss of fixed positive/negative pairs (pure forward)."""
-    operators = draws if draws is not None else sample_layer_draws(g, cfg)
-    _, _, _, s, _ = _pair_scores(params, operators, pos, neg)
-    return margin_loss(s[: len(pos)], s[len(pos) :], cfg.margin)
 
 
 def pretrain_loss_grads(

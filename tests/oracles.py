@@ -9,24 +9,42 @@ backward, Adam's textbook form, the ranker's per-sample feature blocks
 (behavior means, user-state convolutions, per-slot dialogue attention and
 its query and title means, assembly) and towers, the cross tower layer by
 layer, the dialogue attention head by head over a padded view of the
-ragged keywords, and AUC by counting every positive-negative pair. Nothing under ``src/`` uses them; the tests
-compare the library against them. widened_checkpoint lifts pretrain()'s
-float32 tables to float64, for the ranker build the gradient oracle checks.
+ragged keywords, and AUC by counting every positive-negative pair.
+
+The scalar references of both losses live here too: the finite-difference
+checker that every hand-written backward pass is held to, the translation
+score and margin loss with the forward-only pretraining loss and its
+float64 starting params, the ranker's forward-only log loss, the click
+model's affinity of one (user, query, item) triplet, and the mutual
+information of the planted tag-topic structure. Nothing under ``src/``
+uses them; the tests compare the library against them. widened_checkpoint
+lifts pretrain()'s float32 tables to float64, for the ranker build the
+gradient oracle checks.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from kdcn.datagen import BEHAVIOR_KINDS, ClickModel, Sample, SampleSplit, World, _pick, _pick_distinct, split_loaded
 from kdcn.errors import CapacityError, DimensionError, MetricError
 from kdcn.graph import Graph, TripleSet
-from kdcn.model import Featurizer, KdcnModel, extract_keywords
-from kdcn.numeric import relu, sigmoid
-from kdcn.pretrain import PretrainCheckpoint, PretrainConfig
+from kdcn.model import Batch, Featurizer, KdcnModel, extract_keywords, log_loss
+from kdcn.numeric import ParamStore, relu, sigmoid
+from kdcn.pretrain import (
+    PretrainCheckpoint,
+    PretrainConfig,
+    PretrainParams,
+    _pair_scores,
+    init_draws,
+    params_from,
+    sample_layer_draws,
+)
 from kdcn.rng import RngStream
 
 # the dense adjacency oracle holds n*n floats; above this it refuses
@@ -37,6 +55,38 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"cannot multiply shapes {a.shape} and {b.shape}")
     return a @ b
+
+
+def finite_diff_check(
+    fn: Callable[[], float],
+    store: ParamStore,
+    slot_name: str,
+    eps: float = 1e-5,
+) -> float:
+    """Compare the analytic gradient held in a slot against central differences.
+
+    fn must be a pure, deterministic scalar function of the store's current
+    values. The analytic gradient for slot_name must already be populated in
+    store[slot_name].grad. Returns the maximum over coordinates of
+    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    """
+    slot = store[slot_name]
+    analytic = slot.grad.copy()
+    value = slot.value
+    flat = value.reshape(-1)
+    worst = 0.0
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        f_plus = fn()
+        flat[i] = orig - eps
+        f_minus = fn()
+        flat[i] = orig
+        numeric = (f_plus - f_minus) / (2.0 * eps)
+        a = analytic.reshape(-1)[i]
+        err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+        worst = max(worst, err)
+    return worst
 
 
 def auc_bruteforce(scores, labels) -> float:
@@ -243,6 +293,42 @@ def encode_stack(params, operators: list, d_out: np.ndarray):
         d_ws[layer] = inputs[layer].T @ pre
         grad = operators[layer].T @ (pre @ weights[layer].T)
     return x, grad, d_ws
+
+
+def init_params(n_entities: int, n_relations: int, cfg: PretrainConfig, rng: RngStream) -> PretrainParams:
+    """The float64 params of init_draws, as the gradient oracles start from them."""
+    return params_from(init_draws(n_entities, n_relations, cfg, rng), cfg.layers)
+
+
+def transe_score(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> float:
+    """L2 norm of h + r - t; lower means a more plausible triple."""
+    h, r, t = (np.asarray(v, dtype=np.float64).ravel() for v in (h, r, t))
+    if not (h.shape == r.shape == t.shape):
+        raise DimensionError(f"mismatched dims {h.shape}, {r.shape}, {t.shape}")
+    return float(np.linalg.norm(h + r - t))
+
+
+def margin_loss(pos, neg, gamma: float) -> float:
+    """Sum over pairs of max(0, pos + gamma - neg)."""
+    pos = np.asarray(pos, dtype=np.float64).ravel()
+    neg = np.asarray(neg, dtype=np.float64).ravel()
+    if pos.shape != neg.shape:
+        raise DimensionError(f"pos has {pos.size} scores, neg has {neg.size}")
+    return float(np.maximum(0.0, pos + gamma - neg).sum())
+
+
+def pretrain_loss(
+    params: PretrainParams,
+    g: Graph,
+    cfg: PretrainConfig,
+    pos: np.ndarray,
+    neg: np.ndarray,
+    draws=None,
+) -> float:
+    """Margin ranking loss of fixed positive/negative pairs (pure forward)."""
+    operators = draws if draws is not None else sample_layer_draws(g, cfg)
+    _, _, _, s, _ = _pair_scores(params, operators, pos, neg)
+    return margin_loss(s[: len(pos)], s[len(pos) :], cfg.margin)
 
 
 def adam_reference(store, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -608,6 +694,12 @@ def predict(f: np.ndarray, model: KdcnModel) -> float:
     return float(sigmoid(z @ model.store.value("logits_w").ravel()))
 
 
+def ranker_loss(model: KdcnModel, batch: Batch) -> float:
+    """The model's mean log loss on a batch (pure forward)."""
+    p, _ = model.forward(batch)
+    return log_loss(p, batch.labels)
+
+
 def conv_params(model: KdcnModel) -> ConvParams:
     """The model's user-state filter banks in per-sample form."""
     cfg = model.cfg
@@ -696,6 +788,37 @@ def scatter_dtable(src, owner, counts, dmean: np.ndarray, n_entities: int) -> np
     return dtable
 
 
+def click_affinity(click: ClickModel, world: World, user: str, query_keywords: list[str], item: str) -> float:
+    """The click model's affinity of one (user, query, item) triplet."""
+    tag_match = 1.0 if world.item_category[item] in world.user_pref_cats[user] else 0.0
+    overlap = len(set(query_keywords) & set(world.item_title_kws[item]))
+    cluster = 1.0 if item in world.user_cluster_sets[user] else 0.0
+    return (
+        click.w_tag_match * tag_match
+        + click.w_overlap * overlap
+        + click.w_cluster * cluster
+    )
+
+
+def tag_category_mutual_information(world: World) -> float:
+    """Empirical MI between a session user's first tag and the session topic."""
+    pairs = [
+        (world.user_tags[u][0], c)
+        for u, c in zip(world.session_user, world.session_category)
+    ]
+    return mutual_information(pairs)
+
+
+def mutual_information(pairs) -> float:
+    joint, n = Counter(pairs), len(pairs)
+    mx, my = Counter(x for x, _ in pairs), Counter(y for _, y in pairs)
+    mi = 0.0
+    for (x, y), c in joint.items():
+        pxy = c / n
+        mi += pxy * math.log(pxy * n * n / (mx[x] * my[y]))
+    return mi
+
+
 def _sigmoid(x: float) -> float:
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
@@ -723,7 +846,7 @@ def generate_samples_reference(
             item = _pick(rng, pool) if pool else _pick(rng, world.items)
         else:
             item = _pick(rng, world.items)
-        affinity = click.affinity(world, user, query_kws, item)
+        affinity = click_affinity(click, world, user, query_kws, item)
         p = _sigmoid(cfg.affinity_strength * affinity + cfg.noise_std * float(rng.normal()))
         label = 1 if rng.random() < p else 0
         behaviors = []

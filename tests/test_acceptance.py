@@ -18,7 +18,6 @@ from kdcn.cli import main as cli_main
 from kdcn.datagen import ClickModel, WorldConfig, generate_samples, generate_world, load_samples, save_samples
 from kdcn.graph import RELATIONS, Graph, TripleSet, load_triples, save_triples
 from kdcn.metrics import auc, epochs_to_threshold
-from kdcn.numeric import finite_diff_check
 from kdcn.rng import RngStream
 from oracles import (
     AttentionParams,
@@ -26,7 +25,13 @@ from oracles import (
     auc_bruteforce,
     cross_forward,
     dialogue_interaction,
+    finite_diff_check,
+    init_params,
+    margin_loss,
+    pretrain_loss,
+    ranker_loss,
     softmax_rows,
+    transe_score,
     widened_checkpoint,
 )
 
@@ -61,7 +66,7 @@ def _pretrain_gradcheck(mode: str) -> float:
     worst_overall = None
     for attempt in range(3):
         rng = RngStream(31 + attempt)
-        params = pt.init_params(ts.n_entities, ts.n_relations, cfg, rng.child("init"))
+        params = init_params(ts.n_entities, ts.n_relations, cfg, rng.child("init"))
         triples = np.array([[t.head, t.relation, t.tail] for t in ts.triples])
         pos = triples
         rng_neg = rng.child("neg")
@@ -76,7 +81,7 @@ def _pretrain_gradcheck(mode: str) -> float:
         pt.pretrain_loss_grads(params, g, cfg, pos, neg, draws)
         worst = max(
             finite_diff_check(
-                lambda: pt.pretrain_loss(params, g, cfg, pos, neg, draws), params.store, name
+                lambda: pretrain_loss(params, g, cfg, pos, neg, draws), params.store, name
             )
             for name in params.store.names()
         )
@@ -122,7 +127,7 @@ def _kdcn_gradcheck(finetune: bool) -> float:
         model.store.zero_grads()
         model.loss_and_grads(batch)
         worst = max(
-            finite_diff_check(lambda: model.loss(batch), model.store, name)
+            finite_diff_check(lambda: ranker_loss(model, batch), model.store, name)
             for name in model.store.names()
         )
         worst_overall = worst if worst_overall is None else min(worst_overall, worst)
@@ -183,7 +188,7 @@ def test_criterion_2_sampled_equals_full():
         cfg_samp = pt.PretrainConfig(
             dim=6, layers=2, aggregation="mean", mode="sampled", fanout=fanout
         )
-        params = pt.init_params(g.n_entities, 9, cfg_full, rng.child(f"p{trial}"))
+        params = init_params(g.n_entities, 9, cfg_full, rng.child(f"p{trial}"))
         full = pt.encode_entities(params, g, cfg_full)
         samp = pt.encode_entities(params, g, cfg_samp, rng.child(f"s{trial}"))
         worst = max(worst, float(np.abs(full - samp).max()))
@@ -331,14 +336,14 @@ def test_criterion_7_closed_form_examples():
         checks.append((name, bool(cond)))
 
     # translation scorer
-    chk("transe exact", pt.transe_score([1, 0], [0, 1], [1, 1]) == 0.0)
-    chk("transe sqrt52", math.isclose(pt.transe_score([1, 2], [3, 4], [0, 0]), math.sqrt(52), rel_tol=1e-12))
+    chk("transe exact", transe_score([1, 0], [0, 1], [1, 1]) == 0.0)
+    chk("transe sqrt52", math.isclose(transe_score([1, 2], [3, 4], [0, 0]), math.sqrt(52), rel_tol=1e-12))
     h, r, t = (RngStream(70).uniform(-1, 1, 4) for _ in range(3))
-    chk("transe reversal", math.isclose(pt.transe_score(h, r, t), pt.transe_score(t, -r, h), rel_tol=1e-12))
+    chk("transe reversal", math.isclose(transe_score(h, r, t), transe_score(t, -r, h), rel_tol=1e-12))
     # margin ranking loss
-    chk("margin satisfied", pt.margin_loss([0.5], [2.0], 1.0) == 0.0)
-    chk("margin violated", pt.margin_loss([2.0], [1.0], 1.0) == 2.0)
-    chk("margin boundary", math.isclose(pt.margin_loss([0.7, 0.7], [0.7, 0.7], 1.0), 2.0, rel_tol=1e-12))
+    chk("margin satisfied", margin_loss([0.5], [2.0], 1.0) == 0.0)
+    chk("margin violated", margin_loss([2.0], [1.0], 1.0) == 2.0)
+    chk("margin boundary", math.isclose(margin_loss([0.7, 0.7], [0.7, 0.7], 1.0), 2.0, rel_tol=1e-12))
     # cross layer
     chk("cross hand", np.array_equal(cross_forward([1.0, 0.0], [(np.array([1.0, 0.0]), np.zeros(2))]), [2.0, 0.0]))
     f0 = RngStream(71).uniform(-1, 1, 4)

@@ -2,10 +2,12 @@
 
 bench/tracer.py wraps kdcn functions by module and attribute path, and
 bench/probes.py binds pretrain_loss_grads' arguments by position and reads
-Graph's adjacency. bench/workloads.py builds the rank-serve Featurizer the
-way `kdcn rank` does, by assigning the four statistics kdcn.meta.json stores. A name that moves makes a traced run report a null
-metric instead of failing, so these tests pin the names here, along with
-the access patterns bench/ relies on.
+Graph's adjacency. bench/workloads.load_for_rank keeps its own copy of
+model.load_ranker: it builds the rank-serve Featurizer by assigning the four
+statistics kdcn.meta.json stores, and restores kdcn.bin's slots. A name
+that moves makes a traced run report a null metric instead of failing, so
+these tests pin the names here, along with the access patterns bench/
+relies on and the ranker bench's loader builds.
 """
 
 import dataclasses
@@ -20,10 +22,11 @@ import pytest
 import scipy.sparse as sp
 
 import kdcn.model as km
-from kdcn import pretrain
+from kdcn import cli, graph, pretrain
 from kdcn.datagen import ClickModel, WorldConfig, generate_samples, generate_world
 from kdcn.graph import Graph, TripleSet
 from kdcn.rng import RngStream
+from test_cli import TINY_CONFIG
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -37,6 +40,7 @@ def _load(name: str):
 
 
 tracer = _load("tracer")
+workloads = _load("workloads")
 
 
 @pytest.mark.parametrize("span,module,path", tracer.SPANS, ids=[s for s, _, _ in tracer.SPANS])
@@ -127,3 +131,34 @@ def test_featurizer_with_assigned_stats_matches_fit_stats():
     s, candidates = split.train[0], sorted(meta)[:7]
     ranked = [km.rank_candidates(s.behaviors, s.query, candidates, model, f) for f in (fitted, assigned)]
     assert ranked[0] == ranked[1]
+
+
+def test_load_for_rank_matches_load_ranker(tmp_path):
+    config = tmp_path / "config.txt"
+    config.write_text(TINY_CONFIG)
+    for sub in ("gen-data", "build-kg", "pretrain", "train"):
+        assert cli.main([sub, "--seed", "3", "--config", str(config), "--out", str(tmp_path)]) == 0, sub
+    samples, bench_feat, bench_model = workloads.load_for_rank(tmp_path)
+    model, feat = km.load_ranker(
+        tmp_path / "kdcn.meta.json",
+        tmp_path / "kdcn.bin",
+        pretrain.load_checkpoint(tmp_path / "ckge.bin"),
+        graph.load_vocab(tmp_path / "ckge.vocab.tsv"),
+        km.item_meta_from_events(graph.load_events(tmp_path / "events.jsonl")),
+    )
+    assert bench_model.cfg == model.cfg
+    assert bench_model.store.names() == model.store.names()
+    for name in model.store.names():
+        x, y = bench_model.store.value(name), model.store.value(name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    for name in ("n_dense", "n_behavior_kinds", "dense_mean", "dense_std"):
+        x, y = getattr(bench_feat, name), getattr(feat, name)
+        assert type(x) is type(y) and np.asarray(x).dtype == np.asarray(y).dtype, name
+        assert np.array_equal(x, y), name
+    items = sorted(feat.item_meta, key=feat.item_id)
+    rng = RngStream(3)
+    for s in samples[::25]:
+        candidates = [items[int(i)] for i in rng.choice(len(items), size=8, replace=False)]
+        ranked = [km.rank_candidates(s.behaviors, s.query, candidates, m, f)
+                  for m, f in ((bench_model, bench_feat), (model, feat))]
+        assert ranked[0] == ranked[1]

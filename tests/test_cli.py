@@ -321,6 +321,15 @@ class TestRankInputErrors:
             ("n_behavior_kinds", "x"),
             ("n_behavior_kinds", 0),
             ("n_behavior_kinds", True),
+            # a stored setting must have its field's JSON type: at the parent the
+            # first five crashed with a TypeError and "no" was read as true
+            ("config.n_cross", 2.5),
+            ("config.deep_width", 8.0),
+            ("config.conv_widths", [2.5]),
+            ("config.conv_widths", ["a"]),
+            ("config.n_cat_slots", True),
+            ("config.use_cross", "no"),
+            ("config.conv_widths", []),
         ],
     )
     def test_bad_meta_file(self, trained, capsys, key, value):

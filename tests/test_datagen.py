@@ -14,15 +14,18 @@ from kdcn.datagen import (
     generate_samples,
     generate_world,
     load_samples,
-    mutual_information,
     save_samples,
     split_loaded,
-    tag_category_mutual_information,
 )
 from kdcn.errors import ConfigError
 from kdcn.metrics import auc
 from kdcn.rng import RngStream
-from oracles import generate_samples_reference
+from oracles import (
+    click_affinity,
+    generate_samples_reference,
+    mutual_information,
+    tag_category_mutual_information,
+)
 
 # the criterion-4/5 world of tests/test_acceptance.py
 UPLIFT_WORLD = dict(
@@ -124,7 +127,7 @@ class TestGenerateSamples:
         scores, labels = [], []
         for s in samples:
             kws = s.query.split()
-            scores.append(click.affinity(w, s.user_id, kws, s.candidate_item))
+            scores.append(click_affinity(click, w, s.user_id, kws, s.candidate_item))
             labels.append(s.label)
         assert auc(scores, labels) >= 0.85
 
@@ -135,7 +138,7 @@ class TestGenerateSamples:
         scores, labels = [], []
         for s in split.all():
             kws = s.query.split()
-            scores.append(click.affinity(w, s.user_id, kws, s.candidate_item))
+            scores.append(click_affinity(click, w, s.user_id, kws, s.candidate_item))
             labels.append(s.label)
         assert abs(auc(scores, labels) - 0.5) <= 0.02
 
@@ -159,7 +162,7 @@ class TestSampleDraws:
         samples, affinity = draw_samples(w, 3000, click, RngStream(3).child("s"))
         assert affinity.dtype == np.float64 and len(affinity) == len(samples)
         for s, a in zip(samples, affinity.tolist()):
-            assert a == click.affinity(w, s.user_id, s.query.split(), s.candidate_item)
+            assert a == click_affinity(click, w, s.user_id, s.query.split(), s.candidate_item)
         assert len(set(affinity.tolist())) > 4  # every term varies
 
     def test_invariants(self):
@@ -178,7 +181,7 @@ class TestSampleDraws:
         assert len(samples) == len(affinity) == 301
         check_invariants(w, samples)
         for s, a in zip(samples, affinity.tolist()):
-            assert a == click.affinity(w, s.user_id, s.query.split(), s.candidate_item)
+            assert a == click_affinity(click, w, s.user_id, s.query.split(), s.candidate_item)
 
     def test_user_without_preferred_categories(self):
         w = default_world(seed=5)
@@ -189,7 +192,7 @@ class TestSampleDraws:
         check_invariants(w, samples)
         assert {query_category(w, s.query) for s in samples} == set(w.categories)
         for s, a in zip(samples, affinity.tolist()):
-            assert a == click.affinity(w, s.user_id, s.query.split(), s.candidate_item)
+            assert a == click_affinity(click, w, s.user_id, s.query.split(), s.candidate_item)
 
     def test_empty_preferred_item_pool_falls_back_to_uniform_items(self):
         w = default_world(seed=6)
@@ -283,7 +286,7 @@ def sample_statistics(world, click, samples) -> dict:
     stats["cluster_behaviors"] = share(
         sum(it in world.user_cluster_sets[u] for u, it in behavior), len(behavior)
     )
-    scores = [click.affinity(world, s.user_id, s.query.split(), s.candidate_item) for s in samples]
+    scores = [click_affinity(click, world, s.user_id, s.query.split(), s.candidate_item) for s in samples]
     a, n_pos = auc(scores, labels), sum(labels)
     n_neg = n - n_pos
     q1, q2 = a / (2 - a), 2 * a * a / (1 + a)  # Hanley & McNeil (1982)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 import struct
 
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 import kdcn.model as km
 import kdcn.pretrain as pt
 from kdcn.datagen import ClickModel, Sample, WorldConfig, generate_samples, generate_world
-from kdcn.errors import CapacityError, DimensionError, FormatError, IngestionError, SchemaError
-from kdcn.graph import Graph
-from kdcn.numeric import adam_step, finite_diff_check, sigmoid
+from kdcn.errors import CapacityError, ConfigError, DimensionError, FormatError, IngestionError, SchemaError
+from kdcn.graph import Graph, csr_lists
+from kdcn.numeric import adam_step, sigmoid
 from kdcn.rng import RngStream
 from oracles import (
     attention_heads,
@@ -24,11 +25,13 @@ from oracles import (
     cross_layers,
     cross_layers_backward,
     deep_forward,
+    finite_diff_check,
     group_means,
     group_means_backward,
     keyword_lists,
     padded_keywords,
     predict,
+    ranker_loss,
     sample_features,
     scatter_dtable,
     title_keyword_ids,
@@ -135,7 +138,7 @@ class TestCrossTower:
         # the cross slots act after f, past every ReLU and max-pool kink
         for name in model.store.names():
             if name.startswith("cross_"):
-                err = finite_diff_check(lambda: model.loss(batch), model.store, name)
+                err = finite_diff_check(lambda: ranker_loss(model, batch), model.store, name)
                 assert err < 1e-6, (name, err)
 
 
@@ -559,7 +562,7 @@ def ragged_case(draw):
 
 
 class TestRagged:
-    """_csr (with and without a lookup) and ragged_rows equal per-row Python slicing."""
+    """csr_lists (with and without a lookup) and ragged_rows equal per-row Python slicing."""
 
     @settings(max_examples=200, deadline=None)
     @given(ragged_case())
@@ -568,12 +571,12 @@ class TestRagged:
     @example(([], []))
     def test_match_per_row_slicing(self, case):
         lists, rows = case
-        indptr, ids = km._csr(lists)
+        indptr, ids = csr_lists(lists)
         assert indptr.dtype == ids.dtype == np.int64
         assert indptr.tolist() == [sum(map(len, lists[:i])) for i in range(len(lists) + 1)]
         assert [ids[indptr[i] : indptr[i + 1]].tolist() for i in range(len(lists))] == lists
         names = [[f"e{i}" for i in row] for row in lists]
-        by_lookup = km._csr(names, {f"e{i}": i for i in range(100)})
+        by_lookup = csr_lists(names, {f"e{i}": i for i in range(100)})
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(by_lookup, (indptr, ids)))
         out, positions = km.ragged_rows(indptr, rows)
         picked = [lists[r] for r in rows]
@@ -669,7 +672,7 @@ def gradient_errors(build, batch, jitter_seeds) -> dict[str, float]:
         model.store.zero_grads()
         model.loss_and_grads(batch)
         errs = {
-            name: finite_diff_check(lambda: model.loss(batch), model.store, name)
+            name: finite_diff_check(lambda: ranker_loss(model, batch), model.store, name)
             for name in model.store.names()
         }
         if max(errs.values()) < 1e-4:
@@ -872,6 +875,13 @@ class TestFit:
         with pytest.raises(ValueError):
             km.TrainConfig(use_cross=False, use_deep=False)
 
+    @pytest.mark.parametrize("widths", [(), (-1,), (0,), (2, 0)])
+    def test_conv_widths_must_be_one_or_more_positive_widths(self, widths):
+        # at the parent: () failed in fit on max() of an empty sequence, (-1,)
+        # overflowed, and (0,) trained a zero-width filter
+        with pytest.raises(ConfigError, match=r"TrainConfig\.conv_widths"):
+            km.TrainConfig(conv_widths=widths)
+
     def test_inconsistent_dense_length_is_schema_error(self):
         from kdcn.errors import SchemaError
 
@@ -1041,6 +1051,28 @@ class TestModelFile:
         a = result.model.predict_batch(ds.batch(np.arange(ds.n)))
         b = clone.predict_batch(ds.batch(np.arange(ds.n)))
         assert np.array_equal(a, b)  # the model is float32, as the file stores it
+
+    def test_ranker_round_trip(self, tmp_path):
+        world, ckpt, split, meta, cfg = small_setup(epochs=1, lr=0.01)
+        result = km.fit(split.train, split.valid, ckpt, cfg, RngStream(15), world.tset.entities, meta)
+        meta_path, model_path = tmp_path / "m.json", tmp_path / "m.bin"
+        km.save_ranker(result.model, result.featurizer, meta_path, model_path)
+        stored = json.loads(meta_path.read_text())
+        stored["config"]["lr"] = 1  # a float setting may be stored as an integer
+        meta_path.write_text(json.dumps(stored))
+        # the float32 table, as ckge.bin stores it
+        stored_ckpt = dataclasses.replace(ckpt, entity_table=result.featurizer.table)
+        model, feat = km.load_ranker(meta_path, model_path, stored_ckpt, world.tset.entities, meta)
+        assert dataclasses.replace(model.cfg, lr=cfg.lr) == cfg and model.cfg.lr == 1
+        for name in ("n_dense", "n_behavior_kinds", "dense_mean", "dense_std"):
+            x, y = getattr(feat, name), getattr(result.featurizer, name)
+            assert np.asarray(x).dtype == np.asarray(y).dtype and np.array_equal(x, y), name
+        for name in result.model.store.names():
+            x, y = model.store.value(name), result.model.store.value(name)
+            assert x.dtype == y.dtype == np.float32 and np.array_equal(x, y), name
+        ds = feat.prepare(split.test)
+        a = result.model.predict_batch(ds.batch(np.arange(ds.n)))
+        assert np.array_equal(a, model.predict_batch(ds.batch(np.arange(ds.n))))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.bin"

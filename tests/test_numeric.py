@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from kdcn.errors import DimensionError, TrainingError
 from kdcn import numeric
-from kdcn.numeric import ParamStore, adam_step, finite_diff_check, incidence, sigmoid
+from kdcn.numeric import ParamStore, adam_step, incidence, sigmoid
 from kdcn.rng import RngStream
-from oracles import adam_reference, conv_seq, matmul, softmax_rows, two_branch_sigmoid
+from oracles import adam_reference, conv_seq, finite_diff_check, matmul, softmax_rows, two_branch_sigmoid
 
 
 class TestMatmul:

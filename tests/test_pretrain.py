@@ -10,9 +10,20 @@ import kdcn.pretrain as pt
 from kdcn.datagen import WorldConfig, generate_world
 from kdcn.errors import CapacityError, ConfigError, DimensionError, FormatError, SamplingError
 from kdcn.graph import RELATIONS, Graph, Triple, TripleSet
-from kdcn.numeric import finite_diff_check, sigmoid
+from kdcn.numeric import sigmoid
 from kdcn.rng import RngStream
-from oracles import encode_stack, gcn_layer, hits_at_k_reference, layer_draws, normalized_adjacency
+from oracles import (
+    encode_stack,
+    finite_diff_check,
+    gcn_layer,
+    hits_at_k_reference,
+    init_params,
+    layer_draws,
+    margin_loss,
+    normalized_adjacency,
+    pretrain_loss,
+    transe_score,
+)
 from test_model import RejectsFloat64, float_dtypes, slot_dtypes
 
 
@@ -59,7 +70,7 @@ class TestEncode:
         w = small_world()
         g = Graph(w.tset)
         cfg = pt.PretrainConfig(dim=4, layers=1)
-        params = pt.init_params(g.n_entities, 9, cfg, RngStream(1))
+        params = init_params(g.n_entities, 9, cfg, RngStream(1))
         out = pt.encode_entities(params, g, cfg)
         dense = normalized_adjacency(g, self_loops=True, kind="sym")
         expected = gcn_layer(params.entity_table, dense, params.gcn_weights[0])
@@ -71,7 +82,7 @@ class TestEncode:
             ts.entity_id("user", f"u{i}", create=True)
         g = Graph(ts)
         cfg = pt.PretrainConfig(dim=4, layers=1)
-        params = pt.init_params(3, 9, cfg, RngStream(2))
+        params = init_params(3, 9, cfg, RngStream(2))
         out = pt.encode_entities(params, g, cfg)
         expected = sigmoid(params.entity_table @ params.gcn_weights[0])
         assert np.abs(out - expected).max() < 1e-12
@@ -106,7 +117,7 @@ class TestEncode:
             ts.entity_id("user", f"u{i}", create=True)
         g = Graph(ts)
         cfg = pt.PretrainConfig(dim=2, layers=1)
-        params = pt.init_params(g.n_entities, 9, cfg, RngStream(0))
+        params = init_params(g.n_entities, 9, cfg, RngStream(0))
         out = pt.encode_entities(params, g, cfg)
         expected = sigmoid(params.entity_table @ params.gcn_weights[0])
         assert np.abs(out - expected).max() < 1e-12
@@ -119,7 +130,7 @@ class TestEncode:
         cfg_samp = pt.PretrainConfig(
             dim=6, layers=2, aggregation="mean", mode="sampled", fanout=fanout
         )
-        params = pt.init_params(g.n_entities, 9, cfg_full, RngStream(3))
+        params = init_params(g.n_entities, 9, cfg_full, RngStream(3))
         full = pt.encode_entities(params, g, cfg_full)
         samp = pt.encode_entities(params, g, cfg_samp, RngStream(4))
         assert np.abs(full - samp).max() < 1e-9
@@ -213,7 +224,7 @@ class TestRestrictedEncoder:
         g = Graph(w.tset)
         n = g.n_entities
         cfg = pt.PretrainConfig(dim=5, layers=2, **self.MODES[mode])
-        params = pt.init_params(n, 9, cfg, RngStream(23))
+        params = init_params(n, 9, cfg, RngStream(23))
         operators = pt.sample_layer_draws(g, cfg, RngStream(24))
         rng = RngStream(25)
         tr = w.tset.triples[0]
@@ -293,20 +304,20 @@ class TestCorruptBatch:
 
 class TestTranseScore:
     def test_exact_translation(self):
-        assert pt.transe_score([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]) == 0.0
+        assert transe_score([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]) == 0.0
 
     def test_hand_norm(self):
-        assert pt.transe_score([1.0, 2.0], [3.0, 4.0], [0.0, 0.0]) == pytest.approx(
+        assert transe_score([1.0, 2.0], [3.0, 4.0], [0.0, 0.0]) == pytest.approx(
             np.sqrt(52.0), rel=1e-12
         )
 
     def test_reversal_symmetry(self):
         h, r, t = (RngStream(6).uniform(-1, 1, 3) for _ in range(3))
-        assert pt.transe_score(h, r, t) == pytest.approx(pt.transe_score(t, -r, h), rel=1e-12)
+        assert transe_score(h, r, t) == pytest.approx(transe_score(t, -r, h), rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            pt.transe_score([1.0], [1.0, 2.0], [1.0])
+            transe_score([1.0], [1.0, 2.0], [1.0])
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=4))
@@ -314,8 +325,8 @@ class TestTranseScore:
         rng = RngStream(7)
         h, r, t = (rng.uniform(-1, 1, len(c)) for _ in range(3))
         shift = np.array(c)
-        assert pt.transe_score(h + shift, r, t + shift) == pytest.approx(
-            pt.transe_score(h, r, t), abs=1e-9
+        assert transe_score(h + shift, r, t + shift) == pytest.approx(
+            transe_score(h, r, t), abs=1e-9
         )
 
 
@@ -424,17 +435,17 @@ class TestHitsAtK:
 
 class TestMarginLoss:
     def test_margin_satisfied(self):
-        assert pt.margin_loss([0.5], [2.0], 1.0) == 0.0
+        assert margin_loss([0.5], [2.0], 1.0) == 0.0
 
     def test_margin_violated(self):
-        assert pt.margin_loss([2.0], [1.0], 1.0) == 2.0
+        assert margin_loss([2.0], [1.0], 1.0) == 2.0
 
     def test_boundary(self):
-        assert pt.margin_loss([1.3, 0.2], [1.3, 0.2], 1.0) == pytest.approx(2.0)
+        assert margin_loss([1.3, 0.2], [1.3, 0.2], 1.0) == pytest.approx(2.0)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            pt.margin_loss([1.0], [1.0, 2.0], 1.0)
+            margin_loss([1.0], [1.0, 2.0], 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -443,9 +454,9 @@ class TestMarginLoss:
     )
     def test_nonnegative_and_zero_iff_satisfied(self, pos, gamma):
         neg = [p + gamma + 0.1 for p in pos]
-        assert pt.margin_loss(pos, neg, gamma) == 0.0
+        assert margin_loss(pos, neg, gamma) == 0.0
         neg_bad = [p + gamma - 0.05 for p in pos]
-        assert pt.margin_loss(pos, neg_bad, gamma) > 0.0
+        assert margin_loss(pos, neg_bad, gamma) > 0.0
 
 
 class TestGradients:
@@ -456,7 +467,7 @@ class TestGradients:
         mode = "full" if seed % 2 == 0 else "sampled"
         cfg = pt.PretrainConfig(dim=4, layers=2, mode=mode, fanout=3)
         rng = RngStream(seed)
-        params = pt.init_params(g.n_entities, 9, cfg, rng.child("init"))
+        params = init_params(g.n_entities, 9, cfg, rng.child("init"))
         triples = np.array([[t.head, t.relation, t.tail] for t in w.tset.triples])
         pos = triples[:8]
         rng_neg = rng.child("neg")
@@ -471,7 +482,7 @@ class TestGradients:
         pt.pretrain_loss_grads(params, g, cfg, pos, neg, draws)
         for name in params.store.names():
             err = finite_diff_check(
-                lambda: pt.pretrain_loss(params, g, cfg, pos, neg, draws),
+                lambda: pretrain_loss(params, g, cfg, pos, neg, draws),
                 params.store,
                 name,
             )
@@ -544,7 +555,7 @@ class TestPretrainDtype:
         if dtype == np.float32:
             params = float32_params(g.n_entities, cfg, RngStream(1))
         else:
-            params = pt.init_params(g.n_entities, 9, cfg, RngStream(1))
+            params = init_params(g.n_entities, 9, cfg, RngStream(1))
         pos = g.triples.array[:16]
         neg = pt.corrupt_batch(pos, pt._known_keys(g.triples), g.n_entities, RngStream(2))
         draws = pt.sample_layer_draws(g, cfg, RngStream(3))
@@ -612,7 +623,7 @@ class TestConfigErrors:
         w = small_world()
         g = Graph(w.tset)
         cfg = pt.PretrainConfig(dim=4, mode="sampled")
-        params = pt.init_params(g.n_entities, 9, cfg, RngStream(0))
+        params = init_params(g.n_entities, 9, cfg, RngStream(0))
         pos = np.array([[t.head, t.relation, t.tail] for t in w.tset.triples[:2]])
         with pytest.raises(ConfigError):
             pt.encode_entities(params, g, cfg)
