@@ -98,7 +98,6 @@ class World:
     item_category: dict[str, str]
     item_categories: dict[str, list[str]]
     item_title_kws: dict[str, list[str]]
-    item_titles: dict[str, str]
     item_dense: dict[str, list[float]]
     category_keywords: dict[str, list[str]]
     items_by_category: dict[str, list[str]]
@@ -155,7 +154,6 @@ def generate_world(cfg: WorldConfig) -> World:
     item_category = {}
     item_categories = {}
     item_title_kws = {}
-    item_titles = {}
     item_dense = {}
     items_by_category = {c: [] for c in cats}
     for idx, item in enumerate(items):
@@ -173,7 +171,6 @@ def generate_world(cfg: WorldConfig) -> World:
         n_kw = int(rng.integers(3, 7))
         title_kws = _pick_distinct(rng, category_keywords[cat], n_kw)
         item_title_kws[item] = title_kws
-        item_titles[item] = " ".join(title_kws)
         props = [
             {"property": PROPERTY_NAMES[p % len(PROPERTY_NAMES)],
              "value": _pick(rng, category_values[cat])}
@@ -194,7 +191,7 @@ def generate_world(cfg: WorldConfig) -> World:
                     "category": c,
                     "seller": seller,
                     "properties": props,
-                    "title": item_titles[item],
+                    "title": " ".join(title_kws),
                     "dense": dense,
                 }
             )
@@ -236,7 +233,6 @@ def generate_world(cfg: WorldConfig) -> World:
         item_category=item_category,
         item_categories=item_categories,
         item_title_kws=item_title_kws,
-        item_titles=item_titles,
         item_dense=item_dense,
         category_keywords=category_keywords,
         items_by_category=items_by_category,

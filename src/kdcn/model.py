@@ -130,6 +130,8 @@ class TrainConfig:
         require_finite_positive(self, "lr")
         if not self.conv_widths or min(self.conv_widths) < 1:
             raise ConfigError(f"TrainConfig.conv_widths must hold widths >= 1, got {self.conv_widths}")
+        if len(set(self.conv_widths)) < len(self.conv_widths):
+            raise ConfigError(f"TrainConfig.conv_widths repeats a width: {self.conv_widths}")
 
 
 # named ablations used by the evaluation report
@@ -143,9 +145,7 @@ ABLATIONS: dict[str, dict] = {
 
 
 def ablation_config(base: TrainConfig, name: str) -> TrainConfig:
-    overrides = ABLATIONS[name]
-    kwargs = {**base.__dict__, **overrides}
-    return TrainConfig(**kwargs)
+    return replace(base, **ABLATIONS[name])
 
 
 @dataclass
@@ -325,7 +325,10 @@ class Featurizer:
     def category_slots(self, categories: list[list[str]]) -> np.ndarray:
         """Category indices of the first n_cat_slots categories per row, -1 padded."""
         slots = self.cfg.n_cat_slots
-        indptr, ids = csr_lists([cats[:slots] for cats in categories], self.category_index)
+        try:
+            indptr, ids = csr_lists([cats[:slots] for cats in categories], self.category_index)
+        except KeyError as exc:
+            raise KeyError(f"unknown category '{exc.args[0]}'") from None
         out = np.full((len(categories), slots), -1, dtype=np.int64)
         out[np.arange(slots) < np.diff(indptr)[:, None]] = ids
         return out
@@ -587,13 +590,11 @@ class KdcnModel:
                 cache["deep"].append({"x": x, "mask": z > 0})
                 x = relu(z)
             towers.append(x)
-            cache["x_deep"] = x
         z_out = np.concatenate(towers, axis=1)
         cache["z_out"] = z_out
         logit = (z_out @ self.store.value("logits_w"))[:, 0]
-        p = sigmoid(logit)
-        cache["logit"], cache["p"] = logit, p
-        return p, cache
+        cache["logit"] = logit
+        return sigmoid(logit), cache
 
     def predict_batch(self, batch: Batch) -> np.ndarray:
         return self.forward(batch)[0]

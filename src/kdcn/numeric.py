@@ -1,12 +1,13 @@
 """Numeric core: activations, Adam and checked sparse incidence.
 
-All tensors are 2-D float arrays in row-major order ("Tensor2D"), float32 or
-float64. Every function here keeps its operand's dtype; anything else (lists,
-ints) becomes float64. Pretraining and the ranker train in float32, the
-precision the checkpoint and model files store, and the ranker serves it; the
-gradient oracle runs in float64. Model code works with plain arrays;
-trainable state lives in a ParamStore, whose slots pair a value with its
-gradient accumulator and Adam moments, all of the value's dtype.
+All tensors are 2-D float arrays in row-major order, float32 or float64.
+Every function here keeps its operand's dtype; anything else (lists, ints)
+becomes float64. Pretraining and the ranker train in float32, the precision
+the checkpoint and model files store, and the ranker serves it; the gradient
+oracle runs in float64. Model code works with plain arrays; trainable state
+lives in a ParamStore, whose named slots pair a value with its gradient
+accumulator and Adam moments, all of the value's dtype. Pretraining and the
+ranker both hold their parameters in one and read them by slot name.
 Backward passes elsewhere in the package are written by hand per layer; the
 finite-difference checker that keeps them honest is a test oracle
 (tests/oracles.py).
@@ -31,8 +32,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionError, TrainingError
-
-Tensor2D = np.ndarray  # 2-D float32 or float64, row-major
 
 # mallopt parameters and values (glibc malloc.h); 32 MiB is the largest mmap
 # threshold glibc accepts on 64-bit. Setting the trim threshold alone would
@@ -123,9 +122,6 @@ class ParamStore:
         v = tensor(value)
         self.slots[name] = Slot(v, np.zeros_like(v), np.zeros_like(v), np.zeros_like(v))
         return v
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.slots
 
     def __getitem__(self, name: str) -> Slot:
         return self.slots[name]

@@ -29,6 +29,8 @@ all-rows case. Negatives are drawn per batch as arrays: head/tail flips
 and candidate ids, checked against the sorted keys of the known triples,
 with only the rejected rows redrawn; hits_at_k draws its candidates alike.
 
+The params are a ParamStore with the slots entity_table, relation_table
+and gcn_w0 .. gcn_w{L-1}, read by name as the ranker reads its own.
 pretrain trains in float32, the precision ckge.bin stores: it builds its
 params from the float64 draws of init_draws rounded once, and every operator
 below it keeps the dtype of the params it is given, so the parameters, their
@@ -83,26 +85,6 @@ class PretrainConfig:
             raise ConfigError(f"unknown aggregation '{self.aggregation}'")
 
 
-class PretrainParams:
-    """View over a ParamStore holding the encoder and scorer parameters."""
-
-    def __init__(self, store: ParamStore, layers: int):
-        self.store = store
-        self.layers = layers
-
-    @property
-    def entity_table(self) -> np.ndarray:
-        return self.store.value("entity_table")
-
-    @property
-    def relation_table(self) -> np.ndarray:
-        return self.store.value("relation_table")
-
-    @property
-    def gcn_weights(self) -> list[np.ndarray]:
-        return [self.store.value(f"gcn_w{i}") for i in range(self.layers)]
-
-
 def init_draws(
     n_entities: int, n_relations: int, cfg: PretrainConfig, rng: RngStream
 ) -> dict[str, np.ndarray]:
@@ -117,12 +99,12 @@ def init_draws(
     return draws
 
 
-def params_from(values: dict[str, np.ndarray], layers: int) -> PretrainParams:
-    """Params whose slots hold values, in their dtype."""
+def params_from(values: dict[str, np.ndarray]) -> ParamStore:
+    """A store whose slots hold values, in their dtype."""
     store = ParamStore()
     for name, value in values.items():
         store.add(name, value)
-    return PretrainParams(store, layers)
+    return store
 
 
 def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream | None = None) -> list:
@@ -198,42 +180,43 @@ def _restrict(operators: list, rows: np.ndarray, dtype: np.dtype):
     return rows, compact[::-1]
 
 
-def _encode_forward(params: PretrainParams, operators: list, rows: np.ndarray):
+def _encode_forward(params: ParamStore, operators: list, rows: np.ndarray):
     """Encoder output at the given entity rows, computing only what they need.
 
     Layer l computes sigmoid(A_l @ x @ W_l) over its compact rows (see
-    _restrict). Returns (output, cache) for the matching backward.
+    _restrict), W_l the slot gcn_w{l}. Returns (output, cache) for the
+    matching backward.
     """
-    table_rows, compact = _restrict(operators, rows, params.entity_table.dtype)
-    x = params.entity_table[table_rows]
+    table = params.value("entity_table")
+    table_rows, compact = _restrict(operators, rows, table.dtype)
+    x = table[table_rows]
     cache: dict = {"table_rows": table_rows, "operators": compact, "inputs": [], "outputs": []}
-    for a, w in zip(compact, params.gcn_weights):
+    for i, a in enumerate(compact):
         propagated = a @ x
-        x = sigmoid(propagated @ w)
+        x = sigmoid(propagated @ params.value(f"gcn_w{i}"))
         cache["inputs"].append(propagated)
         cache["outputs"].append(x)
     return x, cache
 
 
-def _encode_backward(params: PretrainParams, cache: dict, d_out: np.ndarray):
+def _encode_backward(params: ParamStore, cache: dict, d_out: np.ndarray):
     """Backprop through the restricted stack.
 
     Returns (d_table, [dW...]), where d_table holds the gradient of the
     entity-table rows cache["table_rows"].
     """
-    weights = params.gcn_weights
-    d_ws = [None] * len(weights)
+    d_ws = [None] * len(cache["operators"])
     grad = d_out
-    for layer in range(len(weights) - 1, -1, -1):
+    for layer in range(len(d_ws) - 1, -1, -1):
         out = cache["outputs"][layer]
         pre = grad * out * (1.0 - out)
         d_ws[layer] = cache["inputs"][layer].T @ pre
-        grad = cache["operators"][layer].T @ (pre @ weights[layer].T)
+        grad = cache["operators"][layer].T @ (pre @ params.value(f"gcn_w{layer}").T)
     return grad, d_ws
 
 
 def encode_entities(
-    params: PretrainParams,
+    params: ParamStore,
     g: Graph,
     cfg: PretrainConfig,
     rng: RngStream | None = None,
@@ -314,7 +297,7 @@ def negative_sample(triple: Triple, g: Graph, rng: RngStream, max_attempts: int 
     return Triple(*row.tolist())
 
 
-def _pair_scores(params: PretrainParams, operators: list, pos: np.ndarray, neg: np.ndarray):
+def _pair_scores(params: ParamStore, operators: list, pos: np.ndarray, neg: np.ndarray):
     """Score the stacked pairs (positives, then negatives), encoding only their rows.
 
     Returns the pairs, each pair's (head, tail) position among the encoded
@@ -324,12 +307,12 @@ def _pair_scores(params: PretrainParams, operators: list, pos: np.ndarray, neg: 
     rows, ends = np.unique(pairs[:, [0, 2]].ravel(), return_inverse=True)
     ends = ends.reshape(-1, 2)
     x, cache = _encode_forward(params, operators, rows)
-    diff = x[ends[:, 0]] + params.relation_table[pairs[:, 1]] - x[ends[:, 1]]
+    diff = x[ends[:, 0]] + params.value("relation_table")[pairs[:, 1]] - x[ends[:, 1]]
     return pairs, ends, diff, np.linalg.norm(diff, axis=1), cache
 
 
 def pretrain_loss_grads(
-    params: PretrainParams,
+    params: ParamStore,
     g: Graph,
     cfg: PretrainConfig,
     pos: np.ndarray,
@@ -358,14 +341,13 @@ def pretrain_loss_grads(
     m = cache["operators"][-1].shape[0]
     targets = np.stack([ends[:, 0], ends[:, 1], m + pairs[:, 1]], axis=1).ravel()
     signs = np.tile(np.array([1.0, -1.0, 1.0], dtype=s.dtype), len(pairs))
-    d_all = incidence(targets, signs, m + len(params.relation_table), per_col=3) @ unit
+    d_all = incidence(targets, signs, m + len(params.value("relation_table")), per_col=3) @ unit
 
     d_table, d_ws = _encode_backward(params, cache, d_all[:m])
-    store = params.store
-    store.grad("entity_table")[cache["table_rows"]] += d_table
-    store.grad("relation_table")[...] += d_all[m:]
+    params.grad("entity_table")[cache["table_rows"]] += d_table
+    params.grad("relation_table")[...] += d_all[m:]
     for i, dw in enumerate(d_ws):
-        store.grad(f"gcn_w{i}")[...] += dw
+        params.grad(f"gcn_w{i}")[...] += dw
     return loss
 
 
@@ -405,7 +387,7 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
     rng_encode = rng.child("encode")
 
     drawn = init_draws(tset.n_entities, tset.n_relations, cfg, rng_init)
-    params = params_from({name: d.astype(np.float32) for name, d in drawn.items()}, cfg.layers)
+    params = params_from({name: d.astype(np.float32) for name, d in drawn.items()})
     del drawn  # free the float64 draws before training
     triples = tset.array
     npp = cfg.negatives_per_positive
@@ -427,11 +409,11 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
                 )
             total += loss
             pairs += len(pos)
-            adam_step(params.store, cfg.lr)
+            adam_step(params, cfg.lr)
         losses.append(total / max(pairs, 1))
 
     entity_out = encode_entities(params, g, cfg, rng_encode, full)
-    ckpt = PretrainCheckpoint(entity_out, params.relation_table.copy())
+    ckpt = PretrainCheckpoint(entity_out, params.value("relation_table").copy())
     return PretrainResult(ckpt, losses)
 
 

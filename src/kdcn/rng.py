@@ -1,10 +1,11 @@
 """Deterministic random streams.
 
-Every stochastic step in the pipeline draws from an RngStream, which wraps
-numpy's PCG64 bit generator seeded with an explicit 64-bit integer. The same
-seed yields the same draw sequence on any platform. Independent substreams
-are derived by hashing the parent seed with a label (SHA-256, first 8 bytes),
-so e.g. negative sampling and neighbor sampling never perturb each other's
+Every stochastic step in the pipeline draws from an RngStream: a numpy
+Generator over the PCG64 bit generator, seeded with an explicit 64-bit
+integer, so every Generator draw method is available as is. The same seed
+yields the same draw sequence on any platform. Independent substreams are
+derived by hashing the parent seed with a label (SHA-256, first 8 bytes), so
+e.g. negative sampling and neighbor sampling never perturb each other's
 sequences no matter how often either is called.
 """
 
@@ -17,39 +18,17 @@ import numpy as np
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-class RngStream:
-    """A seeded PCG64 stream with labelled child streams."""
+class RngStream(np.random.Generator):
+    """A numpy Generator on PCG64(seed mod 2**64) with labelled child streams."""
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _U64
-        self.gen = np.random.Generator(np.random.PCG64(self.seed))
+        super().__init__(np.random.PCG64(self.seed))
 
     def child(self, label: str) -> "RngStream":
         """Derive an independent stream keyed by (seed, label)."""
         digest = hashlib.sha256(f"{self.seed}:{label}".encode("utf-8")).digest()
         return RngStream(int.from_bytes(digest[:8], "little"))
-
-    # thin delegates for the draws the pipeline actually uses
-    def random(self, size=None):
-        return self.gen.random(size)
-
-    def uniform(self, low, high, size=None):
-        return self.gen.uniform(low, high, size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self.gen.normal(loc, scale, size)
-
-    def integers(self, low, high=None, size=None):
-        return self.gen.integers(low, high, size)
-
-    def choice(self, a, size=None, replace=True):
-        return self.gen.choice(a, size=size, replace=replace)
-
-    def shuffle(self, x):
-        self.gen.shuffle(x)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self.gen.permutation(n)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed})"

@@ -39,7 +39,6 @@ from kdcn.numeric import ParamStore, relu, sigmoid
 from kdcn.pretrain import (
     PretrainCheckpoint,
     PretrainConfig,
-    PretrainParams,
     _pair_scores,
     init_draws,
     params_from,
@@ -278,8 +277,8 @@ def encode_stack(params, operators: list, d_out: np.ndarray):
     multiplies by S_l.T; nothing is restricted to the rows a batch reads.
     Returns (output, d_entity_table, [dW...]).
     """
-    weights = params.gcn_weights
-    x = params.entity_table
+    weights = [params.value(f"gcn_w{i}") for i in range(len(operators))]
+    x = params.value("entity_table")
     inputs, outputs = [], []
     for s, w in zip(operators, weights):
         inputs.append(s @ x)
@@ -295,9 +294,9 @@ def encode_stack(params, operators: list, d_out: np.ndarray):
     return x, grad, d_ws
 
 
-def init_params(n_entities: int, n_relations: int, cfg: PretrainConfig, rng: RngStream) -> PretrainParams:
+def init_params(n_entities: int, n_relations: int, cfg: PretrainConfig, rng: RngStream) -> ParamStore:
     """The float64 params of init_draws, as the gradient oracles start from them."""
-    return params_from(init_draws(n_entities, n_relations, cfg, rng), cfg.layers)
+    return params_from(init_draws(n_entities, n_relations, cfg, rng))
 
 
 def transe_score(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> float:
@@ -318,7 +317,7 @@ def margin_loss(pos, neg, gamma: float) -> float:
 
 
 def pretrain_loss(
-    params: PretrainParams,
+    params: ParamStore,
     g: Graph,
     cfg: PretrainConfig,
     pos: np.ndarray,

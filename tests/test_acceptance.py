@@ -77,13 +77,13 @@ def _pretrain_gradcheck(mode: str) -> float:
             ]
         )
         draws = pt.sample_layer_draws(g, cfg, rng.child("draws")) if mode == "sampled" else None
-        params.store.zero_grads()
+        params.zero_grads()
         pt.pretrain_loss_grads(params, g, cfg, pos, neg, draws)
         worst = max(
             finite_diff_check(
-                lambda: pretrain_loss(params, g, cfg, pos, neg, draws), params.store, name
+                lambda: pretrain_loss(params, g, cfg, pos, neg, draws), params, name
             )
-            for name in params.store.names()
+            for name in params.names()
         )
         worst_overall = worst if worst_overall is None else min(worst_overall, worst)
         if worst < 1e-4:

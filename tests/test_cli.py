@@ -330,6 +330,7 @@ class TestRankInputErrors:
             ("config.n_cat_slots", True),
             ("config.use_cross", "no"),
             ("config.conv_widths", []),
+            ("config.conv_widths", [2, 2]),
         ],
     )
     def test_bad_meta_file(self, trained, capsys, key, value):

@@ -875,10 +875,11 @@ class TestFit:
         with pytest.raises(ValueError):
             km.TrainConfig(use_cross=False, use_deep=False)
 
-    @pytest.mark.parametrize("widths", [(), (-1,), (0,), (2, 0)])
+    @pytest.mark.parametrize("widths", [(), (-1,), (0,), (2, 0), (2, 2)])
     def test_conv_widths_must_be_one_or_more_positive_widths(self, widths):
         # at the parent: () failed in fit on max() of an empty sequence, (-1,)
-        # overflowed, and (0,) trained a zero-width filter
+        # overflowed, (0,) trained a zero-width filter, and (2, 2) failed in
+        # KdcnModel.build on a slot added twice
         with pytest.raises(ConfigError, match=r"TrainConfig\.conv_widths"):
             km.TrainConfig(conv_widths=widths)
 
@@ -890,6 +891,14 @@ class TestFit:
         broken[3].dense = broken[3].dense[:-1]
         with pytest.raises(SchemaError):
             km.fit(broken, split.valid, ckpt, cfg, RngStream(16), world.tset.entities, meta)
+
+    def test_unknown_category_names_itself(self):
+        world, ckpt, split, meta, cfg = small_setup()
+        feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+        feat.fit_stats(split.train)
+        broken = dataclasses.replace(split.train[0], categories=["nope"])
+        with pytest.raises(KeyError, match="unknown category 'nope'"):
+            feat.prepare([split.train[1], broken])
 
     def test_lr_like_config_runs(self):
         world, ckpt, split, meta, cfg = small_setup(n_cross=0, use_deep=False, epochs=1)

@@ -39,7 +39,7 @@ def small_world(seed=2, **overrides):
 def float32_params(n_entities, cfg, rng):
     """The params pretrain() starts from: the draws of init_draws rounded to float32."""
     draws = pt.init_draws(n_entities, 9, cfg, rng)
-    return pt.params_from({name: d.astype(np.float32) for name, d in draws.items()}, cfg.layers)
+    return pt.params_from({name: d.astype(np.float32) for name, d in draws.items()})
 
 
 class TestGcnLayer:
@@ -73,7 +73,7 @@ class TestEncode:
         params = init_params(g.n_entities, 9, cfg, RngStream(1))
         out = pt.encode_entities(params, g, cfg)
         dense = normalized_adjacency(g, self_loops=True, kind="sym")
-        expected = gcn_layer(params.entity_table, dense, params.gcn_weights[0])
+        expected = gcn_layer(params.value("entity_table"), dense, params.value("gcn_w0"))
         assert np.abs(out - expected).max() < 1e-12
 
     def test_isolated_nodes_no_mixing(self):
@@ -84,7 +84,7 @@ class TestEncode:
         cfg = pt.PretrainConfig(dim=4, layers=1)
         params = init_params(3, 9, cfg, RngStream(2))
         out = pt.encode_entities(params, g, cfg)
-        expected = sigmoid(params.entity_table @ params.gcn_weights[0])
+        expected = sigmoid(params.value("entity_table") @ params.value("gcn_w0"))
         assert np.abs(out - expected).max() < 1e-12
 
     def test_sparse_normalization_matches_dense_op(self):
@@ -119,7 +119,7 @@ class TestEncode:
         cfg = pt.PretrainConfig(dim=2, layers=1)
         params = init_params(g.n_entities, 9, cfg, RngStream(0))
         out = pt.encode_entities(params, g, cfg)
-        expected = sigmoid(params.entity_table @ params.gcn_weights[0])
+        expected = sigmoid(params.value("entity_table") @ params.value("gcn_w0"))
         assert np.abs(out - expected).max() < 1e-12
 
     def test_sampled_equals_full_mean_at_covering_fanout(self):
@@ -478,12 +478,12 @@ class TestGradients:
             ]
         )
         draws = pt.sample_layer_draws(g, cfg, rng.child("draws")) if mode == "sampled" else None
-        params.store.zero_grads()
+        params.zero_grads()
         pt.pretrain_loss_grads(params, g, cfg, pos, neg, draws)
-        for name in params.store.names():
+        for name in params.names():
             err = finite_diff_check(
                 lambda: pretrain_loss(params, g, cfg, pos, neg, draws),
-                params.store,
+                params,
                 name,
             )
             assert err < 1e-4, f"seed {seed} slot {name}: {err}"
@@ -499,7 +499,7 @@ class TestPretrainLoop:
         fresh = float32_params(w.tset.n_entities, cfg, RngStream(11).child("init"))
         expected = pt.encode_entities(fresh, g, cfg)
         assert np.array_equal(result.checkpoint.entity_table, expected)
-        assert np.array_equal(result.checkpoint.relation_table, fresh.relation_table)
+        assert np.array_equal(result.checkpoint.relation_table, fresh.value("relation_table"))
         assert result.epoch_losses == []
 
     def test_same_seed_byte_identical_checkpoints(self, tmp_path):
@@ -583,11 +583,11 @@ class TestPretrainDtype:
         assert float_dtypes(cache) == self.F32
         assert {a.dtype for a in cache["operators"]} == self.F32
         # the backward adds into the gradients; none of its terms may be float64
-        for slot in params.store.slots.values():
+        for slot in params.slots.values():
             slot.grad = slot.grad.view(RejectsFloat64)
         pt.pretrain_loss_grads(params, g, cfg, pos, neg, draws)
-        assert slot_dtypes(params.store) == self.F32
-        assert all(np.any(slot.grad) for slot in params.store.slots.values())
+        assert slot_dtypes(params) == self.F32
+        assert all(np.any(slot.grad) for slot in params.slots.values())
 
     def test_float64_params_stay_float64(self):
         g = Graph(small_world(seed=4).tset)
@@ -597,7 +597,7 @@ class TestPretrainDtype:
         assert float_dtypes(cache) == self.F64
         assert {a.dtype for a in cache["operators"]} == self.F64
         pt.pretrain_loss_grads(params, g, cfg, pos, neg, draws)
-        assert slot_dtypes(params.store) == self.F64
+        assert slot_dtypes(params) == self.F64
         assert pt.encode_entities(params, g, cfg, draws=draws).dtype == np.float64
 
     def test_checkpoint_file_round_trip_is_bit_exact(self, tmp_path):
