@@ -265,6 +265,9 @@ def cmd_rank(args, cfg: dict) -> None:
         raise KdcnError(f"user '{args.user}' has no sample in {path}")
     if candidates is None:
         candidates = sorted(item_meta, key=featurizer.item_id)[: mdl.cfg.candidate_cap]
+        if not candidates:
+            path = args.events or out / "events.jsonl"
+            raise KdcnError(f"{path} has no item_listing event, so rank has no candidate to score")
     repeated = sorted(name for name, n in Counter(candidates).items() if n > 1)
     if repeated:
         raise KdcnError(f"--candidates lists {', '.join(repeated)} more than once")

@@ -14,6 +14,14 @@ c, then writes the n x F output once; cross_tower_backward mirrors that
 with one GEMM into df and one into the stacked weight gradient. The cache
 holds G, c and the bias prefix sums instead of L copies of the n x F x_l.
 
+The user-state block is a text-CNN over the per-kind behavior means, run
+as kn2row: the means are one (contexts, k_eff, d) array, kinds on axis 1
+and zero rows past the kind count up to the widest filter. One GEMM takes
+every behavior row against every tap of every filter, and a width-w
+response at position t sums tap n's product at row t + n over the w taps.
+The backward scatters the pooled gradient into those shifted slices and
+runs one GEMM for the filter gradients and, fine-tuned, one for the means.
+
 The dialogue block is multi-head self-attention over the query and title
 keyword embeddings, run over a head axis, and it returns the mean of the
 attention output over the query keywords and over the title keywords:
@@ -478,31 +486,55 @@ class KdcnModel:
     # ---- batched forward -------------------------------------------------
 
     def _behavior_matrices(self, batch: Batch, table: np.ndarray) -> np.ndarray:
-        """(contexts, d, k_eff) per-kind behavior means, zero-padded to the widest filter."""
+        """(contexts, k_eff, d) per-kind behavior means, kinds on axis 1.
+
+        k_eff is the larger of the kind count and the widest filter; the
+        rows past the kind count are zero.
+        """
         k = self.n_behavior_kinds
-        k_eff = max(k, max(self.cfg.conv_widths))
         mean = batch.pool @ table
         n_ctx = len(mean) // k
-        bmat = np.zeros((n_ctx, self.dim, k_eff), dtype=self.dtype)
-        bmat[:, :, :k] = mean.reshape(n_ctx, k, self.dim).transpose(0, 2, 1)
+        bmat = np.zeros((n_ctx, max(k, max(self.cfg.conv_widths)), self.dim), dtype=self.dtype)
+        bmat[:, :k] = mean.reshape(n_ctx, k, self.dim)
         return bmat
 
+    def _conv_taps(self) -> np.ndarray:
+        """Every filter tap as the columns of one (d, sum of filters * width) array.
+
+        Width w's block starts after the smaller widths' and holds tap n of
+        every filter at columns n * filters .. (n + 1) * filters of it.
+        """
+        n_f = self.cfg.conv_filters
+        blocks = []
+        for width in sorted(self.cfg.conv_widths):
+            filters = self.store.value(f"conv_w{width}").reshape(n_f, self.dim, width)
+            blocks.append(filters.transpose(1, 2, 0).reshape(self.dim, width * n_f))
+        return np.concatenate(blocks, axis=1)
+
     def _user_state_forward(self, bmat: np.ndarray, cache: dict) -> np.ndarray:
-        cfg = self.cfg
-        pooled_parts = []
-        cache["conv"] = {}
-        for width in sorted(cfg.conv_widths):
-            filters = self.store.value(f"conv_w{width}").reshape(
-                cfg.conv_filters, self.dim, width
-            )
-            bias = self.store.value(f"conv_b{width}")[:, 0]
-            p = bmat.shape[2] - width + 1
-            windows = np.stack([bmat[:, :, t : t + width] for t in range(p)], axis=1)
-            vals = np.einsum("bpdn,fdn->bfp", windows, filters) + bias[None, :, None]
-            arg = vals.argmax(axis=2)
-            m = np.take_along_axis(vals, arg[:, :, None], axis=2)[:, :, 0]
+        """Each context's max-pooled ReLU filter responses, (contexts, u_dim).
+
+        kn2row: one GEMM applies every tap of every filter to every behavior
+        row, and a width-w response at position t adds tap n's product at row
+        t + n for n < w.
+        """
+        n_f = self.cfg.conv_filters
+        n_ctx, k_eff, _ = bmat.shape
+        taps = self._conv_taps()
+        y = (bmat.reshape(n_ctx * k_eff, self.dim) @ taps).reshape(n_ctx, k_eff, taps.shape[1])
+        pooled_parts, per_width = [], []
+        col = 0
+        for width in sorted(self.cfg.conv_widths):
+            p = k_eff - width + 1
+            vals = y[:, :p, col : col + n_f] + self.store.value(f"conv_b{width}")[:, 0]
+            for n in range(1, width):
+                vals += y[:, n : n + p, col + n * n_f : col + (n + 1) * n_f]
+            arg = vals.argmax(axis=1)
+            m = np.take_along_axis(vals, arg[:, None], axis=1)[:, 0]
             pooled_parts.append(relu(m))
-            cache["conv"][width] = {"windows": windows, "arg": arg, "max": m}
+            per_width.append((width, col, arg, m))
+            col += width * n_f
+        cache["conv"] = (taps, per_width)
         return np.concatenate(pooled_parts, axis=1)
 
     def _attn_weights(self) -> np.ndarray:
@@ -559,7 +591,8 @@ class KdcnModel:
         cat_table = self.store.value("cat_table")
         gathered = cat_table[np.maximum(batch.cat_idx, 0)]
         gathered *= (batch.cat_idx >= 0)[:, :, None]
-        parts = [gathered.reshape(batch.n, -1), batch.dense]
+        # the known width, since a 0-row batch cannot infer it
+        parts = [gathered.reshape(batch.n, cfg.n_cat_slots * cfg.cat_dim), batch.dense]
         if cfg.use_user_state:
             bmat = self._behavior_matrices(batch, table)
             cache["bmat"] = bmat
@@ -653,33 +686,32 @@ class KdcnModel:
         offset = s_cat + self.n_dense
 
         if cfg.use_user_state:
-            n_ctx = len(cache["bmat"])
+            bmat, (taps, per_width) = cache["bmat"], cache["conv"]
+            n_ctx, k_eff, _ = bmat.shape
             # the rows of a context share its user state, so their gradients add up
             du = scatter_rows(batch.context, df[:, offset : offset + self.u_dim], n_ctx)
             offset += self.u_dim
-            dbmat = np.zeros_like(cache["bmat"]) if finetune else None
-            col = 0
-            for width in sorted(cfg.conv_widths):
-                conv_cache = cache["conv"][width]
-                n_f = cfg.conv_filters
-                dpooled = du[:, col : col + n_f] * (conv_cache["max"] > 0)
-                col += n_f
-                p = conv_cache["windows"].shape[1]
-                dvals = np.zeros((n_ctx, n_f, p), dtype=self.dtype)
-                np.put_along_axis(dvals, conv_cache["arg"][:, :, None], dpooled[:, :, None], axis=2)
-                store.grad(f"conv_w{width}")[...] += np.einsum(
-                    "bfp,bpdn->fdn", dvals, conv_cache["windows"]
-                ).reshape(n_f, -1)
-                store.grad(f"conv_b{width}")[...] += dvals.sum(axis=(0, 2))[:, None]
-                if finetune:
-                    filters = store.value(f"conv_w{width}").reshape(n_f, self.dim, width)
-                    dwin = np.einsum("bfp,fdn->bpdn", dvals, filters)
-                    for t in range(p):
-                        dbmat[:, :, t : t + width] += dwin[:, t]
+            n_f = cfg.conv_filters
+            # the forward's shifted adds, backwards: tap n of a width-w filter
+            # at position t reads behavior row t + n
+            dy = np.zeros((n_ctx, k_eff, taps.shape[1]), dtype=self.dtype)
+            for i, (width, col, arg, m) in enumerate(per_width):
+                p = k_eff - width + 1
+                dvals = np.zeros((n_ctx, p, n_f), dtype=self.dtype)
+                dpooled = du[:, i * n_f : (i + 1) * n_f] * (m > 0)
+                np.put_along_axis(dvals, arg[:, None], dpooled[:, None], axis=1)
+                store.grad(f"conv_b{width}")[...] += dvals.sum(axis=(0, 1))[:, None]
+                for n in range(width):
+                    dy[:, n : n + p, col + n * n_f : col + (n + 1) * n_f] = dvals
+            dy = dy.reshape(n_ctx * k_eff, taps.shape[1])
+            dtaps = bmat.reshape(n_ctx * k_eff, self.dim).T @ dy
+            for width, col, _, _ in per_width:
+                block = dtaps[:, col : col + width * n_f].reshape(self.dim, width, n_f)
+                store.grad(f"conv_w{width}")[...] += block.transpose(2, 0, 1).reshape(n_f, -1)
             if finetune:
                 k = self.n_behavior_kinds
-                dmean = dbmat[:, :, :k].transpose(0, 2, 1).reshape(n_ctx * k, self.dim)
-                dtable += batch.pool.T @ dmean
+                dmean = (dy @ taps.T).reshape(n_ctx, k_eff, self.dim)[:, :k]
+                dtable += batch.pool.T @ dmean.reshape(n_ctx * k, self.dim)
 
         if cfg.use_dialogue:
             slots, x, proj, buckets = cache["attn"]
@@ -848,6 +880,9 @@ def fit(
 
 
 def score_dataset(model: KdcnModel, dataset: Dataset, batch_size: int = 1024) -> list[float]:
+    """The model's click probabilities for every row of dataset, in row order."""
+    if batch_size < 1:
+        raise ConfigError(f"score_dataset batch_size must be >= 1, got {batch_size}")
     scores: list[float] = []
     for start in range(0, dataset.n, batch_size):
         idx = np.arange(start, min(start + batch_size, dataset.n))

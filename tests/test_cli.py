@@ -399,6 +399,16 @@ class TestRankInputErrors:
         err = self.rank_errors(trained, capsys, "--candidates", "item0")
         assert "kdcn.meta.json" in err[0], err
 
+    def test_events_without_items_and_no_candidates(self, trained, capsys):
+        # without --candidates rank scores the listed items; here there are none
+        lines = (trained / "events.jsonl").read_text().splitlines()
+        kept = [line for line in lines if json.loads(line)["type"] != "item_listing"]
+        assert kept and len(kept) < len(lines)
+        events = trained / "no_items.jsonl"
+        events.write_text("\n".join(kept) + "\n")
+        err = self.rank_errors(trained, capsys, "--events", str(events))
+        assert "no_items.jsonl" in err[0] and "item_listing" in err[0], err
+
 
 # every file each subcommand reads, by flag; a trained directory supplies the others
 INPUT_FLAGS = {

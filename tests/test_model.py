@@ -702,14 +702,14 @@ class TestGradients:
 SHARED_CONTEXT = np.array([0, 2, 0, 1, 1, 0, 2, 1, 0, 2])
 
 
-def shared_context_case(finetune):
+def shared_context_case(finetune, **overrides):
     """A build function, a batch of 10 rows over 3 shared behavior contexts,
     and the same batch with each row's context repeated as its own.
 
     The rows take their keywords, categories and dense statistics from 10
     training samples and their behaviors from 3 others.
     """
-    world, ckpt, split, meta, cfg = small_setup(seed=3, finetune_embeddings=finetune)
+    world, ckpt, split, meta, cfg = small_setup(seed=3, finetune_embeddings=finetune, **overrides)
     feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
     feat.fit_stats(split.train)
     rows = feat.prepare(split.train[:10]).batch(np.arange(10))
@@ -736,17 +736,79 @@ class TestSharedContext:
 
     @pytest.mark.parametrize("finetune", [False, True])
     def test_equals_one_context_per_row(self, finetune):
-        build, shared, per_row = shared_context_case(finetune)
-        grads = []
-        for batch in (shared, per_row):
-            model = build()
-            _, p = model.loss_and_grads(batch)
-            grads.append((p, {name: model.store.grad(name).copy() for name in model.store.names()}))
-        (p_shared, g_shared), (p_rows, g_rows) = grads
-        assert np.array_equal(p_shared, p_rows)
-        assert g_shared.keys() == g_rows.keys()
-        for name in g_shared:
-            assert np.abs(g_shared[name] - g_rows[name]).max() <= 1e-15, name
+        assert_shared_equals_per_row(finetune)
+
+
+def assert_shared_equals_per_row(finetune, **overrides):
+    build, shared, per_row = shared_context_case(finetune, **overrides)
+    grads = []
+    for batch in (shared, per_row):
+        model = build()
+        _, p = model.loss_and_grads(batch)
+        grads.append((p, {name: model.store.grad(name).copy() for name in model.store.names()}))
+    (p_shared, g_shared), (p_rows, g_rows) = grads
+    assert np.array_equal(p_shared, p_rows)
+    assert g_shared.keys() == g_rows.keys()
+    for name in g_shared:
+        assert np.abs(g_shared[name] - g_rows[name]).max() <= 1e-15, name
+
+
+class TestConvWidths:
+    """The user-state block at filter widths below, at and above the 4 behavior kinds.
+
+    A width above the kind count pads the behavior rows with zeros (k_eff).
+    """
+
+    WIDTHS = [(1,), (3,), (2, 4), (1, 5)]
+
+    @pytest.mark.parametrize("widths", WIDTHS, ids=str)
+    def test_user_state_matches_oracle(self, widths):
+        from oracles import BehaviorLog, behavior_matrix, user_state
+
+        world, ckpt, split, meta, cfg = small_setup(conv_widths=widths)
+        feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+        feat.fit_stats(split.train)
+        assert feat.n_behavior_kinds == 4
+        model = km.KdcnModel.build(cfg, feat, RngStream(3))
+        # nonzero biases, so that a misplaced bias shows
+        for width in widths:
+            bias = model.store.value(f"conv_b{width}")
+            bias[...] = RngStream(4).uniform(-0.05, 0.05, bias.shape)
+        samples = edge_samples(feat, split.train[:12])
+        batch = feat.prepare(samples).batch(np.arange(len(samples)))
+        u = model._user_state_forward(model._behavior_matrices(batch, feat.table), {})
+        assert u.shape == (len(samples), len(widths) * cfg.conv_filters)
+        assert (u > 0).reshape(len(samples), len(widths), -1).any(axis=(0, 2)).all()
+        conv = conv_params(model)
+        for i, s in enumerate(samples):
+            blog = BehaviorLog([[feat.item_id(n) for n in b] for b in s.behaviors])
+            assert np.abs(u[i] - user_state(behavior_matrix(blog, feat.table), conv)).max() <= 1e-12
+
+    @pytest.mark.parametrize("finetune", [False, True])
+    @pytest.mark.parametrize("widths", WIDTHS, ids=str)
+    def test_slots_match_finite_differences(self, widths, finetune):
+        world, ckpt, split, meta, cfg = small_setup(
+            seed=5, conv_widths=widths, finetune_embeddings=finetune
+        )
+        feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+        feat.fit_stats(split.train)
+        batch = feat.prepare(split.train[:10]).batch(np.arange(10))
+        build = lambda: km.KdcnModel.build(cfg, feat, RngStream(131))
+        model = build()
+        # every width has a live (positive) pooled response, so its slots get a gradient
+        u = model._user_state_forward(model._behavior_matrices(batch, feat.table), {})
+        assert (u > 0).reshape(batch.n, len(widths), -1).any(axis=(0, 2)).all()
+        errs = gradient_errors(build, batch, [310, 311, 312])
+        assert sorted(n for n in errs if n.startswith("conv_")) == sorted(
+            f"conv_{kind}{w}" for w in widths for kind in "bw"
+        )
+        assert ("entity_table" in errs) == finetune
+        assert max(errs.values()) < 1e-4, f"gradient mismatch at 3 generic points: {errs}"
+
+    @pytest.mark.parametrize("finetune", [False, True])
+    @pytest.mark.parametrize("widths", WIDTHS, ids=str)
+    def test_shared_context_equals_one_context_per_row(self, widths, finetune):
+        assert_shared_equals_per_row(finetune, conv_widths=widths)
 
 
 def float_dtypes(obj) -> set:
@@ -969,6 +1031,25 @@ class TestRankCandidates:
         # row for row the same batch; a repeated candidate may differ by an
         # ulp between its rows, so the pairs are compared, not a name lookup
         assert sorted(ranked) == sorted(zip(ordered, probs.tolist()))
+
+    def test_no_candidates(self):
+        world, split, result = self.build()
+        s = split.train[0]
+        assert km.rank_candidates(s.behaviors, s.query, [], result.model, result.featurizer) == []
+
+    @pytest.mark.parametrize("n_samples", [0, 5])
+    def test_zero_row_batch(self, n_samples):
+        world, split, result = self.build()
+        ds = result.featurizer.prepare(split.train[:n_samples])
+        p = result.model.predict_batch(ds.batch(np.arange(0)))
+        assert p.shape == (0,) and p.dtype == result.model.dtype
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_score_dataset_batch_size_below_one(self, batch_size):
+        world, split, result = self.build()
+        ds = result.featurizer.prepare(split.train[:5])
+        with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {batch_size}"):
+            km.score_dataset(result.model, ds, batch_size=batch_size)
 
     def test_unknown_item(self):
         world, split, result = self.build()
