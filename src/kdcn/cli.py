@@ -161,7 +161,11 @@ def cmd_pretrain(args, cfg: dict) -> None:
 
 def _load_train_inputs(args, out: Path):
     samples = datagen.load_samples(args.samples or out / "samples.jsonl")
-    split = datagen.split_loaded(samples)
+    return (datagen.split_loaded(samples), *_load_ranker_inputs(args, out))
+
+
+def _load_ranker_inputs(args, out: Path):
+    """The checkpoint, its entities and the item metadata, checked against each other."""
     ckpt_path = args.checkpoint or out / "ckge.bin"
     vocab_path = args.vocab or out / "ckge.vocab.tsv"
     ckpt = pretrain_mod.load_checkpoint(ckpt_path)
@@ -175,7 +179,7 @@ def _load_train_inputs(args, out: Path):
         raise FormatError(f"{vocab_path}: entry {stray + 1} has id {entities[stray].id}, expected {stray}")
     events = graph.load_events(args.events or out / "events.jsonl")
     item_meta = model_mod.item_meta_from_events(events)
-    return split, ckpt, entities, item_meta
+    return ckpt, entities, item_meta
 
 
 def cmd_train(args, cfg: dict) -> None:
@@ -247,7 +251,13 @@ def cmd_eval(args, cfg: dict) -> None:
 def cmd_rank(args, cfg: dict) -> None:
     out = Path(args.out)
     candidates = None if args.candidates is None else _names("--candidates", args.candidates)
-    split, ckpt, entities, item_meta = _load_train_inputs(args, out)
+    # the user's first sample ends the read: the lines before it are
+    # parsed and checked, the rest of the file is not read
+    samples_path = args.samples or out / "samples.jsonl"
+    behaviors = next(
+        (s.behaviors for s in datagen.iter_samples(samples_path) if s.user_id == args.user), None
+    )
+    ckpt, entities, item_meta = _load_ranker_inputs(args, out)
     meta_path = args.meta or out / "kdcn.meta.json"
     mdl, featurizer = model_mod.load_ranker(
         meta_path, args.model or out / "kdcn.bin", ckpt, entities, item_meta
@@ -259,10 +269,8 @@ def cmd_rank(args, cfg: dict) -> None:
                 f"{getattr(mdl.cfg, name)!r}; rank takes its settings from {meta_path}"
             )
 
-    behaviors = next((s.behaviors for s in split.all() if s.user_id == args.user), None)
     if behaviors is None:
-        path = args.samples or out / "samples.jsonl"
-        raise KdcnError(f"user '{args.user}' has no sample in {path}")
+        raise KdcnError(f"user '{args.user}' has no sample in {samples_path}")
     if candidates is None:
         candidates = sorted(item_meta, key=featurizer.item_id)[: mdl.cfg.candidate_cap]
         if not candidates:

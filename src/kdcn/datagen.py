@@ -45,14 +45,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from itertools import pairwise
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, require_at_least
 from .graph import TripleSet, csr_lists, ingest_events
 from .rng import RngStream
-from .textfile import read_lines, write_lines
+from .textfile import iter_lines, read_lines, write_lines
 
 BEHAVIOR_KINDS = 4  # click, purchase, add-to-cart, favorite
 PROPERTY_NAMES = ("color", "brand", "material")
@@ -470,6 +470,11 @@ def _sample(line: str) -> Sample:
 
 def load_samples(path) -> list[Sample]:
     return read_lines(path, _sample)
+
+
+def iter_samples(path) -> Iterator[Sample]:
+    """load_samples' records one at a time, as the file is read."""
+    return iter_lines(path, _sample)
 
 
 def split_loaded(samples: list[Sample]) -> SampleSplit:

@@ -13,6 +13,7 @@ pools and the featurizer's keyword, category and behavior rows.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
@@ -162,7 +163,12 @@ _EVENT_TYPES = {
             "an array of objects with 'property' and 'value'",
         ),
         "title": (lambda v: isinstance(v, str), "a string"),
-        "dense": (_array(lambda x: type(x) in (int, float)), "an array of numbers"),  # a bool is not
+        # a bool is not a number here, and an integer must fit a float64, as
+        # the featurizer stores every item's dense values in one
+        "dense": (
+            _array(lambda x: type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max)),
+            "an array of numbers within the float64 range",
+        ),
     },
     "session_log": {"keywords": (_array(), "an array")},
 }

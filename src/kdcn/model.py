@@ -37,8 +37,9 @@ belongs to no bucket and its block output stays zero. Because only
 the two means are needed, each bucket pools before the value product: with
 G holding 1/n_q at a row's n_q query keywords (which come first) and 1/n_t
 at its title keywords, it forms r = G @ attn, (n_b, heads, 2, L), and then
-r @ v. The backward works per bucket from the same rank-2 form and writes
-the projection gradients straight into the bucket's block.
+r @ v. G is built once per batch for every keyword, and each bucket takes
+a view of its block. The backward works per bucket from the same rank-2
+form and writes the projection gradients straight into the bucket's block.
 
 Training is batched numpy with hand-written backward passes; the per-sample
 and per-head forms in tests/oracles.py are the reference semantics and the
@@ -62,8 +63,10 @@ its context array gives each row its context: the forward gathers the
 contexts' user states onto the rows, and the backward sums the rows'
 gradients back per context. A Dataset batch makes every sample its own
 context. rank_candidates scores a request over one context, featurized
-once with the query, and gathers each candidate's title keywords and
-category slots from the per-item arrays the Featurizer builds once.
+once with the query, and gathers each candidate's title keywords, category
+slots and dense statistics from the per-item arrays the Featurizer builds
+once; one method (Featurizer.keyword_rows) joins the query and the titles
+into keyword rows for a request and for a Dataset alike.
 """
 
 from __future__ import annotations
@@ -218,13 +221,15 @@ class Dataset:
         f = featurizer
         self.featurizer = f
         self.n = len(samples)
-        query_ids = {q: f.query_keyword_ids(q) for q in {s.query for s in samples}}
-        queries = [query_ids[s.query] for s in samples]
+        # one CSR row per distinct query; queries[i] is sample i's row
+        index = {q: i for i, q in enumerate(dict.fromkeys(s.query for s in samples))}
+        q_ptr, q_ids = csr_lists([f.query_keyword_ids(q) for q in index])
+        queries = np.fromiter((index[s.query] for s in samples), dtype=np.int64, count=self.n)
         rows = f.item_rows([s.candidate_item for s in samples])
-        self.kw_ptr, self.kw_ids = csr_lists([q + f.title_ids[r] for q, r in zip(queries, rows)])
-        self.n_query = np.fromiter(map(len, queries), dtype=np.int64, count=self.n)
+        self.kw_ptr, self.kw_ids = f.keyword_rows(q_ptr, q_ids, queries, rows)
+        self.n_query = np.diff(q_ptr)[queries]
         self.cat_idx = f.category_slots([s.categories for s in samples])
-        self.dense = f.standardize([s.dense for s in samples])
+        self.dense = f.standardize(*dense_rows([s.dense for s in samples]), lambda i: f"sample {i}")
         self.pool = f.pooling_operator([s.behaviors for s in samples])
         self.labels = np.array([s.label for s in samples], dtype=f.table.dtype)
 
@@ -248,9 +253,22 @@ class Dataset:
 def ragged_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The given rows (any order, repeats allowed) of a CSR layout: (indptr, flat source positions)."""
     rows = np.asarray(rows, dtype=np.int64)
-    starts, counts = indptr[rows], indptr[rows + 1] - indptr[rows]
-    out = np.concatenate([[0], np.cumsum(counts)])
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
     return out, np.arange(out[-1]) + np.repeat(starts - out[:-1], counts)
+
+
+def dense_rows(dense) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged dense vectors as (raw, lengths): row i's first lengths[i]
+    columns of the float64 array raw hold vector i, zeros follow them."""
+    lengths = np.fromiter(map(len, dense), dtype=np.int64, count=len(dense))
+    raw = np.zeros((len(lengths), lengths.max(initial=0)))
+    raw[np.arange(raw.shape[1]) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(dense), dtype=np.float64, count=int(lengths.sum())
+    )
+    return raw, lengths
 
 
 def extract_keywords(text: str, vocab, cap: int = 8) -> list[int]:
@@ -283,9 +301,13 @@ class Featurizer:
     float dtype (see numeric.as_float), and the featurized floats take it.
 
     At construction every item of item_meta gets a row, in item_meta's
-    order, in the per-item arrays: title keyword id lists (title_ids),
-    category slots (item_cat_idx) and entity ids (item_entity_ids, -1 for
-    an item that is no graph entity). The keyword caps apply at extraction.
+    order, in the per-item arrays: its title keyword ids as one CSR pair
+    (item row r's are title_ids[title_ptr[r]:title_ptr[r + 1]]), category
+    slots (item_cat_idx), entity ids (item_entity_ids, -1 for an item that
+    is no graph entity) and raw float64 dense statistics (row r's first
+    item_dense_len[r] columns of item_dense, zeros after them). The keyword
+    caps apply at extraction. These arrays are a snapshot: a later change
+    to item_meta does not reach them, nor the scores rank_candidates gives.
     """
 
     def __init__(
@@ -307,9 +329,12 @@ class Featurizer:
         self._item_rows = {name: row for row, name in enumerate(item_meta)}
         metas = item_meta.values()
         cap = cfg.max_title_keywords
-        self.title_ids = [extract_keywords(m.title, self.keyword_vocab, cap) for m in metas]
+        self.title_ptr, self.title_ids = csr_lists(
+            [extract_keywords(m.title, self.keyword_vocab, cap) for m in metas]
+        )
         self.item_cat_idx = self.category_slots([m.categories for m in metas])
         self.item_entity_ids = np.array([self._item_ids.get(n, -1) for n in item_meta], dtype=np.int64)
+        self.item_dense, self.item_dense_len = dense_rows([m.dense for m in metas])
         self.n_dense: int | None = None
         self.n_behavior_kinds: int | None = None
         self.dense_mean: np.ndarray | None = None
@@ -341,17 +366,30 @@ class Featurizer:
         out[np.arange(slots) < np.diff(indptr)[:, None]] = ids
         return out
 
-    def standardize(self, dense: list[list[float]]) -> np.ndarray:
-        """(rows, n_dense) dense statistics scaled by the training-split mean and std.
+    def keyword_rows(
+        self, q_ptr: np.ndarray, q_ids: np.ndarray, queries: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Keyword row i as one CSR pair (kw_ptr, kw_ids): query queries[i]'s
+        keywords (row queries[i] of the CSR pair q_ptr, q_ids), then the
+        title keywords of item row rows[i]."""
+        n_q = len(q_ptr) - 1
+        # one CSR of the queries followed by every item's title: row i is its
+        # segment queries[i] and then its segment n_q + rows[i]
+        ptr = np.concatenate([q_ptr, q_ptr[-1] + self.title_ptr[1:]])
+        segments = np.array([queries, n_q + rows]).T.ravel()
+        seg_ptr, positions = ragged_rows(ptr, segments)
+        return seg_ptr[::2], np.concatenate([q_ids, self.title_ids])[positions]
 
-        Scaled in float64, then rounded to the table's dtype.
-        """
-        for i, row in enumerate(dense):
-            if len(row) != self.n_dense:
-                raise SchemaError(
-                    f"sample {i}: dense vector has {len(row)} values, expected {self.n_dense}"
-                )
-        raw = np.array(dense, dtype=np.float64).reshape(len(dense), self.n_dense)
+    def standardize(self, raw: np.ndarray, lengths: np.ndarray, label) -> np.ndarray:
+        """(rows, n_dense) dense statistics, given as dense_rows gives them,
+        scaled by the training-split mean and std in float64, then rounded
+        to the table's dtype. A row whose length is not n_dense is a
+        SchemaError that names label(row)."""
+        wrong = np.flatnonzero(lengths != self.n_dense)
+        if len(wrong):
+            i = int(wrong[0])
+            raise SchemaError(f"{label(i)}: dense vector has {lengths[i]} values, expected {self.n_dense}")
+        raw = raw[:, : self.n_dense].reshape(len(lengths), self.n_dense)
         return ((raw - self.dense_mean) / self.dense_std).astype(self.table.dtype, copy=False)
 
     def pooling_operator(self, behaviors: list[list[list[str]]]) -> sp.csr_matrix:
@@ -478,10 +516,9 @@ class KdcnModel:
 
     def _cross_stack(self, prefix: str) -> np.ndarray:
         """The n_cross slots named prefix0, prefix1, ... as the columns of one (F, L) array."""
-        out = np.empty((self.f_width, self.cfg.n_cross), dtype=self.dtype)
-        for i in range(self.cfg.n_cross):
-            out[:, i] = self.store.value(f"{prefix}{i}")[:, 0]
-        return out
+        if not self.cfg.n_cross:
+            return np.empty((self.f_width, 0), dtype=self.dtype)
+        return np.concatenate([self.store.value(f"{prefix}{i}") for i in range(self.cfg.n_cross)], axis=1)
 
     # ---- batched forward -------------------------------------------------
 
@@ -530,7 +567,7 @@ class KdcnModel:
             for n in range(1, width):
                 vals += y[:, n : n + p, col + n * n_f : col + (n + 1) * n_f]
             arg = vals.argmax(axis=1)
-            m = np.take_along_axis(vals, arg[:, None], axis=1)[:, 0]
+            m = vals.max(axis=1)
             pooled_parts.append(relu(m))
             per_width.append((width, col, arg, m))
             col += width * n_f
@@ -544,7 +581,7 @@ class KdcnModel:
     def _dialogue_forward(self, batch: Batch, table: np.ndarray, cache: dict) -> np.ndarray:
         heads = self.cfg.attention_heads
         head_dim = self.dim // heads
-        counts = np.diff(batch.kw_ptr)
+        counts = batch.kw_ptr[1:] - batch.kw_ptr[:-1]
         # rows in order of their keyword count, so that the keywords of the
         # rows sharing a count L (a bucket) are one contiguous block; offsets
         # holds the first keyword of each row in that order
@@ -554,15 +591,29 @@ class KdcnModel:
         # one GEMM over all keywords; the matrices are row-blocked by head, so
         # row j of proj holds keyword j's (3, heads, head_dim)
         proj = (x @ self._attn_weights().T).reshape(len(slots), 3, heads, head_dim)
-        lengths, firsts = np.unique(counts[order], return_index=True)
+        # every keyword's two pooling weights, (R, 2) in this order: 1/n_q
+        # and 0 at each of a row's n_q query keywords (which come first), 0
+        # and 1/n_t at each of its n_t title keywords
+        lengths = counts[order]
+        n_query = batch.n_query[order]
+        n_title = lengths - n_query
+        per_group = np.zeros((batch.n, 2, 2), dtype=self.dtype)
+        per_group[:, 0, 0] = 1 / np.maximum(n_query, 1)
+        per_group[:, 1, 1] = 1 / np.maximum(n_title, 1)
+        groups = np.stack([n_query, n_title], axis=1).ravel()
+        weights = np.repeat(per_group.reshape(2 * batch.n, 2), groups, axis=0)
+        # the buckets' bounds in that order: both ends and every change of L
+        change = np.ones(batch.n + 1, dtype=bool)
+        np.not_equal(lengths[1:], lengths[:-1], out=change[1:-1])
+        bounds = np.flatnonzero(change).tolist()
         out = np.zeros((batch.n, 2, heads, head_dim), dtype=self.dtype)  # rows with L = 0 stay 0
         buckets = []
-        for length, lo, hi in zip(lengths, firsts, chain(firsts[1:], [batch.n])):
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            length = int(lengths[lo])
             if length == 0:
                 continue
             rows, block = order[lo:hi], slice(offsets[lo], offsets[hi])
-            qkv = proj[block].reshape(hi - lo, length, *proj.shape[1:])
-            q, k, v = (qkv[:, :, i].transpose(0, 2, 1, 3) for i in range(3))
+            q, k, v = proj[block].reshape(hi - lo, length, *proj.shape[1:]).transpose(2, 0, 3, 1, 4)
             # every key is real: a plain softmax over (n_b, heads, L, L)
             attn = q @ k.transpose(0, 1, 3, 2)
             # the row max as a running maximum over the L key columns: numpy's
@@ -573,13 +624,9 @@ class KdcnModel:
             attn -= top
             np.exp(attn, out=attn)
             attn /= np.einsum("nhij->nhi", attn)[..., None]
-            # pool before the value product: G holds 1/n_q at the first n_q
-            # (query) columns and 1/n_t at the rest, so r = G @ attn is
-            # (n_b, heads, 2, L)
-            nq = batch.n_query[rows, None]
-            in_query = np.arange(length) < nq
-            g = np.stack([in_query / np.maximum(nq, 1), ~in_query / np.maximum(length - nq, 1)], 1)
-            g = g[:, None].astype(self.dtype)
+            # pool before the value product: with the bucket's weights as
+            # G, (n_b, 1, 2, L), r = G @ attn is (n_b, heads, 2, L)
+            g = weights[block].reshape(hi - lo, 1, length, 2).transpose(0, 1, 3, 2)
             r = g @ attn
             out[rows] = (r @ v).transpose(0, 2, 1, 3)
             buckets.append((rows, block, q, k, v, attn, g, r))
@@ -1069,11 +1116,12 @@ def rank_candidates(
 
     The behaviors and the query are featurized once per request, and the
     batch pools and convolves the behaviors once: every candidate row
-    shares behavior context 0. Each candidate's title keywords and category
-    slots are rows of the featurizer's per-item arrays; its dense statistics
-    are standardized per request. Ties break by ascending item entity id,
-    so the ordering is deterministic and invariant to the input candidate
-    order.
+    shares behavior context 0. Each candidate's title keywords, category
+    slots and raw dense statistics are rows of the featurizer's per-item
+    arrays; the dense rows are standardized per request, with the
+    featurizer's current statistics. Ties break by ascending item entity
+    id, so the ordering is deterministic and invariant to the input
+    candidate order.
     """
     if len(candidates) > model.cfg.candidate_cap:
         raise CapacityError(
@@ -1089,7 +1137,9 @@ def rank_candidates(
     rows = rows[canonical]
     n = len(candidates)
     query_ids = featurizer.query_keyword_ids(query)
-    kw_ptr, kw_ids = csr_lists([query_ids + featurizer.title_ids[r] for r in rows])
+    # every row takes row 0 of a one-query CSR pair
+    q_ptr, q_ids = np.array([0, len(query_ids)]), np.array(query_ids, dtype=np.int64)
+    kw_ptr, kw_ids = featurizer.keyword_rows(q_ptr, q_ids, np.zeros(n, dtype=np.int64), rows)
     batch = Batch(
         n=n,
         pool=featurizer.pooling_operator([behaviors]),
@@ -1098,9 +1148,15 @@ def rank_candidates(
         kw_ids=kw_ids,
         n_query=np.full(n, len(query_ids), dtype=np.int64),
         cat_idx=featurizer.item_cat_idx[rows],
-        dense=featurizer.standardize([featurizer.item_meta[candidates[i]].dense for i in canonical]),
+        dense=featurizer.standardize(
+            featurizer.item_dense[rows],
+            featurizer.item_dense_len[rows],
+            lambda i: f"item '{candidates[canonical[i]]}'",
+        ),
         labels=np.zeros(n, dtype=model.dtype),
     )
-    scores = np.empty(n, dtype=model.dtype)
-    scores[canonical] = model.predict_batch(batch)
-    return [(candidates[i], float(scores[i])) for i in np.lexsort((ids, -scores))]
+    scores = model.predict_batch(batch)
+    # the rows are in canonical order, so a stable sort on the score alone
+    # breaks ties by ascending id
+    order = np.argsort(-scores, kind="stable")
+    return list(zip([candidates[i] for i in canonical[order].tolist()], scores[order].tolist()))

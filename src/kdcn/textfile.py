@@ -7,14 +7,15 @@ function rejects with a KdcnError, ValueError, TypeError or KeyError, is a
 ParseError starting "path:line:".
 """
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import KdcnError, ParseError
 
 
-def read_lines(path, parse: Callable[[str], object], header: str | None = None) -> list:
-    """parse(line) for every non-blank line in file order; a header, if given, must be line 1."""
-    records = []
+def iter_lines(path, parse: Callable[[str], object], header: str | None = None) -> Iterator:
+    """parse(line) for every non-blank line in file order, as the file is read;
+    a header, if given, must be line 1. A caller that stops early reads no
+    further, so a bad line after that point is not seen."""
     lineno = 0
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -23,14 +24,21 @@ def read_lines(path, parse: Callable[[str], object], header: str | None = None) 
                 if lineno == 1 and header is not None:
                     if line != header:
                         raise ParseError(f"expected header '{header}', got '{line}'")
-                elif line.strip():
-                    records.append(parse(line))
+                    continue
+                if not line.strip():
+                    continue
+                record = parse(line)
             except (KdcnError, ValueError, TypeError, KeyError) as exc:
                 # UnicodeDecodeError is a ValueError
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            yield record
     if header is not None and lineno == 0:
         raise ParseError(f"{path}:1: expected header '{header}', got ''")
-    return records
+
+
+def read_lines(path, parse: Callable[[str], object], header: str | None = None) -> list:
+    """iter_lines as a list: every line of the file is read and parsed."""
+    return list(iter_lines(path, parse, header))
 
 
 def write_lines(path, lines: Iterable[str]) -> None:

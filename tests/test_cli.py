@@ -276,6 +276,20 @@ class TestRankInputErrors:
         err = self.rank_errors(trained, capsys, "--candidates", "item1,item0,item1")
         assert "item1" in err[0] and "item0" not in err[0]
 
+    @pytest.mark.parametrize("after", [True, False])
+    def test_samples_are_read_up_to_the_users_first(self, trained, capsys, after):
+        path = trained / "samples.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if json.loads(line)["user_id"] == "user0")
+        at = first + 1 if after else first
+        path.write_text("".join(lines[:at] + ["{not json\n"] + lines[at:]))
+        argv = ["rank", "--out", str(trained), "--user", "user0", "--query", "kw0", "--candidates", "item0"]
+        if after:
+            assert main(argv) == 0
+        else:
+            err = self.errors(capsys, *argv)
+            assert err[0].startswith(f"error: {path}:{at + 1}: bad sample record"), err
+
     def test_unknown_user(self, trained, capsys):
         err = self.rank_errors(trained, capsys, "--user", "nobody")  # the last --user wins
         assert "'nobody'" in err[0]
@@ -467,6 +481,7 @@ class TestMalformedEvents:
             ({"type": "item_listing", "title": 5}, "'title' of 'item_listing' must be a string"),
             ({"type": "item_listing", "dense": "ab"}, "'dense' of 'item_listing' must be an array"),
             ({"type": "item_listing", "dense": [1.5, True]}, "'dense' of 'item_listing' must be"),
+            ({"type": "item_listing", "dense": [1.5, 10**400]}, "'dense' of 'item_listing' must be"),
         ],
     )
     def test_field_of_wrong_json_type_names_the_line(self, tmp_path, capsys, fields, named):

@@ -954,6 +954,17 @@ class TestFit:
         with pytest.raises(SchemaError):
             km.fit(broken, split.valid, ckpt, cfg, RngStream(16), world.tset.entities, meta)
 
+    def test_wrong_dense_length_in_prepared_samples_names_the_sample(self):
+        from kdcn.errors import SchemaError
+
+        world, ckpt, split, meta, cfg = small_setup()
+        feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+        feat.fit_stats(split.train)
+        broken = [dataclasses.replace(s) for s in split.valid[:4]]
+        broken[2].dense = broken[2].dense[:-1]
+        with pytest.raises(SchemaError, match="^sample 2: dense vector has 3 values, expected 4$"):
+            feat.prepare(broken)
+
     def test_unknown_category_names_itself(self):
         world, ckpt, split, meta, cfg = small_setup()
         feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
@@ -1085,15 +1096,46 @@ class TestRankContext:
         assert batch.pool.shape == (model.n_behavior_kinds, len(result.featurizer.table))
         assert batch.context.shape == (len(cands),) and not batch.context.any()
 
+    @pytest.mark.parametrize("query", ["no such word", "kw1", "kw0 kw1 kw2 kw3 kw4 kw5"])
+    def test_request_batch_equals_dataset_batch(self, monkeypatch, query):
+        world, ckpt, split, meta, cfg = small_setup(epochs=1)
+        result = km.fit(split.train, [], ckpt, cfg, RngStream(13), world.tset.entities, meta)
+        meta[world.items[2]].title = "no keyword here"
+        table = result.featurizer.table
+        feat = km.Featurizer(dataclasses.replace(ckpt, entity_table=table), world.tset.entities, meta, cfg)
+        feat.fit_stats(split.train)
+        seen = []
+        forward = km.KdcnModel.forward
+        monkeypatch.setattr(
+            km.KdcnModel, "forward", lambda self, batch: seen.append(batch) or forward(self, batch)
+        )
+        s, cands = split.train[0], world.items[7::-1]
+        km.rank_candidates(s.behaviors, query, cands, result.model, feat)
+        ordered = sorted(cands, key=feat.item_id)
+        pseudo = [Sample("", s.behaviors, query, n, meta[n].categories, meta[n].dense, 0) for n in ordered]
+        expected = feat.prepare(pseudo).batch(np.arange(len(pseudo)))
+        (got,) = seen
+        for name in ("kw_ptr", "kw_ids", "n_query", "cat_idx", "dense"):
+            x, y = getattr(got, name), getattr(expected, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        # the edge cases are there: no query keyword, no title keyword, titles cut at the cap
+        assert (got.n_query == 0).all() == (query == "no such word")
+        titles = np.diff(got.kw_ptr) - got.n_query
+        assert (titles == 0).any() and (titles == cfg.max_title_keywords).any()
+        uncapped = [len(km.extract_keywords(meta[n].title, feat.keyword_vocab, 99)) for n in ordered]
+        assert max(uncapped) > cfg.max_title_keywords
+
     @pytest.mark.parametrize("n_cat_slots", [1, 2])
     def test_per_item_arrays_match_item_by_item(self, n_cat_slots):
         world, ckpt, split, meta, cfg = small_setup(n_cat_slots=n_cat_slots)
         feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
-        assert len(feat.title_ids) == len(meta)
+        assert len(feat.title_ptr) == len(meta) + 1
         assert feat.item_cat_idx.shape == (len(meta), n_cat_slots)
         for row, (name, item) in enumerate(meta.items()):
             title = km.extract_keywords(item.title, feat.keyword_vocab, cfg.max_title_keywords)
-            assert feat.title_ids[row] == title
+            assert feat.title_ids[feat.title_ptr[row] : feat.title_ptr[row + 1]].tolist() == title
+            n = feat.item_dense_len[row]
+            assert feat.item_dense[row, :n].tolist() == item.dense and not feat.item_dense[row, n:].any()
             assert feat.item_cat_idx[row].tolist() == feat.category_slots([item.categories])[0].tolist()
             assert feat.item_entity_ids[row] == feat.item_id(name)
             assert feat.item_rows([name]).tolist() == [row]
@@ -1111,11 +1153,33 @@ class TestRankContext:
             km.rank_candidates(s.behaviors, s.query, [world.items[1], "ghost"], result.model, feat)
 
     def test_wrong_dense_length_is_schema_error(self):
-        world, split, result = TestRankCandidates().build()
-        feat, s, name = result.featurizer, split.train[0], world.items[1]
-        feat.item_meta[name].dense.append(0.0)
-        with pytest.raises(SchemaError, match="dense vector"):
+        world, ckpt, split, meta, cfg = small_setup()
+        result = km.fit(split.train, [], ckpt, cfg, RngStream(13), world.tset.entities, meta)
+        s, name = split.train[0], world.items[1]
+        meta[name].dense.append(0.0)
+        feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+        feat.fit_stats(split.train)
+        with pytest.raises(SchemaError, match=f"item '{name}': dense vector has 5 values, expected 4"):
             km.rank_candidates(s.behaviors, s.query, [world.items[0], name], result.model, feat)
+
+    def test_item_meta_changed_after_construction_leaves_scores(self):
+        world, ckpt, split, meta, cfg = small_setup(epochs=1)
+        result = km.fit(split.train, [], ckpt, cfg, RngStream(13), world.tset.entities, meta)
+        feat, s, cands = result.featurizer, split.train[0], world.items[:6]
+        before = km.rank_candidates(s.behaviors, s.query, cands, result.model, feat)
+        other = sorted(feat.category_index)
+        for j, name in enumerate(cands):
+            meta[name].title = "kw0 kw1 kw2"
+            meta[name].categories[:] = [other[j % len(other)]]
+            meta[name].dense[0] += 100.0
+        assert km.rank_candidates(s.behaviors, s.query, cands, result.model, feat) == before
+        # a featurizer built after the change reads it
+        stored = dataclasses.replace(ckpt, entity_table=feat.table)
+        fresh = km.Featurizer(stored, world.tset.entities, meta, cfg)
+        fresh.fit_stats(split.train)
+        assert km.rank_candidates(s.behaviors, s.query, cands, result.model, fresh) != before
+        meta[cands[0]].dense.append(0.0)
+        assert km.rank_candidates(s.behaviors, s.query, cands, result.model, feat) == before
 
 
 class TestModelFile:

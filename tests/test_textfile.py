@@ -21,7 +21,7 @@ from kdcn.graph import (
     save_triples,
     save_vocab,
 )
-from kdcn.textfile import read_lines, write_lines
+from kdcn.textfile import iter_lines, read_lines, write_lines
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +56,14 @@ class TestReadLines:
 
         with pytest.raises(ParseError, match=re.escape(f"{path}:3: ") + ".*boom"):
             read_lines(path, parse)
+
+    def test_iter_lines_reads_only_as_far_as_asked(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"h\na\n\nb\n\xff\n")
+        lines = iter_lines(path, str, header="h")
+        assert [next(lines), next(lines)] == ["a", "b"]  # line 5 is not UTF-8
+        with pytest.raises(ParseError, match=re.escape(f"{path}:5: ")):
+            next(lines)
 
     def test_non_utf8_line_names_path_and_line(self, tmp_path):
         path = tmp_path / "f.txt"
