@@ -46,6 +46,12 @@ class MetricError(KdcnError):
     """A metric is undefined for the given inputs (e.g. single-class AUC)."""
 
 
+class UnknownNameError(KdcnError, KeyError):
+    """An item or category name has no entity or metadata."""
+
+    __str__ = Exception.__str__  # the bare message, not KeyError's repr of it
+
+
 class ConfigError(KdcnError, ValueError):
     """A configuration value is out of range or names an unknown option."""
 

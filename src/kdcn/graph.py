@@ -6,8 +6,8 @@ session facts). Triples keep their direction for the translation scorer;
 the structural encoder sees an undirected, deduplicated adjacency. Numeric
 code reads one array form of each: TripleSet.array, the triples as a k x 3
 int64 array, and Graph's CSR arrays (indptr, indices, degrees). csr_lists
-builds that CSR layout from ragged Python lists, for the sample generator's
-pools and the featurizer's keyword, category and behavior rows.
+builds that CSR layout from ragged Python lists: the generator's pools and
+the featurizer's keyword, category and behavior rows, which batches carry.
 """
 
 from __future__ import annotations

@@ -53,13 +53,13 @@ serves what those files hold. A model built on a float64 checkpoint table,
 as the gradient oracle builds it, stays float64 end to end. Every parameter
 slot, batch array and temporary takes that dtype.
 
-Behavior pooling is one sparse operator. A Dataset holds a CSR matrix P with
-one row per (sample, behavior kind) and 1/count at that list's item ids, so
-the per-kind mean embeddings are P @ table and, when the entity table is
-fine-tuned, its gradient is P.T @ dmean; frozen and fine-tuned runs share
+Behaviors are ragged too: one CSR row of item ids per (context, kind). The
+forward makes them one pooling operator P with 1/count at a row's ids, so
+the per-kind means are P @ table and, with the entity table fine-tuned, its
+gradient is P.T @ dmean through the same P; frozen and fine-tuned runs share
 that path. The user state belongs to the behaviors, not to the candidate,
-so a Batch pools and convolves per behavior context (k rows of P each) and
-its context array gives each row its context: the forward gathers the
+so a Batch pools and convolves per behavior context (k behavior rows each)
+and its context array gives each row its context: the forward gathers the
 contexts' user states onto the rows, and the backward sums the rows'
 gradients back per context. A Dataset batch makes every sample its own
 context. rank_candidates scores a request over one context, featurized
@@ -82,7 +82,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     CapacityError,
@@ -92,6 +91,7 @@ from .errors import (
     IngestionError,
     SchemaError,
     TrainingError,
+    UnknownNameError,
     require_at_least,
     require_finite_positive,
 )
@@ -200,7 +200,8 @@ class Batch:
     """Index arrays and constants for one minibatch; floats in the table's dtype."""
 
     n: int
-    pool: sp.csr_matrix  # (contexts*k, entities): pool @ table gives the per-kind behavior means
+    beh_ptr: np.ndarray  # (contexts * k + 1,) int: context c's kind-j items are CSR row c * k + j
+    beh_ids: np.ndarray  # flat int item entity ids of those rows
     context: np.ndarray  # (n,) int, each row's behavior context
     kw_ptr: np.ndarray  # (n + 1,) int: row i's keywords are kw_ids[kw_ptr[i]:kw_ptr[i + 1]]
     kw_ids: np.ndarray  # flat int ids, each row's query keywords and then its title keywords
@@ -213,8 +214,8 @@ class Batch:
 class Dataset:
     """Featurized samples, sliceable into batches by index.
 
-    Row i*k + kind of the pooling operator belongs to sample i's behaviors
-    of that kind; see Featurizer.pooling_operator.
+    Sample i's keywords are keyword row i and its behaviors of each kind are
+    behavior row i * k + kind, as in a Batch; see Featurizer.behavior_rows.
     """
 
     def __init__(self, featurizer: "Featurizer", samples):
@@ -230,19 +231,21 @@ class Dataset:
         self.n_query = np.diff(q_ptr)[queries]
         self.cat_idx = f.category_slots([s.categories for s in samples])
         self.dense = f.standardize(*dense_rows([s.dense for s in samples]), lambda i: f"sample {i}")
-        self.pool = f.pooling_operator([s.behaviors for s in samples])
+        self.beh_ptr, self.beh_ids = f.behavior_rows([s.behaviors for s in samples], lambda i: f"sample {i}")
         self.labels = np.array([s.label for s in samples], dtype=f.table.dtype)
 
     def batch(self, idx: np.ndarray) -> Batch:
         idx = np.asarray(idx, dtype=np.int64)
         k = self.featurizer.n_behavior_kinds
-        kw_ptr, positions = ragged_rows(self.kw_ptr, idx)
+        kw_ptr, kw_positions = ragged_rows(self.kw_ptr, idx)
+        beh_ptr, beh_positions = ragged_rows(self.beh_ptr, (idx[:, None] * k + np.arange(k)).ravel())
         return Batch(
             n=len(idx),
-            pool=self.pool[(idx[:, None] * k + np.arange(k)).ravel()],
+            beh_ptr=beh_ptr,
+            beh_ids=self.beh_ids[beh_positions],
             context=np.arange(len(idx)),
             kw_ptr=kw_ptr,
-            kw_ids=self.kw_ids[positions],
+            kw_ids=self.kw_ids[kw_positions],
             n_query=self.n_query[idx],
             cat_idx=self.cat_idx[idx],
             dense=self.dense[idx],
@@ -319,6 +322,9 @@ class Featurizer:
     ):
         self.cfg = cfg
         self.table = as_float(checkpoint.entity_table)
+        top = max((e.id for e in entities), default=-1)
+        if top >= len(self.table):
+            raise DimensionError(f"entity id {top} is outside the entity table of {len(self.table)} rows")
         self.dim = checkpoint.dim
         self.item_meta = item_meta
         self._item_ids = {e.name: e.id for e in entities if e.kind == "item"}
@@ -342,15 +348,15 @@ class Featurizer:
 
     def item_id(self, name: str) -> int:
         if name not in self._item_ids:
-            raise KeyError(f"unknown item '{name}'")
+            raise UnknownNameError(f"unknown item '{name}'")
         return self._item_ids[name]
 
     def item_rows(self, names: list[str]) -> np.ndarray:
-        """Each named item's row in the per-item arrays; KeyError for an item without metadata."""
+        """Each named item's row in the per-item arrays; UnknownNameError for an item without metadata."""
         try:
             return np.array([self._item_rows[name] for name in names], dtype=np.int64)
         except KeyError as exc:
-            raise KeyError(f"no metadata for item '{exc.args[0]}'") from None
+            raise UnknownNameError(f"no metadata for item '{exc.args[0]}'") from None
 
     def query_keyword_ids(self, query: str) -> list[int]:
         return extract_keywords(query, self.keyword_vocab, self.cfg.max_query_keywords)
@@ -361,7 +367,7 @@ class Featurizer:
         try:
             indptr, ids = csr_lists([cats[:slots] for cats in categories], self.category_index)
         except KeyError as exc:
-            raise KeyError(f"unknown category '{exc.args[0]}'") from None
+            raise UnknownNameError(f"unknown category '{exc.args[0]}'") from None
         out = np.full((len(categories), slots), -1, dtype=np.int64)
         out[np.arange(slots) < np.diff(indptr)[:, None]] = ids
         return out
@@ -392,24 +398,18 @@ class Featurizer:
         raw = raw[:, : self.n_dense].reshape(len(lengths), self.n_dense)
         return ((raw - self.dense_mean) / self.dense_std).astype(self.table.dtype, copy=False)
 
-    def pooling_operator(self, behaviors: list[list[list[str]]]) -> sp.csr_matrix:
-        """The (rows*k, entities) behavior-pooling operator P.
-
-        Row i*k + kind holds 1/count at the ids of row i's behavior items of
-        that kind (repeats add up), so P @ table is their mean embedding and
-        an empty behavior list gives a zero row.
-        """
+    def behavior_rows(self, behaviors: list[list[list[str]]], label) -> tuple[np.ndarray, np.ndarray]:
+        """Per-context behavior lists of k kinds as one CSR pair of item entity ids,
+        row i * k + kind holding context i's items of that kind. A context
+        without k kinds is a SchemaError that names label(context)."""
         k = self.n_behavior_kinds
         for i, per_kind in enumerate(behaviors):
             if len(per_kind) != k:
-                raise SchemaError(f"sample {i}: {len(per_kind)} behavior kinds, expected {k}")
+                raise SchemaError(f"{label(i)}: {len(per_kind)} behavior kinds, expected {k}")
         try:
-            indptr, ids = csr_lists(list(chain.from_iterable(behaviors)), self._item_ids)
+            return csr_lists(list(chain.from_iterable(behaviors)), self._item_ids)
         except KeyError as exc:
-            raise KeyError(f"unknown item '{exc.args[0]}'") from None
-        counts = np.diff(indptr)
-        weights = np.repeat(1.0 / np.maximum(counts, 1), counts).astype(self.table.dtype, copy=False)
-        return sp.csr_matrix((weights, ids, indptr), shape=(len(counts), len(self.table)))
+            raise UnknownNameError(f"unknown item '{exc.args[0]}'") from None
 
     def fit_stats(self, train_samples) -> None:
         if not train_samples:
@@ -522,17 +522,18 @@ class KdcnModel:
 
     # ---- batched forward -------------------------------------------------
 
-    def _behavior_matrices(self, batch: Batch, table: np.ndarray) -> np.ndarray:
+    def _behavior_matrices(self, batch: Batch, table: np.ndarray, cache: dict) -> np.ndarray:
         """(contexts, k_eff, d) per-kind behavior means, kinds on axis 1.
 
         k_eff is the larger of the kind count and the widest filter; the
         rows past the kind count are zero.
         """
         k = self.n_behavior_kinds
-        mean = batch.pool @ table
-        n_ctx = len(mean) // k
-        bmat = np.zeros((n_ctx, max(k, max(self.cfg.conv_widths)), self.dim), dtype=self.dtype)
-        bmat[:, :k] = mean.reshape(n_ctx, k, self.dim)
+        counts = np.diff(batch.beh_ptr)
+        weights = np.repeat(1.0 / np.maximum(counts, 1), counts).astype(self.dtype, copy=False)
+        cache["pool"] = incidence(batch.beh_ids, weights, len(table), batch.beh_ptr)
+        bmat = np.zeros((len(counts) // k, max(k, max(self.cfg.conv_widths)), self.dim), dtype=self.dtype)
+        bmat[:, :k] = (cache["pool"] @ table).reshape(len(bmat), k, self.dim)
         return bmat
 
     def _conv_taps(self) -> np.ndarray:
@@ -641,7 +642,7 @@ class KdcnModel:
         # the known width, since a 0-row batch cannot infer it
         parts = [gathered.reshape(batch.n, cfg.n_cat_slots * cfg.cat_dim), batch.dense]
         if cfg.use_user_state:
-            bmat = self._behavior_matrices(batch, table)
+            bmat = self._behavior_matrices(batch, table, cache)
             cache["bmat"] = bmat
             parts.append(self._user_state_forward(bmat, cache)[batch.context])
         if cfg.use_dialogue:
@@ -756,9 +757,8 @@ class KdcnModel:
                 block = dtaps[:, col : col + width * n_f].reshape(self.dim, width, n_f)
                 store.grad(f"conv_w{width}")[...] += block.transpose(2, 0, 1).reshape(n_f, -1)
             if finetune:
-                k = self.n_behavior_kinds
-                dmean = (dy @ taps.T).reshape(n_ctx, k_eff, self.dim)[:, :k]
-                dtable += batch.pool.T @ dmean.reshape(n_ctx * k, self.dim)
+                dmean = (dy @ taps.T).reshape(n_ctx, k_eff, self.dim)[:, : self.n_behavior_kinds]
+                dtable += cache["pool"].T @ dmean.reshape(-1, self.dim)
 
         if cfg.use_dialogue:
             slots, x, proj, buckets = cache["attn"]
@@ -789,10 +789,10 @@ class KdcnModel:
 def scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """(n, cols) sums of rows by target id: out[ids[j]] += rows[j], repeats adding up.
 
-    One sparse incidence product with one entry per source row, much
-    cheaper per row than np.add.at. An id outside [0, n) raises IndexError.
+    The transpose of an incidence operator with one entry per source row,
+    much cheaper per row than np.add.at. An id outside [0, n) raises IndexError.
     """
-    return incidence(ids, np.ones(len(ids), dtype=rows.dtype), n) @ rows
+    return incidence(ids, np.ones(len(ids), dtype=rows.dtype), n, np.arange(len(ids) + 1)).T @ rows
 
 
 def cross_tower(f: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -1130,7 +1130,7 @@ def rank_candidates(
     rows = featurizer.item_rows(candidates)
     ids = featurizer.item_entity_ids[rows]
     if (ids < 0).any():
-        raise KeyError(f"unknown item '{candidates[int(np.argmin(ids))]}'")
+        raise UnknownNameError(f"unknown item '{candidates[int(np.argmin(ids))]}'")
     # score in a canonical order so results are bit-identical under any
     # permutation of the input list
     canonical = np.argsort(ids, kind="stable")
@@ -1140,9 +1140,11 @@ def rank_candidates(
     # every row takes row 0 of a one-query CSR pair
     q_ptr, q_ids = np.array([0, len(query_ids)]), np.array(query_ids, dtype=np.int64)
     kw_ptr, kw_ids = featurizer.keyword_rows(q_ptr, q_ids, np.zeros(n, dtype=np.int64), rows)
+    beh_ptr, beh_ids = featurizer.behavior_rows([behaviors], lambda _: "request behaviors")
     batch = Batch(
         n=n,
-        pool=featurizer.pooling_operator([behaviors]),
+        beh_ptr=beh_ptr,
+        beh_ids=beh_ids,
         context=np.zeros(n, dtype=np.int64),
         kw_ptr=kw_ptr,
         kw_ids=kw_ids,

@@ -1,4 +1,4 @@
-"""Numeric core: activations, Adam and checked sparse incidence.
+"""Numeric core: activations, Adam and the checked sparse incidence operator.
 
 All tensors are 2-D float arrays in row-major order, float32 or float64.
 Every function here keeps its operand's dtype; anything else (lists, ints)
@@ -8,9 +8,9 @@ oracle runs in float64. Model code works with plain arrays; trainable state
 lives in a ParamStore, whose named slots pair a value with its gradient
 accumulator and Adam moments, all of the value's dtype. Pretraining and the
 ranker both hold their parameters in one and read them by slot name.
-Backward passes elsewhere in the package are written by hand per layer; the
-finite-difference checker that keeps them honest is a test oracle
-(tests/oracles.py).
+Backward passes elsewhere are written by hand per layer, checked by a
+finite-difference test oracle (tests/oracles.py). incidence turns ragged
+(CSR) rows into a scipy operator, with the bounds check scipy omits.
 
 Importing this module (and so any kdcn module) tunes glibc's allocator once
 through keep_freed_memory: blocks up to 32 MiB come from the heap instead of
@@ -140,14 +140,14 @@ class ParamStore:
             slot.grad[...] = 0.0
 
 
-def incidence(rows: np.ndarray, data: np.ndarray, n_rows: int, per_col: int = 1) -> sp.csc_matrix:
-    """CSC matrix whose column j holds data[k] at row rows[k] for its per_col
-    entries k. scipy's constructor does not check rows, and a product through
-    an out-of-range one writes outside its buffer, so that raises IndexError."""
-    if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
-        raise IndexError(f"row ids span [{rows.min()}, {rows.max()}], outside [0, {n_rows})")
-    indptr = np.arange(0, len(rows) + 1, per_col)
-    return sp.csc_matrix((data, rows, indptr), shape=(n_rows, len(rows) // per_col))
+def incidence(ids: np.ndarray, data: np.ndarray, n: int, indptr: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix M of ragged rows: row i holds data[j] at column ids[j] for j
+    in indptr[i]:indptr[i + 1], repeats adding up, so M @ x gathers rows of x
+    and M.T @ y scatters onto n rows. scipy does not check ids, and a product
+    through an out-of-range one leaves its buffer, so that raises IndexError."""
+    if len(ids) and (ids.min() < 0 or ids.max() >= n):
+        raise IndexError(f"ids span [{ids.min()}, {ids.max()}], outside [0, {n})")
+    return sp.csr_matrix((data, ids, indptr), shape=(len(indptr) - 1, n))
 
 
 def adam_step(

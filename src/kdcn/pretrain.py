@@ -335,13 +335,14 @@ def pretrain_loss_grads(
     unit = diff / np.where(s > 0, s, 1.0)[:, None]
     unit *= sign[:, None]
 
-    # one signed incidence operator scatters every pair's direction: + onto
-    # its head, - onto its tail (encoded rows), + onto its relation (rows
-    # after the encoded ones)
+    # one signed incidence operator, three entries per pair, scatters every
+    # pair's direction through its transpose: + onto its head, - onto its
+    # tail (encoded rows), + onto its relation (rows after the encoded ones)
     m = cache["operators"][-1].shape[0]
     targets = np.stack([ends[:, 0], ends[:, 1], m + pairs[:, 1]], axis=1).ravel()
     signs = np.tile(np.array([1.0, -1.0, 1.0], dtype=s.dtype), len(pairs))
-    d_all = incidence(targets, signs, m + len(params.value("relation_table")), per_col=3) @ unit
+    pair_ptr = np.arange(0, len(targets) + 1, 3)
+    d_all = incidence(targets, signs, m + len(params.value("relation_table")), pair_ptr).T @ unit
 
     d_table, d_ws = _encode_backward(params, cache, d_all[:m])
     params.grad("entity_table")[cache["table_rows"]] += d_table

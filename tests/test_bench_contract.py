@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import kdcn.model as km
 from kdcn import cli, graph, pretrain
@@ -124,8 +123,6 @@ def test_featurizer_with_assigned_stats_matches_fit_stats():
     a, b = (f.prepare(split.train[:12]).batch(idx) for f in (fitted, assigned))
     for f in dataclasses.fields(km.Batch):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if sp.issparse(x):
-            x, y = x.toarray(), y.toarray()
         assert np.asarray(x).dtype == np.asarray(y).dtype and np.array_equal(x, y), f.name
     assert np.array_equal(model.predict_batch(a), model.predict_batch(b))
     s, candidates = split.train[0], sorted(meta)[:7]

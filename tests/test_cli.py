@@ -243,14 +243,16 @@ class TestPipeline:
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 1 + 20  # header + all items (world has 20, under the cap)
 
-    def test_rank_unknown_candidate_is_data_error(self, workdir):
+    def test_rank_unknown_candidate_is_data_error(self, workdir, capsys):
         out, cfg = workdir
         run_pipeline(out, cfg)
+        capsys.readouterr()
         code = main(
             ["rank", "--out", str(out), "--user", "user0", "--query", "kw0",
              "--candidates", "missing-item"]
         )
         assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: no metadata for item 'missing-item'"]
 
 
 class TestRankInputErrors:

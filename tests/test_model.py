@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import re
 import struct
@@ -553,6 +554,12 @@ def edge_samples(feat, samples):
     return out
 
 
+def pooled_means(feat, batch, cache=None) -> np.ndarray:
+    """A batch's (contexts, k, d) per-kind behavior means, pooled as the model's forward pools them."""
+    bmat = km.KdcnModel(feat.cfg, feat)._behavior_matrices(batch, feat.table, {} if cache is None else cache)
+    return bmat[:, : feat.n_behavior_kinds]
+
+
 @st.composite
 def ragged_case(draw):
     """Lists of ints (empty ones too) and a selection of their rows, repeats and any order allowed."""
@@ -597,19 +604,24 @@ class TestDataset:
         assert len(samples[3].categories) > n_cat_slots
         ds = feat.prepare(samples)
         k = feat.n_behavior_kinds
-        means = (ds.pool @ feat.table).reshape(ds.n, k, feat.dim)
+        means = pooled_means(feat, ds.batch(np.arange(ds.n)))
         keywords = keyword_lists(ds)
-        assert ds.kw_ptr[-1] == len(ds.kw_ids)
+        assert ds.kw_ptr[-1] == len(ds.kw_ids) and ds.beh_ptr[-1] == len(ds.beh_ids)
+        assert len(ds.beh_ptr) == ds.n * k + 1
         for i, s in enumerate(samples):
             bmat, query, title, cats, dense = sample_features(feat, s)
             assert np.abs(means[i].T - bmat).max() <= 1e-15
+            for kind, names in enumerate(s.behaviors):
+                lo, hi = ds.beh_ptr[i * k + kind], ds.beh_ptr[i * k + kind + 1]
+                assert ds.beh_ids[lo:hi].tolist() == [feat.item_id(n) for n in names]
             assert keywords[i] == (query, title)
             assert ds.cat_idx[i].tolist() == cats + [-1] * (n_cat_slots - len(cats))
             assert np.abs(ds.dense[i] - dense).max() <= 1e-15
         assert not means[0].any() and feat.query_keyword_ids(samples[2].query) == []
         idx = np.array([7, 0, 5, 5, 2])
         batch = ds.batch(idx)
-        assert np.array_equal(batch.pool @ feat.table, means[idx].reshape(-1, feat.dim))
+        assert np.array_equal(pooled_means(feat, batch), means[idx])
+        assert batch.beh_ptr.dtype == batch.beh_ids.dtype == np.int64
         assert keyword_lists(batch) == [keywords[i] for i in idx]
         assert batch.kw_ptr[-1] == len(batch.kw_ids)
 
@@ -623,7 +635,7 @@ class TestDataset:
     def test_empty_sample_list(self):
         feat, _ = self.build()
         ds = feat.prepare([])
-        assert ds.n == 0 and ds.pool.shape == (0, len(feat.table))
+        assert ds.n == 0 and ds.beh_ptr.tolist() == [0] and len(ds.beh_ids) == 0
         assert ds.kw_ptr.tolist() == [0] and len(ds.kw_ids) == len(ds.n_query) == 0
         assert ds.dense.shape == (0, feat.n_dense)
 
@@ -651,7 +663,72 @@ class TestDataset:
         dmean = RngStream(21).uniform(-1, 1, (batch.n * feat.n_behavior_kinds, feat.dim))
         src, owner, counts = behavior_scatter(feat, [samples[i] for i in idx])
         expected = scatter_dtable(src, owner, counts, dmean, len(feat.table))
-        assert np.abs(batch.pool.T @ dmean - expected).max() <= 1e-15
+        cache = {}
+        pooled_means(feat, batch, cache)
+        assert np.abs(cache["pool"].T @ dmean - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("finetune", [False, True])
+    def test_entity_id_past_the_table_is_dimension_error(self, finetune):
+        # without the dialogue block only behavior pooling reads the table,
+        # through an operator that scipy would not bounds-check
+        world, ckpt, split, meta, cfg = small_setup(use_dialogue=False, finetune_embeddings=finetune)
+        top_item = max(e.id for e in world.tset.entities if e.kind == "item")
+        short = dataclasses.replace(ckpt, entity_table=ckpt.entity_table[:top_item])
+        with pytest.raises(DimensionError, match=f"outside the entity table of {top_item} rows"):
+            km.Featurizer(short, world.tset.entities, meta, cfg)
+        with pytest.raises(DimensionError):
+            km.fit(split.train, split.valid, short, cfg, RngStream(22), world.tset.entities, meta)
+
+
+@functools.cache
+def pooling_setup():
+    """A fitted featurizer over 10 items and a sample whose behaviors the property replaces."""
+    world, ckpt, split, meta, cfg = small_setup()
+    feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+    feat.fit_stats(split.train)
+    return feat, world.items, split.train[0]
+
+
+@st.composite
+def pooling_case(draw):
+    """Behaviors of 4 kinds per sample, as indices into 10 items (empty kinds
+    and repeated items allowed), and batch rows (any order, repeats, none)."""
+    n = draw(st.integers(1, 6))
+    kinds = st.lists(st.lists(st.integers(0, 9), max_size=5), min_size=4, max_size=4)
+    behaviors = draw(st.lists(kinds, min_size=n, max_size=n))
+    return behaviors, draw(st.lists(st.integers(0, n - 1), max_size=10))
+
+
+class TestBehaviorPooling:
+    """The ragged behavior rows of a Dataset batch pool to the per-kind means,
+    and their operator's transpose scatters as np.add.at does."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pooling_case())
+    @example(([[[], [], [], []]], []))
+    @example(([[[3, 3, 1], [], [9], [0, 0]], [[], [2], [], []]], [1, 0, 1, 1]))
+    def test_means_and_gradient_match_per_row_oracle(self, case):
+        behaviors, idx = case
+        feat, items, base = pooling_setup()
+        samples = [dataclasses.replace(base, behaviors=[[items[j] for j in b] for b in per_kind])
+                   for per_kind in behaviors]
+        batch = feat.prepare(samples).batch(np.array(idx, dtype=np.int64))
+        cache = {}
+        means = pooled_means(feat, batch, cache)
+        k, table = feat.n_behavior_kinds, feat.table
+        ids = [[feat.item_id(items[j]) for j in b] for i in idx for b in behaviors[i]]
+        tol = 16 * np.finfo(table.dtype).eps * np.abs(table).max()
+        assert means.shape == (len(idx), k, feat.dim)
+        for r, row in enumerate(ids):
+            expected = table[row].mean(axis=0) if row else np.zeros(feat.dim)
+            assert np.abs(means[r // k, r % k] - expected).max() <= tol
+        # each |dmean / count| <= 1, so a sum of m of them is off by at most about m ulps of m
+        dmean = RngStream(len(ids)).uniform(-1, 1, (len(ids), feat.dim))
+        dtable = np.zeros_like(table)
+        for r, row in enumerate(ids):
+            np.add.at(dtable, row, dmean[r] / max(len(row), 1))
+        m = max(sum(map(len, ids)), 1)
+        assert np.abs(cache["pool"].T @ dmean - dtable).max() <= 4 * m * m * np.finfo(table.dtype).eps
 
 
 def gradient_errors(build, batch, jitter_seeds) -> dict[str, float]:
@@ -714,10 +791,14 @@ def shared_context_case(finetune, **overrides):
     feat.fit_stats(split.train)
     rows = feat.prepare(split.train[:10]).batch(np.arange(10))
     contexts = feat.prepare(split.train[10:13]).batch(np.arange(3))
-    shared = dataclasses.replace(rows, pool=contexts.pool, context=SHARED_CONTEXT)
+    shared = dataclasses.replace(
+        rows, beh_ptr=contexts.beh_ptr, beh_ids=contexts.beh_ids, context=SHARED_CONTEXT
+    )
     k = feat.n_behavior_kinds
-    repeated = contexts.pool[(SHARED_CONTEXT[:, None] * k + np.arange(k)).ravel()]
-    per_row = dataclasses.replace(rows, pool=repeated, context=np.arange(10))
+    beh_ptr, positions = km.ragged_rows(contexts.beh_ptr, (SHARED_CONTEXT[:, None] * k + np.arange(k)).ravel())
+    per_row = dataclasses.replace(
+        rows, beh_ptr=beh_ptr, beh_ids=contexts.beh_ids[positions], context=np.arange(10)
+    )
     return (lambda: km.KdcnModel.build(cfg, feat, RngStream(120))), shared, per_row
 
 
@@ -727,7 +808,7 @@ class TestSharedContext:
     @pytest.mark.parametrize("finetune", [False, True])
     def test_slots_match_finite_differences(self, finetune):
         build, batch, _ = shared_context_case(finetune)
-        assert batch.pool.shape[0] < batch.n * build().n_behavior_kinds
+        assert len(batch.beh_ptr) - 1 < batch.n * build().n_behavior_kinds
         errs = gradient_errors(build, batch, [300, 301, 302])
         checked = [name for name in errs if name.startswith(("conv_w", "conv_b"))]
         assert len(checked) == 2 * len(build().cfg.conv_widths)
@@ -776,7 +857,7 @@ class TestConvWidths:
             bias[...] = RngStream(4).uniform(-0.05, 0.05, bias.shape)
         samples = edge_samples(feat, split.train[:12])
         batch = feat.prepare(samples).batch(np.arange(len(samples)))
-        u = model._user_state_forward(model._behavior_matrices(batch, feat.table), {})
+        u = model._user_state_forward(model._behavior_matrices(batch, feat.table, {}), {})
         assert u.shape == (len(samples), len(widths) * cfg.conv_filters)
         assert (u > 0).reshape(len(samples), len(widths), -1).any(axis=(0, 2)).all()
         conv = conv_params(model)
@@ -796,7 +877,7 @@ class TestConvWidths:
         build = lambda: km.KdcnModel.build(cfg, feat, RngStream(131))
         model = build()
         # every width has a live (positive) pooled response, so its slots get a gradient
-        u = model._user_state_forward(model._behavior_matrices(batch, feat.table), {})
+        u = model._user_state_forward(model._behavior_matrices(batch, feat.table, {}), {})
         assert (u > 0).reshape(batch.n, len(widths), -1).any(axis=(0, 2)).all()
         errs = gradient_errors(build, batch, [310, 311, 312])
         assert sorted(n for n in errs if n.startswith("conv_")) == sorted(
@@ -847,10 +928,11 @@ class TestDtype:
         model, f32 = result.model, {np.dtype(np.float32)}
         assert model.dtype == result.featurizer.table.dtype == np.float32
         batch = result.featurizer.prepare(split.train[:16]).batch(np.arange(16))
-        assert {a.dtype for a in (batch.kw_ptr, batch.kw_ids, batch.n_query)} == {np.dtype(np.int64)}
-        assert float_dtypes([batch.dense, batch.labels, batch.pool.data]) == f32
+        ints = (batch.kw_ptr, batch.kw_ids, batch.n_query, batch.beh_ptr, batch.beh_ids)
+        assert {a.dtype for a in ints} == {np.dtype(np.int64)}
+        assert float_dtypes([batch.dense, batch.labels]) == f32
         _, cache = model.forward(batch)
-        assert float_dtypes(cache) == f32
+        assert float_dtypes([cache, cache["pool"].data]) == f32
         # the backward adds into the gradients; none of its terms may be float64
         for slot in model.store.slots.values():
             slot.grad = slot.grad.view(RejectsFloat64)
@@ -866,9 +948,9 @@ class TestDtype:
         model = km.KdcnModel.build(cfg, feat, RngStream(21))
         batch = feat.prepare(split.train[:16]).batch(np.arange(16))
         f64 = {np.dtype(np.float64)}
-        assert float_dtypes([batch.dense, batch.labels, batch.pool.data]) == f64
+        assert float_dtypes([batch.dense, batch.labels]) == f64
         _, cache = model.forward(batch)
-        assert float_dtypes(cache) == f64
+        assert float_dtypes([cache, cache["pool"].data]) == f64
         model.loss_and_grads(batch)
         adam_step(model.store, cfg.lr)
         assert slot_dtypes(model.store) == f64
@@ -1093,7 +1175,8 @@ class TestRankContext:
         assert len(seen) == 1
         batch = seen[0]
         assert batch.n == len(cands)
-        assert batch.pool.shape == (model.n_behavior_kinds, len(result.featurizer.table))
+        assert len(batch.beh_ptr) == model.n_behavior_kinds + 1
+        assert batch.beh_ids.tolist() == [result.featurizer.item_id(n) for b in s.behaviors for n in b]
         assert batch.context.shape == (len(cands),) and not batch.context.any()
 
     @pytest.mark.parametrize("query", ["no such word", "kw1", "kw0 kw1 kw2 kw3 kw4 kw5"])
@@ -1118,6 +1201,10 @@ class TestRankContext:
         for name in ("kw_ptr", "kw_ids", "n_query", "cat_idx", "dense"):
             x, y = getattr(got, name), getattr(expected, name)
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        # the request's one behavior context is every pseudo-sample's
+        k = feat.n_behavior_kinds
+        assert np.array_equal(got.beh_ptr, expected.beh_ptr[: k + 1])
+        assert np.array_equal(got.beh_ids, expected.beh_ids[: expected.beh_ptr[k]])
         # the edge cases are there: no query keyword, no title keyword, titles cut at the cap
         assert (got.n_query == 0).all() == (query == "no such word")
         titles = np.diff(got.kw_ptr) - got.n_query
@@ -1151,6 +1238,13 @@ class TestRankContext:
         assert feat.item_entity_ids[feat.item_rows(["ghost"])].tolist() == [-1]
         with pytest.raises(KeyError, match="ghost"):
             km.rank_candidates(s.behaviors, s.query, [world.items[1], "ghost"], result.model, feat)
+
+    def test_wrong_behavior_kind_count_names_the_request(self):
+        world, ckpt, split, meta, cfg = small_setup()
+        result = km.fit(split.train, [], ckpt, cfg, RngStream(13), world.tset.entities, meta)
+        s = split.train[0]
+        with pytest.raises(SchemaError, match=r"^request behaviors: 3 behavior kinds, expected 4$"):
+            km.rank_candidates(s.behaviors[:3], s.query, world.items[:2], result.model, result.featurizer)
 
     def test_wrong_dense_length_is_schema_error(self):
         world, ckpt, split, meta, cfg = small_setup()

@@ -41,16 +41,23 @@ class TestMatmul:
 
 class TestIncidence:
     def test_each_column_holds_its_entries(self):
-        rows = np.array([2, 0, 1, 1, 2, 0])
-        m = incidence(rows, np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]), 3, per_col=3)
-        assert np.array_equal(m.toarray(), [[-1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+        # rows of three entries, as pretraining's pair scatter builds them:
+        # the scatter M.T has one column per row
+        ids = np.array([2, 0, 1, 1, 2, 0])
+        m = incidence(ids, np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]), 3, np.array([0, 3, 6]))
+        assert np.array_equal(m.T.toarray(), [[-1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
 
-    # scipy's constructor takes these and the product then writes out of bounds
-    @pytest.mark.parametrize("per_col", [1, 3])
+    def test_ragged_rows_with_empty_rows_and_repeats(self):
+        m = incidence(np.array([1, 1, 0, 2, 0]), np.arange(1.0, 6.0), 3, np.array([0, 2, 2, 5]))
+        assert np.array_equal(m.toarray(), [[0.0, 3.0, 0.0], [0.0, 0.0, 0.0], [8.0, 0.0, 4.0]])
+        assert incidence(np.zeros(0, dtype=np.int64), np.zeros(0), 4, np.zeros(1, dtype=np.int64)).shape == (0, 4)
+
+    # scipy's constructor takes these and the product then reads or writes out of bounds
+    @pytest.mark.parametrize("per_row", [1, 3])
     @pytest.mark.parametrize("bad", [-1, 4])
-    def test_out_of_range_row_raises(self, per_col, bad):
+    def test_out_of_range_row_raises(self, per_row, bad):
         with pytest.raises(IndexError):
-            incidence(np.array([0, 3, 1, 2, 0, bad]), np.ones(6), 4, per_col=per_col)
+            incidence(np.array([0, 3, 1, 2, 0, bad]), np.ones(6), 4, np.arange(0, 7, per_row))
 
 
 class TestSigmoid:
