@@ -50,7 +50,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ParseError, require_at_least
-from .graph import TripleSet, csr_lists, ingest_events
+from .graph import TripleSet, csr_lists, ingest_events, json_array, json_number, json_string
 from .rng import RngStream
 from .textfile import iter_lines, read_lines, write_lines
 
@@ -257,16 +257,26 @@ class Sample:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Sample":
-        for key in ("behaviors", "categories", "dense"):
-            if not isinstance(d[key], list):
-                raise TypeError(f"{key} must be a list, got {d[key]!r}")
-        if d["label"] not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {d['label']!r}")
-        values = {key: d[key] for key in SAMPLE_KEYS}  # other keys are ignored
-        return cls(**{**values, "dense": [float(v) for v in d["dense"]], "label": int(d["label"])})
+        """The Sample of a samples.jsonl record, each field of its JSON type
+        (_SAMPLE_TYPES); other keys are ignored."""
+        for key, (ok, what) in _SAMPLE_TYPES.items():
+            if not ok(d[key]):
+                raise TypeError(f"{key} must be {what}, got {d[key]!r}")
+        values = {key: d[key] for key in SAMPLE_KEYS}
+        return cls(**{**values, "dense": [float(v) for v in d["dense"]]})
 
 
 SAMPLE_KEYS = tuple(f.name for f in fields(Sample))
+# the JSON type of each samples.jsonl field: field -> (check, what it must be)
+_SAMPLE_TYPES = {
+    "user_id": (json_string, "a string"),
+    "behaviors": (json_array(json_array(json_string)), "an array of arrays of strings"),
+    "query": (json_string, "a string"),
+    "candidate_item": (json_string, "a string"),
+    "categories": (json_array(json_string), "an array of strings"),
+    "dense": (json_array(json_number), "an array of numbers within the float64 range"),
+    "label": (lambda v: type(v) is int and v in (0, 1), "0 or 1"),
+}
 
 
 @dataclass

@@ -148,29 +148,34 @@ _EVENT_FIELDS = {
 }
 
 
-def _array(item_ok=lambda x: True):
+def json_array(item_ok=lambda x: True):
     """A check for a JSON array whose every item passes item_ok."""
-    return lambda v: isinstance(v, list) and all(item_ok(x) for x in v)
+    return lambda v: isinstance(v, list) and all(map(item_ok, v))
+
+
+def json_number(x) -> bool:
+    """Whether x is a JSON number that fits a float64. A bool is not a number
+    here, and an integer must fit, as the featurizer stores dense values in one."""
+    return type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max)
+
+
+def json_string(x) -> bool:
+    return isinstance(x, str)
 
 
 # the JSON type of each field an event type reads beyond its names (which
 # _check_name checks): field -> (check, what it must be); checked when present
 _EVENT_TYPES = {
-    "user_profile": {"tags": (_array(), "an array")},
+    "user_profile": {"tags": (json_array(), "an array")},
     "item_listing": {
         "properties": (
-            _array(lambda p: isinstance(p, dict) and "property" in p and "value" in p),
+            json_array(lambda p: isinstance(p, dict) and "property" in p and "value" in p),
             "an array of objects with 'property' and 'value'",
         ),
-        "title": (lambda v: isinstance(v, str), "a string"),
-        # a bool is not a number here, and an integer must fit a float64, as
-        # the featurizer stores every item's dense values in one
-        "dense": (
-            _array(lambda x: type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max)),
-            "an array of numbers within the float64 range",
-        ),
+        "title": (json_string, "a string"),
+        "dense": (json_array(json_number), "an array of numbers within the float64 range"),
     },
-    "session_log": {"keywords": (_array(), "an array")},
+    "session_log": {"keywords": (json_array(), "an array")},
 }
 
 
@@ -346,4 +351,14 @@ def _entity(line: str) -> EntityRef:
 
 
 def load_vocab(path) -> list[EntityRef]:
-    return read_lines(path, _entity)
+    """The entities of a vocab file; a repeated (kind, name) is a ParseError at its line."""
+    seen: set[tuple[str, str]] = set()
+
+    def entity(line: str) -> EntityRef:
+        ent = _entity(line)
+        if (ent.kind, ent.name) in seen:
+            raise ParseError(f"repeated entity {ent.kind} '{ent.name}'")
+        seen.add((ent.kind, ent.name))
+        return ent
+
+    return read_lines(path, entity)

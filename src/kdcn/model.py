@@ -62,10 +62,12 @@ so a Batch pools and convolves per behavior context (k behavior rows each)
 and its context array gives each row its context: the forward gathers the
 contexts' user states onto the rows, and the backward sums the rows'
 gradients back per context. A Dataset batch makes every sample its own
-context. rank_candidates scores a request over one context, featurized
-once with the query, and gathers each candidate's title keywords, category
-slots and dense statistics from the per-item arrays the Featurizer builds
-once; one method (Featurizer.keyword_rows) joins the query and the titles
+context, and takes its keyword and behavior rows with numeric.ragged_rows;
+P and every other sparse operator here come from numeric.incidence.
+rank_candidates scores a request over one context, featurized once with
+the query, and gathers each candidate's title keywords, category slots and
+dense statistics from the per-item arrays the Featurizer builds once; one
+method (Featurizer.keyword_rows) joins the query and the titles
 into keyword rows for a request and for a Dataset alike.
 """
 
@@ -97,7 +99,7 @@ from .errors import (
 )
 from .graph import EntityRef, check_event, csr_lists
 from .metrics import auc
-from .numeric import ParamStore, adam_step, as_float, incidence, relu, sigmoid
+from .numeric import ParamStore, adam_step, as_float, incidence, ragged_rows, relu, sigmoid
 from .pretrain import PretrainCheckpoint
 from .rng import RngStream
 from .textfile import write_lines
@@ -251,16 +253,6 @@ class Dataset:
             dense=self.dense[idx],
             labels=self.labels[idx],
         )
-
-
-def ragged_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The given rows (any order, repeats allowed) of a CSR layout: (indptr, flat source positions)."""
-    rows = np.asarray(rows, dtype=np.int64)
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    out = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out, np.arange(out[-1]) + np.repeat(starts - out[:-1], counts)
 
 
 def dense_rows(dense) -> tuple[np.ndarray, np.ndarray]:

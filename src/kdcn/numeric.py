@@ -1,4 +1,4 @@
-"""Numeric core: activations, Adam and the checked sparse incidence operator.
+"""Numeric core: activations, Adam and the checked ragged-row helpers.
 
 All tensors are 2-D float arrays in row-major order, float32 or float64.
 Every function here keeps its operand's dtype; anything else (lists, ints)
@@ -10,7 +10,10 @@ accumulator and Adam moments, all of the value's dtype. Pretraining and the
 ranker both hold their parameters in one and read them by slot name.
 Backward passes elsewhere are written by hand per layer, checked by a
 finite-difference test oracle (tests/oracles.py). incidence turns ragged
-(CSR) rows into a scipy operator, with the bounds check scipy omits.
+(CSR) rows into a scipy operator, with the bounds check scipy omits, and
+ragged_rows selects rows of such a layout. Every sparse operator of the
+ranker and of pretraining is built by incidence, so this is the one kdcn
+module that imports scipy.
 
 Importing this module (and so any kdcn module) tunes glibc's allocator once
 through keep_freed_memory: blocks up to 32 MiB come from the heap instead of
@@ -148,6 +151,16 @@ def incidence(ids: np.ndarray, data: np.ndarray, n: int, indptr: np.ndarray) -> 
     if len(ids) and (ids.min() < 0 or ids.max() >= n):
         raise IndexError(f"ids span [{ids.min()}, {ids.max()}], outside [0, {n})")
     return sp.csr_matrix((data, ids, indptr), shape=(len(indptr) - 1, n))
+
+
+def ragged_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The given rows (any order, repeats allowed) of a CSR layout: (indptr, flat source positions)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out, np.arange(out[-1]) + np.repeat(starts - out[:-1], counts)
 
 
 def adam_step(

@@ -9,8 +9,9 @@ the whole loss is checkable against finite differences.
 
 Each encoder layer l is one sparse operator S_l over all entities: forward
 is sigmoid(S_l @ x @ W_l) and backward is S_l.T @ (...). sample_layer_draws
-builds S_l in both modes; row i holds the entity's neighbors, capped at the
-fanout, and the entity itself when self-loops are on:
+builds S_l in both modes, through numeric.incidence; row i holds the
+entity's neighbors, capped at the fanout, and the entity itself when
+self-loops are on:
   sampled - per batch and layer, each entity above the fanout draws one
             uniform key per neighbor and keeps the fanout smallest, all in
             one array sort; each row is scaled by 1/count, and an isolated
@@ -23,11 +24,12 @@ fanout, and the entity itself when self-loops are on:
 
 A batch computes only the rows its pairs read (the GraphSAGE minibatch
 scheme): the top layer keeps those rows of S_L, each lower layer keeps the
-rows that the layer above reads, and the columns of each kept block are
-compacted to them. Both modes share this path; encode_entities is the
-all-rows case. Negatives are drawn per batch as arrays: head/tail flips
-and candidate ids, checked against the sorted keys of the known triples,
-with only the rejected rows redrawn; hits_at_k draws its candidates alike.
+rows that the layer above reads (numeric.ragged_rows), and the columns of
+each kept block are compacted to them (numeric.incidence). Both modes share
+this path; encode_entities is the all-rows case. Negatives are drawn per
+batch as arrays: head/tail flips and candidate ids, checked against the
+sorted keys of the known triples, with only the rejected rows redrawn;
+hits_at_k draws its candidates alike.
 
 The params are a ParamStore with the slots entity_table, relation_table
 and gcn_w0 .. gcn_w{L-1}, read by name as the ranker reads its own.
@@ -46,7 +48,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     CapacityError,
@@ -58,7 +59,7 @@ from .errors import (
     require_finite_positive,
 )
 from .graph import RELATIONS, Graph, Triple, TripleSet
-from .numeric import ParamStore, adam_step, incidence, sigmoid
+from .numeric import ParamStore, adam_step, incidence, ragged_rows, sigmoid
 from .rng import RngStream
 
 
@@ -153,7 +154,7 @@ def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream | None = No
         indices[slots] = g.indices[order[kept]]
         indices[self_slots] = ids[has_self]
         values = data * scale[indices] if sym else data
-        operators.append(sp.csr_matrix((values, indices, indptr), shape=(n, n)))
+        operators.append(incidence(indices, values, n, indptr))
     return operators * cfg.layers if full else operators
 
 
@@ -168,15 +169,14 @@ def _restrict(operators: list, rows: np.ndarray, dtype: np.dtype):
     """
     compact = []
     for s in reversed(operators):
-        a = s[rows]
+        ptr, pos = ragged_rows(s.indptr, rows)
+        cols = s.indices[pos]
         used = np.zeros(s.shape[1], dtype=bool)
-        used[a.indices] = True
+        used[cols] = True
         rows = np.flatnonzero(used)
         local = np.empty(s.shape[1], dtype=np.int64)
         local[rows] = np.arange(len(rows))
-        data = a.data.astype(dtype, copy=False)
-        a = sp.csr_matrix((data, local[a.indices], a.indptr), shape=(a.shape[0], len(rows)))
-        compact.append(a)
+        compact.append(incidence(local[cols], s.data[pos].astype(dtype, copy=False), len(rows), ptr))
     return rows, compact[::-1]
 
 
@@ -445,6 +445,8 @@ def load_checkpoint(path) -> PretrainCheckpoint:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
+        if dim == 0:
+            raise FormatError(f"{path}: dim must be >= 1, got 0")
         payload = fh.read()
     expected = 4 * dim * (n_e + n_r)
     if len(payload) != expected:

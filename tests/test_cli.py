@@ -163,6 +163,9 @@ class TestExitCodes:
         [
             ("dense", "x"), ("dense", 5), ("label", "a"), ("label", 1.7),
             ("behaviors", 5), ("categories", "cat0"),
+            ("query", 5), ("behaviors", [["x"], 3, [], []]), ("dense", ["1.5"]), ("dense", [True]),
+            ("user_id", None), ("candidate_item", ["item0"]), ("categories", [0]),
+            ("behaviors", [[1], [], [], []]), ("label", True),
         ],
     )
     def test_malformed_sample_value_is_data_error(self, tmp_path, capsys, field, value):
@@ -303,17 +306,28 @@ class TestRankInputErrors:
         assert "kdcn.bin" in err[0] and "truncated" in err[0]
 
     @pytest.mark.parametrize("command", ["rank", "train"])
-    @pytest.mark.parametrize("damage", ["truncated", "swapped"])
+    @pytest.mark.parametrize("damage", ["truncated", "swapped", "repeated"])
     def test_vocab_disagrees_with_checkpoint(self, trained, capsys, command, damage):
         vocab = trained / "ckge.vocab.tsv"
         lines = vocab.read_text().splitlines(keepends=True)
-        lines = lines[: len(lines) // 2] if damage == "truncated" else [lines[1], lines[0], *lines[2:]]
+        if damage == "truncated":
+            lines = lines[: len(lines) // 2]
+        elif damage == "swapped":
+            lines = [lines[1], lines[0], *lines[2:]]
+        else:  # entity 1 takes entity 0's kind and name
+            lines[1] = "1\t" + lines[0].split("\t", 1)[1]
         vocab.write_text("".join(lines))
         if command == "rank":
             err = self.rank_errors(trained, capsys, "--candidates", "item0")
         else:
             err = self.errors(capsys, "train", "--out", str(trained))
         assert "ckge.vocab.tsv" in err[0], err
+
+    def test_zero_width_checkpoint(self, trained, capsys):
+        ckpt = trained / "zero.bin"
+        ckpt.write_bytes(struct.pack("<4sIQQI", b"CKGE", 1, 5, 9, 0))
+        err = self.errors(capsys, "train", "--out", str(trained), "--checkpoint", str(ckpt))
+        assert str(ckpt) in err[0] and "dim" in err[0], err
 
     @pytest.mark.parametrize(
         "key, value",

@@ -14,7 +14,7 @@ import kdcn.pretrain as pt
 from kdcn.datagen import ClickModel, Sample, WorldConfig, generate_samples, generate_world
 from kdcn.errors import CapacityError, ConfigError, DimensionError, FormatError, IngestionError, SchemaError
 from kdcn.graph import Graph, csr_lists
-from kdcn.numeric import adam_step, sigmoid
+from kdcn.numeric import adam_step, ragged_rows, sigmoid
 from kdcn.rng import RngStream
 from oracles import (
     attention_heads,
@@ -585,7 +585,7 @@ class TestRagged:
         names = [[f"e{i}" for i in row] for row in lists]
         by_lookup = csr_lists(names, {f"e{i}": i for i in range(100)})
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(by_lookup, (indptr, ids)))
-        out, positions = km.ragged_rows(indptr, rows)
+        out, positions = ragged_rows(indptr, rows)
         picked = [lists[r] for r in rows]
         assert out.tolist() == [sum(map(len, picked[:j])) for j in range(len(rows) + 1)]
         assert [ids[positions[out[j] : out[j + 1]]].tolist() for j in range(len(rows))] == picked
@@ -795,7 +795,7 @@ def shared_context_case(finetune, **overrides):
         rows, beh_ptr=contexts.beh_ptr, beh_ids=contexts.beh_ids, context=SHARED_CONTEXT
     )
     k = feat.n_behavior_kinds
-    beh_ptr, positions = km.ragged_rows(contexts.beh_ptr, (SHARED_CONTEXT[:, None] * k + np.arange(k)).ravel())
+    beh_ptr, positions = ragged_rows(contexts.beh_ptr, (SHARED_CONTEXT[:, None] * k + np.arange(k)).ravel())
     per_row = dataclasses.replace(
         rows, beh_ptr=beh_ptr, beh_ids=contexts.beh_ids[positions], context=np.arange(10)
     )

@@ -1,7 +1,9 @@
+import ast
 import platform
 import resource
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +60,21 @@ class TestIncidence:
     def test_out_of_range_row_raises(self, per_row, bad):
         with pytest.raises(IndexError):
             incidence(np.array([0, 3, 1, 2, 0, bad]), np.ones(6), 4, np.arange(0, 7, per_row))
+
+
+def test_numeric_is_the_only_scipy_importer():
+    importers = set()
+    for path in Path(numeric.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                importers.add(path.name)
+    assert importers == {"numeric.py"}
 
 
 class TestSigmoid:

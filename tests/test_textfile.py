@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdcn.cli import load_config
-from kdcn.datagen import Sample, load_samples, save_samples
+from kdcn.datagen import SAMPLE_KEYS, Sample, load_samples, save_samples
 from kdcn.errors import KdcnError, ParseError
 from kdcn.graph import (
     TRIPLES_HEADER,
@@ -178,6 +178,12 @@ def _file_bytes(header, lines, crlf, final_newline) -> bytes:
 def test_reader_fails_at_first_bad_line_or_reads_every_record(fuzz_dir, fmt, data):
     reader, header, valid, malformed, expect = FORMATS[fmt]
     lines = data.draw(st.lists(_line(valid, malformed), max_size=8))
+    if fmt == "vocab":  # a repeated (kind, name) is a bad line: each names one id
+        keys = [(item.kind, item.name) if kind == "valid" else None for kind, _, item in lines]
+        lines = [
+            ("bad", raw, None) if key is not None and key in keys[:i] else (kind, raw, item)
+            for i, ((kind, raw, item), key) in enumerate(zip(lines, keys))
+        ]
     crlf, final_newline = data.draw(st.booleans()), data.draw(st.booleans())
     path = fuzz_dir / f"{fmt}.txt"
     path.write_bytes(_file_bytes(header, [raw for _, raw, _ in lines], crlf, final_newline))
@@ -207,6 +213,42 @@ def test_reader_on_arbitrary_bytes_ends_in_kdcn_error_or_result(fuzz_dir, fmt, d
         assert re.match(re.escape(str(path)) + r":\d+: ", str(exc)), exc
     else:
         assert isinstance(result, (list, dict, TripleSet))
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _is_strings(v) -> bool:
+    return type(v) is list and all(type(x) is str for x in v)
+
+
+def _has_declared_types(s: Sample) -> bool:
+    return (
+        all(type(v) is str for v in (s.user_id, s.query, s.candidate_item))
+        and type(s.behaviors) is list and all(map(_is_strings, s.behaviors))
+        and _is_strings(s.categories)
+        and type(s.dense) is list and all(type(x) is float for x in s.dense)
+        and type(s.label) is int and s.label in (0, 1)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(SAMPLE_KEYS), value=_json)
+def test_sample_with_any_json_field_loads_typed_or_names_its_line(fuzz_dir, field, value):
+    good = _sample_record("u").to_dict()
+    path = fuzz_dir / "field.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+    try:
+        loaded = load_samples(path)[1]
+    except ParseError as exc:
+        assert str(exc).startswith(f"{path}:2: "), exc
+    else:
+        assert _has_declared_types(loaded), loaded
+        assert field == "dense" or getattr(loaded, field) == value
 
 
 # --- write_lines -> reader round trips ----------------------------------------
