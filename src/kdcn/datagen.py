@@ -49,8 +49,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, require_at_least
-from .graph import TripleSet, csr_lists, ingest_events, json_array, json_number, json_string
+from .errors import ConfigError, ParseError, require_at_least, shown
+from .graph import DENSE_VALUES, TripleSet, csr_lists, ingest_events, json_array, json_string
 from .rng import RngStream
 from .textfile import iter_lines, read_lines, write_lines
 
@@ -261,7 +261,7 @@ class Sample:
         (_SAMPLE_TYPES); other keys are ignored."""
         for key, (ok, what) in _SAMPLE_TYPES.items():
             if not ok(d[key]):
-                raise TypeError(f"{key} must be {what}, got {d[key]!r}")
+                raise TypeError(f"{key} must be {what}, got {shown(d[key])}")
         values = {key: d[key] for key in SAMPLE_KEYS}
         return cls(**{**values, "dense": [float(v) for v in d["dense"]]})
 
@@ -274,7 +274,7 @@ _SAMPLE_TYPES = {
     "query": (json_string, "a string"),
     "candidate_item": (json_string, "a string"),
     "categories": (json_array(json_string), "an array of strings"),
-    "dense": (json_array(json_number), "an array of numbers within the float64 range"),
+    "dense": DENSE_VALUES,
     "label": (lambda v: type(v) is int and v in (0, 1), "0 or 1"),
 }
 

@@ -5,6 +5,8 @@ Everything raised on bad data or bad shapes derives from KdcnError so the
 CLI can map library failures to a data-error exit code in one place.
 """
 
+import reprlib
+
 
 class KdcnError(Exception):
     """Base class for all pipeline errors."""
@@ -70,3 +72,13 @@ def require_finite_positive(config, *names: str) -> None:
         value = getattr(config, name)
         if not (0 < value < float("inf")):  # NaN fails every comparison
             raise ConfigError(f"{type(config).__name__}.{name} must be finite and > 0, got {value}")
+
+
+def shown(value, limit: int = 80) -> str:
+    """repr(value) for an error message, cut to at most limit characters.
+
+    reprlib abbreviates a long or deeply nested value before rendering it,
+    so a huge rejected value costs no huge string.
+    """
+    text = reprlib.repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."

@@ -13,6 +13,7 @@ the featurizer's keyword, category and behavior rows, which batches carry.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IngestionError, ParseError, SchemaError
+from .errors import IngestionError, ParseError, SchemaError, shown
 from .textfile import read_lines, write_lines
 
 # relation name -> (head kind, tail kind); ids are assigned in this order
@@ -89,7 +90,10 @@ class TripleSet:
 
     def entity_id(self, kind: str, name: str, create: bool = False) -> int:
         key = (kind, name)
-        eid = self._id_by_key.get(key)
+        try:
+            eid = self._id_by_key.get(key)
+        except TypeError:  # an unhashable name, such as a JSON array: _check_name rejects it
+            eid = None
         if eid is None:
             if not create:
                 raise KeyError(f"unknown entity {kind}:{name}")
@@ -136,9 +140,9 @@ def _check_name(kind: str, name) -> None:
     the LF, so a name may not end in CR either.
     """
     if not isinstance(name, str):
-        raise SchemaError(f"{kind} name {name!r} is not a string")
+        raise SchemaError(f"{kind} name {shown(name)} is not a string")
     if "\t" in name or "\n" in name or name.endswith("\r"):
-        raise SchemaError(f"{kind} name {name!r} holds a TAB or LF or ends in CR")
+        raise SchemaError(f"{kind} name {shown(name)} holds a TAB or LF or ends in CR")
 
 
 _EVENT_FIELDS = {
@@ -154,13 +158,19 @@ def json_array(item_ok=lambda x: True):
 
 
 def json_number(x) -> bool:
-    """Whether x is a JSON number that fits a float64. A bool is not a number
-    here, and an integer must fit, as the featurizer stores dense values in one."""
-    return type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max)
+    """Whether x is a JSON number that is a finite float64. A bool is not a
+    number here; json reads NaN, Infinity and a literal past the float64
+    range (1e400) as non-finite floats, and an integer must fit, as the
+    featurizer stores dense values in one."""
+    return (type(x) is float and math.isfinite(x)) or (type(x) is int and abs(x) <= sys.float_info.max)
 
 
 def json_string(x) -> bool:
     return isinstance(x, str)
+
+
+# the check of a dense statistics field, in events and in samples.jsonl alike
+DENSE_VALUES = (json_array(json_number), "an array of finite numbers that fit a float64")
 
 
 # the JSON type of each field an event type reads beyond its names (which
@@ -173,7 +183,7 @@ _EVENT_TYPES = {
             "an array of objects with 'property' and 'value'",
         ),
         "title": (json_string, "a string"),
-        "dense": (json_array(json_number), "an array of numbers within the float64 range"),
+        "dense": DENSE_VALUES,
     },
     "session_log": {"keywords": (json_array(), "an array")},
 }
@@ -187,7 +197,7 @@ def check_event(rec) -> None:
     etype = rec["type"]
     required = _EVENT_FIELDS.get(etype) if isinstance(etype, str) else None
     if required is None:
-        raise IngestionError(f"unknown event type {etype!r}")
+        raise IngestionError(f"unknown event type {shown(etype)}")
     missing = [f for f in required if f not in rec]
     if missing:
         raise IngestionError(f"missing field(s) {missing} for '{etype}'")
@@ -196,7 +206,7 @@ def check_event(rec) -> None:
             raise IngestionError(f"field '{name}' of '{etype}' must be {what}")
 
 
-def ingest_events(records, tset: TripleSet | None = None) -> TripleSet:
+def ingest_events(records) -> TripleSet:
     """Turn an iterable of event dicts into schema triples.
 
     Three event types are understood: user_profile (tag facts), item_listing
@@ -205,7 +215,7 @@ def ingest_events(records, tset: TripleSet | None = None) -> TripleSet:
     entities are created on first mention. A malformed record or entity name
     raises IngestionError or SchemaError naming the 1-based record number.
     """
-    tset = tset if tset is not None else TripleSet()
+    tset = TripleSet()
     for number, rec in enumerate(records, start=1):
         try:
             check_event(rec)

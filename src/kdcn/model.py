@@ -11,7 +11,7 @@ scalar per row and adds a bias, so after l layers x_l = f * c_l + B_l, with
 B_l the sum of the first l biases. cross_tower computes all L layer scalars
 from one (n, L) GEMM G = f @ [w_0 .. w_{L-1}] and a per-row recursion on
 c, then writes the n x F output once; cross_tower_backward mirrors that
-with one GEMM into df and one into the stacked weight gradient. The cache
+with one GEMM into df and one into cross_w's gradient. The cache
 holds G, c and the bias prefix sums instead of L copies of the n x F x_l.
 
 The user-state block is a text-CNN over the per-kind behavior means, run
@@ -40,6 +40,12 @@ at its title keywords, it forms r = G @ attn, (n_b, heads, 2, L), and then
 r @ v. G is built once per batch for every keyword, and each bucket takes
 a view of its block. The backward works per bucket from the same rank-2
 form and writes the projection gradients straight into the bucket's block.
+
+Each parameter slot is stored in the layout its GEMM reads, so no pass
+regroups one. cross_w and cross_b are (F, n_cross), one layer per column;
+attn_qkv stacks the query, key and value projections as one (3 * dim, dim)
+array; conv_taps{w} holds the width-w filters as (dim, w * filters) taps,
+tap n of filter j at column n * filters + j, with its bias in conv_b{w}.
 
 Training is batched numpy with hand-written backward passes; the per-sample
 and per-head forms in tests/oracles.py are the reference semantics and the
@@ -78,7 +84,6 @@ import math
 import os
 import re
 import struct
-import sys
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from pathlib import Path
@@ -96,8 +101,9 @@ from .errors import (
     UnknownNameError,
     require_at_least,
     require_finite_positive,
+    shown,
 )
-from .graph import EntityRef, check_event, csr_lists
+from .graph import EntityRef, check_event, csr_lists, json_number
 from .metrics import auc
 from .numeric import ParamStore, adam_step, as_float, incidence, ragged_rows, relu, sigmoid
 from .pretrain import PretrainCheckpoint
@@ -107,7 +113,6 @@ from .textfile import write_lines
 _CLAMP = 1e-12
 # in exact arithmetic, sigmoid(x) lies in (_CLAMP, 1 - _CLAMP) iff |x| < _CLAMP_LOGIT
 _CLAMP_LOGIT = float(np.log((1.0 - _CLAMP) / _CLAMP))
-_ATTN_SLOTS = ("attn_query", "attn_key", "attn_value")
 _TOKEN_RE = re.compile(r"[^0-9a-zA-Z_]+")
 
 
@@ -472,20 +477,20 @@ class KdcnModel:
             ),
         )
         if cfg.use_user_state:
+            n_f = cfg.conv_filters
             for width in cfg.conv_widths:
-                add(
-                    f"conv_w{width}",
-                    _xavier(rng, (cfg.conv_filters, d * width), d * width, 1),
-                )
-                add(f"conv_b{width}", np.zeros((cfg.conv_filters, 1)))
+                # drawn as (filter, dim * width) rows, stored in tap layout:
+                # tap n of filter j is column n * filters + j
+                filters = _xavier(rng, (n_f, d * width), d * width, 1).reshape(n_f, d, width)
+                add(f"conv_taps{width}", filters.transpose(1, 2, 0).reshape(d, width * n_f))
+                add(f"conv_b{width}", np.zeros((n_f, 1)))
         if cfg.use_dialogue:
-            head_dim = d // cfg.attention_heads
-            for name in _ATTN_SLOTS:
-                add(name, _xavier(rng, (d, d), d, head_dim))
+            # the query, key and value projections, stacked
+            add("attn_qkv", _xavier(rng, (3 * d, d), d, d // cfg.attention_heads))
         if cfg.use_cross:
-            for i in range(cfg.n_cross):
-                add(f"cross_w{i}", _xavier(rng, (model.f_width, 1), model.f_width, 1))
-                add(f"cross_b{i}", np.zeros((model.f_width, 1)))
+            # one layer per column
+            add("cross_w", _xavier(rng, (cfg.n_cross, model.f_width), model.f_width, 1).T)
+            add("cross_b", np.zeros((model.f_width, cfg.n_cross)))
         if cfg.use_deep:
             width_in = model.f_width
             for i in range(cfg.deep_layers):
@@ -506,12 +511,6 @@ class KdcnModel:
             return self.store.value("entity_table")
         return self.frozen_table
 
-    def _cross_stack(self, prefix: str) -> np.ndarray:
-        """The n_cross slots named prefix0, prefix1, ... as the columns of one (F, L) array."""
-        if not self.cfg.n_cross:
-            return np.empty((self.f_width, 0), dtype=self.dtype)
-        return np.concatenate([self.store.value(f"{prefix}{i}") for i in range(self.cfg.n_cross)], axis=1)
-
     # ---- batched forward -------------------------------------------------
 
     def _behavior_matrices(self, batch: Batch, table: np.ndarray, cache: dict) -> np.ndarray:
@@ -528,19 +527,6 @@ class KdcnModel:
         bmat[:, :k] = (cache["pool"] @ table).reshape(len(bmat), k, self.dim)
         return bmat
 
-    def _conv_taps(self) -> np.ndarray:
-        """Every filter tap as the columns of one (d, sum of filters * width) array.
-
-        Width w's block starts after the smaller widths' and holds tap n of
-        every filter at columns n * filters .. (n + 1) * filters of it.
-        """
-        n_f = self.cfg.conv_filters
-        blocks = []
-        for width in sorted(self.cfg.conv_widths):
-            filters = self.store.value(f"conv_w{width}").reshape(n_f, self.dim, width)
-            blocks.append(filters.transpose(1, 2, 0).reshape(self.dim, width * n_f))
-        return np.concatenate(blocks, axis=1)
-
     def _user_state_forward(self, bmat: np.ndarray, cache: dict) -> np.ndarray:
         """Each context's max-pooled ReLU filter responses, (contexts, u_dim).
 
@@ -550,11 +536,13 @@ class KdcnModel:
         """
         n_f = self.cfg.conv_filters
         n_ctx, k_eff, _ = bmat.shape
-        taps = self._conv_taps()
+        # every width's taps side by side, width w's after the smaller widths'
+        widths = sorted(self.cfg.conv_widths)
+        taps = np.concatenate([self.store.value(f"conv_taps{w}") for w in widths], axis=1)
         y = (bmat.reshape(n_ctx * k_eff, self.dim) @ taps).reshape(n_ctx, k_eff, taps.shape[1])
         pooled_parts, per_width = [], []
         col = 0
-        for width in sorted(self.cfg.conv_widths):
+        for width in widths:
             p = k_eff - width + 1
             vals = y[:, :p, col : col + n_f] + self.store.value(f"conv_b{width}")[:, 0]
             for n in range(1, width):
@@ -566,10 +554,6 @@ class KdcnModel:
             col += width * n_f
         cache["conv"] = (taps, per_width)
         return np.concatenate(pooled_parts, axis=1)
-
-    def _attn_weights(self) -> np.ndarray:
-        """The query, key and value projections stacked as one (3 * dim, dim) array."""
-        return np.concatenate([self.store.value(name) for name in _ATTN_SLOTS])
 
     def _dialogue_forward(self, batch: Batch, table: np.ndarray, cache: dict) -> np.ndarray:
         heads = self.cfg.attention_heads
@@ -583,7 +567,7 @@ class KdcnModel:
         x = table[batch.kw_ids[slots]]
         # one GEMM over all keywords; the matrices are row-blocked by head, so
         # row j of proj holds keyword j's (3, heads, head_dim)
-        proj = (x @ self._attn_weights().T).reshape(len(slots), 3, heads, head_dim)
+        proj = (x @ self.store.value("attn_qkv").T).reshape(len(slots), 3, heads, head_dim)
         # every keyword's two pooling weights, (R, 2) in this order: 1/n_q
         # and 0 at each of a row's n_q query keywords (which come first), 0
         # and 1/n_t at each of its n_t title keywords
@@ -650,8 +634,7 @@ class KdcnModel:
         cache["f"] = f
         towers = []
         if cfg.use_cross:
-            w, b = self._cross_stack("cross_w"), self._cross_stack("cross_b")
-            x, cache["cross"] = cross_tower(f, w, b)
+            x, cache["cross"] = cross_tower(f, self.store.value("cross_w"), self.store.value("cross_b"))
             towers.append(x)
         if cfg.use_deep:
             x = f
@@ -693,9 +676,8 @@ class KdcnModel:
         if cfg.use_cross:
             offset = self.f_width
             df, dw, db = cross_tower_backward(cache["f"], dz[:, :offset], cache["cross"])
-            for i in range(cfg.n_cross):
-                store.grad(f"cross_w{i}")[:, 0] += dw[:, i]
-                store.grad(f"cross_b{i}")[:, 0] += db[:, i]
+            store.grad("cross_w")[...] += dw
+            store.grad("cross_b")[...] += db
         if cfg.use_deep:
             dx = dz[:, offset:]
             for i in range(cfg.deep_layers - 1, -1, -1):
@@ -746,8 +728,7 @@ class KdcnModel:
             dy = dy.reshape(n_ctx * k_eff, taps.shape[1])
             dtaps = bmat.reshape(n_ctx * k_eff, self.dim).T @ dy
             for width, col, _, _ in per_width:
-                block = dtaps[:, col : col + width * n_f].reshape(self.dim, width, n_f)
-                store.grad(f"conv_w{width}")[...] += block.transpose(2, 0, 1).reshape(n_f, -1)
+                store.grad(f"conv_taps{width}")[...] += dtaps[:, col : col + width * n_f]
             if finetune:
                 dmean = (dy @ taps.T).reshape(n_ctx, k_eff, self.dim)[:, : self.n_behavior_kinds]
                 dtable += cache["pool"].T @ dmean.reshape(-1, self.dim)
@@ -770,12 +751,10 @@ class KdcnModel:
                 np.matmul(dlog.transpose(0, 1, 3, 2), q, out=dqkv[:, :, 1].transpose(0, 2, 1, 3))
                 np.matmul(r.transpose(0, 1, 3, 2), ddb, out=dqkv[:, :, 2].transpose(0, 2, 1, 3))
             dproj = dproj.reshape(len(slots), 3 * self.dim)
-            dw = dproj.T @ x
-            for i, name in enumerate(_ATTN_SLOTS):
-                store.grad(name)[...] += dw[i * self.dim : (i + 1) * self.dim]
+            store.grad("attn_qkv")[...] += dproj.T @ x
             if finetune:
                 ids = batch.kw_ids[slots]
-                dtable += scatter_rows(ids, dproj @ self._attn_weights(), len(dtable))
+                dtable += scatter_rows(ids, dproj @ store.value("attn_qkv"), len(dtable))
 
 
 def scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -1039,22 +1018,22 @@ def _load_meta(path) -> tuple[TrainConfig, dict]:
     types = {f.name: type(f.default) for f in fields(TrainConfig)}
     unknown = sorted(set(meta["config"]) - set(types))
     if unknown:
-        raise FormatError(f"{path}: unknown config key(s) {', '.join(unknown)}")
+        raise FormatError(f"{path}: unknown config key(s) {shown(unknown)}")
     for key, value in meta["config"].items():
         fits, what = _JSON_FORMS[types[key]]
         if not fits(value):
-            raise FormatError(f"{path}: config key '{key}' must be {what}, got {value!r}")
+            raise FormatError(f"{path}: config key '{key}' must be {what}, got {shown(value)}")
     missing = [k for k in ("n_dense", "n_behavior_kinds", "dense_mean", "dense_std") if k not in meta]
     if missing:
         raise FormatError(f"{path}: missing {', '.join(missing)}")
     for key in ("n_dense", "n_behavior_kinds"):
         if type(meta[key]) is not int or meta[key] < 1:  # a bool is not a count
-            raise FormatError(f"{path}: {key} must be an integer >= 1, got {meta[key]!r}")
+            raise FormatError(f"{path}: {key} must be an integer >= 1, got {shown(meta[key])}")
     # fit_stats writes 1.0 for a spread at or below 1e-8, so a stored std is > 0
     for key, low in (("dense_mean", -math.inf), ("dense_std", 0.0)):
         if not isinstance(meta[key], list) or len(meta[key]) != meta["n_dense"]:
-            raise FormatError(f"{path}: {key} does not hold n_dense = {meta['n_dense']!r} values")
-        if not all(type(v) in (int, float) and low < v and abs(v) <= sys.float_info.max for v in meta[key]):
+            raise FormatError(f"{path}: {key} does not hold n_dense = {shown(meta['n_dense'])} values")
+        if not all(json_number(v) and low < v for v in meta[key]):
             raise FormatError(f"{path}: {key} must hold finite float64 values > {low}")
     # JSON has no tuples, and conv_widths is the one list
     stored = {k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"].items()}

@@ -678,11 +678,8 @@ def predict(f: np.ndarray, model: KdcnModel) -> float:
     cfg = model.cfg
     towers = []
     if cfg.use_cross:
-        layers = [
-            (model.store.value(f"cross_w{i}").ravel(), model.store.value(f"cross_b{i}").ravel())
-            for i in range(cfg.n_cross)
-        ]
-        towers.append(cross_forward(f, layers))
+        w, b = model.store.value("cross_w"), model.store.value("cross_b")
+        towers.append(cross_forward(f, list(zip(w.T, b.T))))
     if cfg.use_deep:
         layers = [
             (model.store.value(f"deep_w{i}"), model.store.value(f"deep_b{i}").ravel())
@@ -702,8 +699,9 @@ def ranker_loss(model: KdcnModel, batch: Batch) -> float:
 def conv_params(model: KdcnModel) -> ConvParams:
     """The model's user-state filter banks in per-sample form."""
     cfg = model.cfg
+    # tap n of filter j is column n * filters + j of conv_taps{w}
     filters = {
-        w: model.store.value(f"conv_w{w}").reshape(cfg.conv_filters, model.dim, w)
+        w: model.store.value(f"conv_taps{w}").reshape(model.dim, w, cfg.conv_filters).transpose(2, 0, 1)
         for w in cfg.conv_widths
     }
     biases = {w: model.store.value(f"conv_b{w}")[:, 0] for w in cfg.conv_widths}
@@ -712,12 +710,7 @@ def conv_params(model: KdcnModel) -> ConvParams:
 
 def attention_params(model: KdcnModel) -> AttentionParams:
     """The model's dialogue attention projections in per-sample form."""
-    return AttentionParams(
-        model.cfg.attention_heads,
-        model.store.value("attn_query"),
-        model.store.value("attn_key"),
-        model.store.value("attn_value"),
-    )
+    return AttentionParams(model.cfg.attention_heads, *np.split(model.store.value("attn_qkv"), 3))
 
 
 def title_keyword_ids(featurizer: Featurizer, item: str) -> list[int]:

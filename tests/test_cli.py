@@ -44,6 +44,26 @@ max_title_keywords = 3
 """
 
 
+# a samples.jsonl record that train reads without error
+GOOD_SAMPLE = {
+    "user_id": "user0", "behaviors": [[], [], [], []], "query": "kw0",
+    "candidate_item": "item0", "categories": ["cat0"], "dense": [1.0], "label": 1,
+}
+# JSON number literals that json reads as non-finite floats; json.dumps
+# writes no 1e400, so the tests put them into the line as text
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400"]
+
+
+def write_model_values(path: Path, values: dict) -> None:
+    """A kdcn.bin holding the given slots, in save_model's format."""
+    with open(path, "wb") as fh:
+        fh.write(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(values)))
+        for name, arr in values.items():
+            fh.write(struct.pack("<H", len(name)) + name.encode() + struct.pack("<II", *arr.shape))
+        for arr in values.values():
+            fh.write(arr.astype("<f4").tobytes())
+
+
 @pytest.fixture()
 def workdir(tmp_path):
     cfg = tmp_path / "config.txt"
@@ -169,15 +189,28 @@ class TestExitCodes:
         ],
     )
     def test_malformed_sample_value_is_data_error(self, tmp_path, capsys, field, value):
-        good = {
-            "user_id": "user0", "behaviors": [[], [], [], []], "query": "kw0",
-            "candidate_item": "item0", "categories": ["cat0"], "dense": [1.0], "label": 1,
-        }
         path = tmp_path / "samples.jsonl"
-        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        path.write_text(json.dumps(GOOD_SAMPLE) + "\n" + json.dumps({**GOOD_SAMPLE, field: value}) + "\n")
         assert main(["train", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and f"{path}:2:" in err[0], err
+
+    @pytest.mark.parametrize("literal", NON_FINITE)
+    def test_non_finite_sample_dense_is_data_error(self, tmp_path, capsys, literal):
+        path = tmp_path / "samples.jsonl"
+        bad = json.dumps(GOOD_SAMPLE).replace('"dense": [1.0]', f'"dense": [1.0, {literal}]')
+        path.write_text(json.dumps(GOOD_SAMPLE) + "\n" + bad + "\n")
+        assert main(["train", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}:2: bad sample record (dense must be"), err
+
+    def test_rejected_sample_value_is_shown_cut(self, tmp_path, capsys):
+        path = tmp_path / "samples.jsonl"
+        path.write_text(json.dumps({**GOOD_SAMPLE, "behaviors": [[f"item{i}" for i in range(100000)], 5]}) + "\n")
+        assert main(["train", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{path}:1: bad sample record (behaviors must be" in err[0], err
+        assert len(err[0]) < len(str(path)) + 250, len(err[0])
 
 
 class TestPipeline:
@@ -376,6 +409,27 @@ class TestRankInputErrors:
         err = self.rank_errors(trained, capsys, "--candidates", "item0")
         assert "kdcn.meta.json" in err[0] and name in err[0], err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("config.conv_widths", [0.5] * 100000),
+            ("config.use_cross", "x" * 100000),
+            ("n_behavior_kinds", [[1] * 1000] * 1000),
+            ("n_dense", 10**4000),
+            ("config", {f"bogus{i}": 0 for i in range(100000)}),
+        ],
+        ids=["conv_widths", "use_cross", "n_behavior_kinds", "n_dense", "unknown-keys"],
+    )
+    def test_rejected_meta_value_is_shown_cut(self, trained, capsys, key, value):
+        path = trained / "kdcn.meta.json"
+        meta = json.loads(path.read_text())
+        name = key.removeprefix("config.")
+        target = meta["config"] if key.startswith("config.") else meta
+        target[name] = {**target[name], **value} if isinstance(value, dict) else value
+        path.write_text(json.dumps(meta))
+        err = self.rank_errors(trained, capsys, "--candidates", "item0")
+        assert str(path) in err[0] and len(err[0]) < len(str(path)) + 250, (len(err[0]), err[0][:500])
+
     def test_config_disagrees_with_meta(self, trained, capsys):
         cfg = trained / "config.txt"
         argv = ["--config", str(cfg), "--candidates", "item0"]
@@ -394,7 +448,7 @@ class TestRankInputErrors:
         meta["dense_std"].pop()
         path.write_text(json.dumps(meta))
         err = self.rank_errors(trained, capsys, "--candidates", "item0")
-        assert "kdcn.meta.json" in err[0] and "kdcn.bin" in err[0] and "'cross_w0'" in err[0], err
+        assert "kdcn.meta.json" in err[0] and "kdcn.bin" in err[0] and "'cross_w'" in err[0], err
 
     def test_model_file_from_flattened_block(self, trained, capsys):
         # earlier builds put every keyword slot's attention output into f,
@@ -407,14 +461,39 @@ class TestRankInputErrors:
                 values[name] = np.concatenate([arr, np.zeros((extra, arr.shape[1]))])
             elif name == "deep_w0":
                 values[name] = np.concatenate([arr, np.zeros((arr.shape[0], extra))], axis=1)
-        with open(path, "wb") as fh:
-            fh.write(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(values)))
-            for name, arr in values.items():
-                fh.write(struct.pack("<H", len(name)) + name.encode() + struct.pack("<II", *arr.shape))
-            for arr in values.values():
-                fh.write(arr.astype("<f4").tobytes())
+        write_model_values(path, values)
         err = self.rank_errors(trained, capsys, "--candidates", "item0")
-        assert "kdcn.bin" in err[0] and "'cross_w0'" in err[0] and "retrained" in err[0], err
+        assert "kdcn.bin" in err[0] and "'cross_w'" in err[0] and "retrained" in err[0], err
+
+    def test_model_file_with_per_layer_slots(self, trained, capsys):
+        # earlier builds stored one slot per cross layer, per attention
+        # projection and per conv filter bank, holding the same values
+        path = trained / "kdcn.bin"
+        values = load_model_values(path)
+        n_f = values["conv_b2"].shape[0]
+        for w in (2, 4):
+            taps = values.pop(f"conv_taps{w}")
+            values[f"conv_w{w}"] = taps.reshape(len(taps), w, n_f).transpose(2, 0, 1).reshape(n_f, -1)
+        for name, part in zip(("attn_query", "attn_key", "attn_value"), np.split(values.pop("attn_qkv"), 3)):
+            values[name] = part
+        for prefix in ("cross_w", "cross_b"):
+            for i, column in enumerate(values.pop(prefix).T):
+                values[f"{prefix}{i}"] = column[:, None]
+        write_model_values(path, values)
+        err = self.rank_errors(trained, capsys, "--candidates", "item0")
+        assert "kdcn.meta.json" in err[0] and "kdcn.bin" in err[0] and "retrained" in err[0], err
+        assert "'cross_w0'" in err[0] and "'conv_taps2'" in err[0], err
+
+    def test_meta_conv_widths_of_equal_count_and_sum(self, trained, capsys):
+        # [1, 5] has [2, 4]'s filter count and total width, so the taps
+        # would fill the same columns; the per-width slot names refuse it
+        path = trained / "kdcn.meta.json"
+        meta = json.loads(path.read_text())
+        assert meta["config"]["conv_widths"] == [2, 4]
+        meta["config"]["conv_widths"] = [1, 5]
+        path.write_text(json.dumps(meta))
+        err = self.rank_errors(trained, capsys, "--candidates", "item0")
+        assert "kdcn.meta.json" in err[0] and "kdcn.bin" in err[0] and "'conv_taps5'" in err[0], err
 
     def test_model_slot_name_not_utf8(self, trained, capsys):
         model = trained / "kdcn.bin"
@@ -485,6 +564,44 @@ class TestMalformedEvents:
         err = self.errors(capsys, ["build-kg", "--out", str(tmp_path)])
         assert "record 1: user name 'a\\tb'" in err[0], err
         assert not (tmp_path / "triples.tsv").exists() and not (tmp_path / "vocab.tsv").exists()
+
+    @pytest.mark.parametrize("literal", NON_FINITE)
+    def test_non_finite_dense_names_the_line(self, tmp_path, capsys, literal):
+        events = tmp_path / "events.jsonl"
+        good = {"type": "user_profile", "user": "a", "tags": ["t"]}
+        item = {"type": "item_listing", "item": "i", "category": "c", "seller": "s", "dense": ["x"]}
+        bad = json.dumps(item).replace('["x"]', f"[1.5, {literal}]")
+        events.write_text(json.dumps(good) + "\n" + bad + "\n")
+        err = self.errors(capsys, ["build-kg", "--out", str(tmp_path)])
+        assert err[0].startswith(f"error: {events}:2: field 'dense' of 'item_listing' must be"), err
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"type": list(range(100000))},
+            {"type": "user_profile", "user": ["u"] * 100000, "tags": ["t"]},
+            {"type": "user_profile", "user": "a\t" + "b" * 100000, "tags": ["t"]},
+        ],
+        ids=["type", "name-not-a-string", "name-with-tab"],
+    )
+    def test_rejected_event_value_is_shown_cut(self, tmp_path, capsys, record):
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps(record) + "\n")
+        err = self.errors(capsys, ["build-kg", "--out", str(tmp_path)])
+        assert len(err[0]) < len(str(events)) + 250, (len(err[0]), err[0][:500])
+
+    def test_rank_refuses_a_non_finite_item_dense(self, trained_dir, tmp_path, capsys):
+        # an item's NaN dense value would make every probability of the request NaN
+        lines = (trained_dir / "events.jsonl").read_text().splitlines()
+        number = next(i for i, line in enumerate(lines, 1) if '"item_listing"' in line)
+        record = json.loads(lines[number - 1])
+        record["dense"][0] = float("nan")
+        lines[number - 1] = json.dumps(record)
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines) + "\n")
+        argv = ["rank", "--out", str(trained_dir), "--events", str(events), "--user", "user0", "--query", "kw0"]
+        err = self.errors(capsys, argv)
+        assert err[0].startswith(f"error: {events}:{number}: field 'dense' of 'item_listing'"), err
 
     @pytest.mark.parametrize(
         "fields, named",

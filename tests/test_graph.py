@@ -111,7 +111,7 @@ class TestIngest:
         with pytest.raises(IngestionError, match="record 1"):
             ingest_events([{"type": "session_log", "user": "u1"}])
 
-    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "ab\r", 5])
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "ab\r", 5, ["u"], {"u": 1}])
     def test_name_tsv_cannot_hold_is_schema_error(self, name):
         good = {"type": "user_profile", "user": "u1", "tags": ["t"]}
         with pytest.raises(SchemaError, match=re.escape(f"record 2: user name {name!r}")):

@@ -131,8 +131,7 @@ class TestCrossTower:
         feat.fit_stats(split.train)
         model = km.KdcnModel.build(cfg, feat, RngStream(30))
         rng = RngStream(31)
-        for i in range(cfg.n_cross):
-            model.store.value(f"cross_b{i}")[...] = rng.uniform(-0.5, 0.5, (model.f_width, 1))
+        model.store.value("cross_b")[...] = rng.uniform(-0.5, 0.5, (model.f_width, cfg.n_cross))
         batch = feat.prepare(split.train[:10]).batch(np.arange(10))
         model.store.zero_grads()
         model.loss_and_grads(batch)
@@ -152,9 +151,8 @@ def dialogue_model(heads, finetune, n, **cfg_overrides):
     feat.fit_stats(split.train)
     model = km.KdcnModel.build(cfg, feat, RngStream(40))
     rng = RngStream(41)
-    for name in ("attn_query", "attn_key", "attn_value"):
-        w = model.store.value(name)
-        w[...] = rng.uniform(-2.0, 2.0, w.shape)
+    w = model.store.value("attn_qkv")
+    w[...] = rng.uniform(-2.0, 2.0, w.shape)
     return model, feat.prepare(split.train[:n]).batch(np.arange(n))
 
 
@@ -223,7 +221,7 @@ def assert_matches_per_head_reference(model, batch):
     ids, mask = padded_keywords(batch, split, split + cfg.max_title_keywords)
     table = model.entity_table()
     x = table[ids] * mask[:, :, None]
-    wq, wk, wv = (model.store.value(n) for n in ("attn_query", "attn_key", "attn_value"))
+    wq, wk, wv = np.split(model.store.value("attn_qkv"), 3)
 
     _, cache = model.forward(batch)
     out = cache["f"][:, -model.d_dim :]
@@ -236,9 +234,7 @@ def assert_matches_per_head_reference(model, batch):
     model._assemble_backward(batch, cache, df)
     dout = group_means_backward(df[:, -model.d_dim :], mask, split)
     dwq, dwk, dwv, dx = attention_heads_backward(dout, mask, ref_cache, wq, wk, wv)
-    assert close(model.store.grad("attn_query"), dwq)
-    assert close(model.store.grad("attn_key"), dwk)
-    assert close(model.store.grad("attn_value"), dwv)
+    assert close(model.store.grad("attn_qkv"), np.concatenate([dwq, dwk, dwv]))
     if model.cfg.finetune_embeddings:
         dtable = np.zeros_like(table)
         np.add.at(dtable, ids, dx)
@@ -257,7 +253,7 @@ class TestDialogueAttention:
         half, table = model.dim, model.entity_table()
         out = assert_matches_per_head_reference(model, batch)
         assert not out[0].any() and not out[1, half:].any() and not out[2:4, :half].any()
-        assert close(out[3, half:], model.store.value("attn_value") @ table[5])
+        assert close(out[3, half:], np.split(model.store.value("attn_qkv"), 3)[2] @ table[5])
 
     @pytest.mark.parametrize("finetune", [False, True])
     @pytest.mark.parametrize("heads", [1, 4])
@@ -280,8 +276,7 @@ class TestDialogueAttention:
         assert not cache["f"][:, -model.d_dim :].any()
         model.store.zero_grads()
         model._assemble_backward(batch, cache, np.ones_like(cache["f"]))
-        for name in ("attn_query", "attn_key", "attn_value"):
-            assert not model.store.grad(name).any()
+        assert not model.store.grad("attn_qkv").any()
         if finetune:
             assert not model.store.grad("entity_table").any()
 
@@ -299,8 +294,8 @@ class TestDialogueAttention:
         padded = model.entity_table()[ids] * mask[:, :, None]
         assert np.array_equal(x, padded.reshape(-1, model.dim)[padded_slots])
         assert proj.shape == (len(slots), 3, heads, model.dim // heads)
-        for i, name in enumerate(("attn_query", "attn_key", "attn_value")):
-            ref = (padded @ model.store.value(name).T).reshape(-1, heads, model.dim // heads)
+        for i, w in enumerate(np.split(model.store.value("attn_qkv"), 3)):
+            ref = (padded @ w.T).reshape(-1, heads, model.dim // heads)
             assert close(proj[:, i], ref[padded_slots])
 
     @pytest.mark.parametrize("finetune", [False, True])
@@ -495,13 +490,9 @@ class TestPredict:
         model, _, _ = self.build()
         cfg = model.cfg
         f = RngStream(7).uniform(-1, 1, model.f_width)
-        x_c = cross_forward(
-            f,
-            [
-                (model.store.value(f"cross_w{i}").ravel(), model.store.value(f"cross_b{i}").ravel())
-                for i in range(cfg.n_cross)
-            ],
-        )
+        w, b = model.store.value("cross_w"), model.store.value("cross_b")
+        assert w.shape == b.shape == (model.f_width, cfg.n_cross)
+        x_c = cross_forward(f, list(zip(w.T, b.T)))
         x_d = deep_forward(
             f,
             [
@@ -810,7 +801,7 @@ class TestSharedContext:
         build, batch, _ = shared_context_case(finetune)
         assert len(batch.beh_ptr) - 1 < batch.n * build().n_behavior_kinds
         errs = gradient_errors(build, batch, [300, 301, 302])
-        checked = [name for name in errs if name.startswith(("conv_w", "conv_b"))]
+        checked = [name for name in errs if name.startswith(("conv_taps", "conv_b"))]
         assert len(checked) == 2 * len(build().cfg.conv_widths)
         assert ("entity_table" in errs) == finetune
         assert max(errs.values()) < 1e-4, f"gradient mismatch at 3 generic points: {errs}"
@@ -881,7 +872,7 @@ class TestConvWidths:
         assert (u > 0).reshape(batch.n, len(widths), -1).any(axis=(0, 2)).all()
         errs = gradient_errors(build, batch, [310, 311, 312])
         assert sorted(n for n in errs if n.startswith("conv_")) == sorted(
-            f"conv_{kind}{w}" for w in widths for kind in "bw"
+            f"conv_{kind}{w}" for w in widths for kind in ("b", "taps")
         )
         assert ("entity_table" in errs) == finetune
         assert max(errs.values()) < 1e-4, f"gradient mismatch at 3 generic points: {errs}"
@@ -1274,6 +1265,97 @@ class TestRankContext:
         assert km.rank_candidates(s.behaviors, s.query, cands, result.model, fresh) != before
         meta[cands[0]].dense.append(0.0)
         assert km.rank_candidates(s.behaviors, s.query, cands, result.model, feat) == before
+
+
+def per_layer_draws(model: km.KdcnModel, seed: int) -> dict[str, np.ndarray]:
+    """The initial weights drawn one slot per layer or projection, in float64
+    and in the order of the per-layer layout: cat_table, each conv width's
+    (filters, dim * width) filters in conv_widths order, the query, key and
+    value projections, each cross layer's (F, 1) weights, the deep layers
+    and the logits. Bias slots draw nothing and are left out."""
+    cfg, d, rng = model.cfg, model.dim, RngStream(seed)
+
+    def xavier(shape, fan_in, fan_out):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-bound, bound, shape)
+
+    bound = 1.0 / np.sqrt(cfg.cat_dim)
+    n_cat = model.store.value("cat_table").shape[0]
+    draws = {"cat_table": rng.uniform(-bound, bound, (n_cat, cfg.cat_dim))}
+    for w in cfg.conv_widths:
+        draws[f"conv_w{w}"] = xavier((cfg.conv_filters, d * w), d * w, 1)
+    for name in ("attn_query", "attn_key", "attn_value"):
+        draws[name] = xavier((d, d), d, d // cfg.attention_heads)
+    for i in range(cfg.n_cross):
+        draws[f"cross_w{i}"] = xavier((model.f_width, 1), model.f_width, 1)
+    width_in = model.f_width
+    for i in range(cfg.deep_layers):
+        draws[f"deep_w{i}"] = xavier((cfg.deep_width, width_in), width_in, cfg.deep_width)
+        width_in = cfg.deep_width
+    draws["logits_w"] = xavier((model.logits_in, 1), model.logits_in, 1)
+    return draws
+
+
+class TestSlotLayout:
+    """Each slot is stored in the layout its GEMM reads, and holds the values
+    the per-layer layout drew from the same stream, regrouped."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_slots_regroup_the_per_layer_draws(self, dtype):
+        world, ckpt, split, meta, cfg = small_setup(conv_widths=(4, 2), n_cross=3, conv_filters=3)
+        table = dataclasses.replace(ckpt, entity_table=ckpt.entity_table.astype(dtype))
+        feat = km.Featurizer(table, world.tset.entities, meta, cfg)
+        feat.fit_stats(split.train)
+        model = km.KdcnModel.build(cfg, feat, RngStream(17))
+        draws = per_layer_draws(model, 17)
+        d, n_f = model.dim, cfg.conv_filters
+        expected = {
+            "cat_table": draws["cat_table"],
+            "attn_qkv": np.concatenate([draws[n] for n in ("attn_query", "attn_key", "attn_value")]),
+            "cross_w": np.concatenate([draws[f"cross_w{i}"] for i in range(cfg.n_cross)], axis=1),
+            "cross_b": np.zeros((model.f_width, cfg.n_cross)),
+            "logits_w": draws["logits_w"],
+        }
+        for w in cfg.conv_widths:
+            # tap n of filter j at column n * filters + j
+            filters = draws[f"conv_w{w}"].reshape(n_f, d, w)
+            expected[f"conv_taps{w}"] = filters.transpose(1, 2, 0).reshape(d, w * n_f)
+            expected[f"conv_b{w}"] = np.zeros((n_f, 1))
+        for i in range(cfg.deep_layers):
+            expected[f"deep_w{i}"] = draws[f"deep_w{i}"]
+            expected[f"deep_b{i}"] = np.zeros((cfg.deep_width, 1))
+        assert model.store.names() == [
+            "cat_table", "conv_taps4", "conv_b4", "conv_taps2", "conv_b2", "attn_qkv", "cross_w",
+            "cross_b", "deep_w0", "deep_b0", "deep_w1", "deep_b1", "logits_w",
+        ]
+        for name, value in expected.items():
+            slot = model.store.value(name)
+            assert slot.dtype == dtype and slot.flags.c_contiguous, name
+            assert np.array_equal(slot, value.astype(dtype)), name
+
+    def test_no_cross_layer_is_an_empty_slot(self):
+        world, ckpt, split, meta, cfg = small_setup(**km.ABLATIONS["lr_like"])
+        feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+        feat.fit_stats(split.train)
+        model = km.KdcnModel.build(cfg, feat, RngStream(18))
+        assert model.store.value("cross_w").shape == model.store.value("cross_b").shape == (model.f_width, 0)
+        batch = feat.prepare(split.train[:10]).batch(np.arange(10))
+        model.loss_and_grads(batch)
+        adam_step(model.store, cfg.lr)
+
+    def test_per_layer_slots_are_refused_where_the_shapes_coincide(self):
+        # conv_filters == dim and no cross or dialogue block: conv_w{w} and
+        # conv_taps{w} are both (dim, dim * w), so only the names tell them apart
+        world, ckpt, split, meta, cfg = small_setup(conv_filters=8, use_cross=False, use_dialogue=False)
+        feat = km.Featurizer(ckpt, world.tset.entities, meta, cfg)
+        feat.fit_stats(split.train)
+        model = km.KdcnModel.build(cfg, feat, RngStream(19))
+        values = {name: slot.value for name, slot in model.store.slots.items()}
+        for w in cfg.conv_widths:
+            values[f"conv_w{w}"] = values.pop(f"conv_taps{w}")
+            assert values[f"conv_w{w}"].shape == (cfg.conv_filters, model.dim * w)
+        with pytest.raises(FormatError, match="slot names"):
+            km.restore_model_values(model, values)
 
 
 class TestModelFile:
