@@ -25,7 +25,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import datagen, graph, model as model_mod, pretrain as pretrain_mod
-from .errors import ConfigError, FormatError, KdcnError, ParseError
+from .errors import ConfigError, FormatError, KdcnError, ParseError, cut
 from .metrics import auc, epochs_to_threshold
 from .rng import RngStream
 from .textfile import read_lines, write_lines
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else {}
         unknown = sorted(set(cfg) - CONFIG_KEYS)
         if unknown:
-            raise ConfigError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
+            raise ConfigError(f"{args.config}: unknown config key(s) {cut(', '.join(unknown))}")
         args.fn(args, cfg)
         return 0
     except UsageError as exc:

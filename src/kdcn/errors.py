@@ -74,11 +74,15 @@ def require_finite_positive(config, *names: str) -> None:
             raise ConfigError(f"{type(config).__name__}.{name} must be finite and > 0, got {value}")
 
 
-def shown(value, limit: int = 80) -> str:
-    """repr(value) for an error message, cut to at most limit characters.
+def cut(text: str) -> str:
+    """text for an error message, cut to at most 80 characters."""
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def shown(value) -> str:
+    """repr(value) for an error message, cut to at most 80 characters.
 
     reprlib abbreviates a long or deeply nested value before rendering it,
     so a huge rejected value costs no huge string.
     """
-    text = reprlib.repr(value)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+    return cut(reprlib.repr(value))

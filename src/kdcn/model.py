@@ -99,6 +99,7 @@ from .errors import (
     SchemaError,
     TrainingError,
     UnknownNameError,
+    cut,
     require_at_least,
     require_finite_positive,
     shown,
@@ -1018,7 +1019,7 @@ def _load_meta(path) -> tuple[TrainConfig, dict]:
     types = {f.name: type(f.default) for f in fields(TrainConfig)}
     unknown = sorted(set(meta["config"]) - set(types))
     if unknown:
-        raise FormatError(f"{path}: unknown config key(s) {shown(unknown)}")
+        raise FormatError(f"{path}: unknown config key(s) {cut(', '.join(unknown))}")
     for key, value in meta["config"].items():
         fits, what = _JSON_FORMS[types[key]]
         if not fits(value):

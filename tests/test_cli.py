@@ -89,6 +89,17 @@ class TestConfigFile:
         path.write_text("not a pair\n")
         assert main(["gen-data", "--config", str(path), "--out", str(tmp_path)]) == 2
 
+    def test_unknown_keys_are_named_and_cut(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text("bogus_b = 1\nbogus_a = 2\n")
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: unknown config key(s) bogus_a, bogus_b\n"
+        path.write_text("".join(f"bogus{i} = 0\n" for i in range(100000)))
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: unknown config key(s) bogus0, bogus1, ")
+        assert len(err) < len(str(path)) + 250, len(err)
+
 
 class TestConfigKeys:
     def test_cast_is_the_field_type(self):
@@ -408,6 +419,15 @@ class TestRankInputErrors:
         path.write_text(json.dumps(meta))
         err = self.rank_errors(trained, capsys, "--candidates", "item0")
         assert "kdcn.meta.json" in err[0] and name in err[0], err
+
+    def test_stale_meta_names_the_key(self, trained, capsys):
+        # the message README quotes for a meta file that still holds seed
+        path = trained / "kdcn.meta.json"
+        meta = json.loads(path.read_text())
+        meta["config"]["seed"] = 0
+        path.write_text(json.dumps(meta))
+        err = self.rank_errors(trained, capsys, "--candidates", "item0")
+        assert err == [f"error: {path}: unknown config key(s) seed"], err
 
     @pytest.mark.parametrize(
         "key, value",
