@@ -9,9 +9,9 @@ The config file's keys are the scalar fields of WorldConfig, ClickModel,
 PretrainConfig and TrainConfig (see SECTIONS, which renames four of them),
 plus n_samples, prune_min_count and loss_threshold; each field's default and
 type are the key's default and cast. A boolean takes 1/true/yes/on or
-0/false/no/off. An unknown key or a value that does not parse or is out of
-range is a data error. `rank` takes every TrainConfig setting from
-kdcn.meta.json, so a config file that sets one of those keys to another
+0/false/no/off. An unknown or repeated key, or a value that does not parse
+or is out of range, is a data error. `rank` takes every TrainConfig setting
+from kdcn.meta.json, so a config file that sets one of those keys to another
 value is a data error too.
 """
 
@@ -83,8 +83,19 @@ def _config_pair(line: str) -> tuple[str, str] | None:
 
 
 def load_config(path) -> dict[str, str]:
-    """Flat key=value config; '#' starts a comment, blank lines ignored."""
-    return dict(pair for pair in read_lines(path, _config_pair) if pair)
+    """Flat key=value config; '#' starts a comment, blank lines ignored. A
+    repeated key is a ParseError at its line."""
+    cfg: dict[str, str] = {}
+
+    def add(line: str) -> None:
+        pair = _config_pair(line)
+        if pair:
+            if pair[0] in cfg:
+                raise ParseError(f"repeated config key '{cut(pair[0])}'")
+            cfg[pair[0]] = pair[1]
+
+    read_lines(path, add)
+    return cfg
 
 
 def _cast(key: str, cast, raw: str):
@@ -212,6 +223,9 @@ def cmd_eval(args, cfg: dict) -> None:
         unknown = [n for n in requested if n not in model_mod.ABLATIONS]
         if unknown:
             raise UsageError(f"unknown eval config(s) {unknown}; choose from {names}")
+        repeated = sorted(n for n, count in Counter(requested).items() if count > 1)
+        if repeated:
+            raise UsageError(f"--configs names {', '.join(repeated)} more than once")
         names = sorted(requested)
     split, ckpt, entities, item_meta = _load_train_inputs(args, out)
     base = _section(cfg, "train")
@@ -272,10 +286,15 @@ def cmd_rank(args, cfg: dict) -> None:
     if behaviors is None:
         raise KdcnError(f"user '{args.user}' has no sample in {samples_path}")
     if candidates is None:
-        candidates = sorted(item_meta, key=featurizer.item_id)[: mdl.cfg.candidate_cap]
+        # the listed items that are graph entities, in entity-id order
+        ids = dict(zip(item_meta, featurizer.item_entity_ids.tolist()))
+        candidates = sorted((name for name in ids if ids[name] >= 0), key=ids.get)[: mdl.cfg.candidate_cap]
         if not candidates:
             path = args.events or out / "events.jsonl"
-            raise KdcnError(f"{path} has no item_listing event, so rank has no candidate to score")
+            vocab = args.vocab or out / "ckge.vocab.tsv"
+            raise KdcnError(
+                f"{path} has no item_listing of an entity in {vocab}, so rank has no candidate to score"
+            )
     repeated = sorted(name for name, n in Counter(candidates).items() if n > 1)
     if repeated:
         raise KdcnError(f"--candidates lists {', '.join(repeated)} more than once")

@@ -49,7 +49,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, require_at_least, shown
+from .errors import ConfigError, ParseError, require_at_least, require_finite, shown
 from .graph import DENSE_VALUES, TripleSet, csr_lists, ingest_events, json_array, json_string
 from .rng import RngStream
 from .textfile import iter_lines, read_lines, write_lines
@@ -75,6 +75,8 @@ class WorldConfig:
     def __post_init__(self):
         require_at_least(self, 1, "n_users", "n_items", "n_categories", "n_sellers", "n_tags",
                          "n_keywords", "n_sessions")
+        require_finite(self, "affinity_strength", "noise_std")
+        require_at_least(self, 0, "noise_std")
 
 
 @dataclass
@@ -85,6 +87,8 @@ class ClickModel:
     w_overlap: float = 0.75
     w_cluster: float = 1.0
 
+    def __post_init__(self):
+        require_finite(self, "w_tag_match", "w_overlap", "w_cluster")
 
 
 @dataclass

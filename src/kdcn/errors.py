@@ -5,6 +5,7 @@ Everything raised on bad data or bad shapes derives from KdcnError so the
 CLI can map library failures to a data-error exit code in one place.
 """
 
+import math
 import reprlib
 
 
@@ -64,6 +65,14 @@ def require_at_least(config, low: int, *names: str) -> None:
         value = getattr(config, name)
         if value < low:
             raise ConfigError(f"{type(config).__name__}.{name} must be >= {low}, got {value}")
+
+
+def require_finite(config, *names: str) -> None:
+    """Raise ConfigError naming the first of the config's fields that is not a finite number."""
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{type(config).__name__}.{name} must be finite, got {value}")
 
 
 def require_finite_positive(config, *names: str) -> None:

@@ -27,7 +27,7 @@ keyword embeddings, run over a head axis, and it returns the mean of the
 attention output over the query keywords and over the title keywords:
 2 * dim columns of f. Pooling is a design choice of this implementation;
 the paper does not fix the shape of the dialogue representation. A batch
-holds its keywords ragged, as CSR rows (see Batch). The rows are bucketed
+holds its keywords ragged, as CSR rows (see Dataset). The rows are bucketed
 by their keyword count L (sequence bucketing): taken in order of L, the
 keywords of each bucket are one contiguous block of the projections (one
 GEMM for the three stacked projections), which reshapes to
@@ -64,17 +64,18 @@ forward makes them one pooling operator P with 1/count at a row's ids, so
 the per-kind means are P @ table and, with the entity table fine-tuned, its
 gradient is P.T @ dmean through the same P; frozen and fine-tuned runs share
 that path. The user state belongs to the behaviors, not to the candidate,
-so a Batch pools and convolves per behavior context (k behavior rows each)
-and its context array gives each row its context: the forward gathers the
-contexts' user states onto the rows, and the backward sums the rows'
-gradients back per context. A Dataset batch makes every sample its own
-context, and takes its keyword and behavior rows with numeric.ragged_rows;
-P and every other sparse operator here come from numeric.incidence.
-rank_candidates scores a request over one context, featurized once with
-the query, and gathers each candidate's title keywords, category slots and
-dense statistics from the per-item arrays the Featurizer builds once; one
-method (Featurizer.keyword_rows) joins the query and the titles
-into keyword rows for a request and for a Dataset alike.
+so a Dataset pools and convolves per behavior context (k behavior rows
+each) and its context array gives each row its context: the forward
+gathers the contexts' user states onto the rows, and the backward sums the
+rows' gradients back per context. P and every other sparse operator here
+come from numeric.incidence.
+
+One type, Dataset, holds featurized rows for a split, a training batch
+and a rank request alike. Featurizer.prepare and rank_candidates build it
+through the same Featurizer.keyword_rows, behavior_rows and standardize,
+and Dataset.batch slices it with numeric.ragged_rows; a request gathers
+its candidates' titles, category slots and dense statistics from the
+per-item arrays the Featurizer builds once.
 """
 
 from __future__ import annotations
@@ -204,10 +205,13 @@ def item_meta_from_events(events) -> dict[str, ItemMeta]:
 
 
 @dataclass
-class Batch:
-    """Index arrays and constants for one minibatch; floats in the table's dtype."""
+class Dataset:
+    """Featurized rows, each read against its behavior context; floats in the table's dtype.
 
-    n: int
+    Featurizer.prepare makes every sample its own context, rank_candidates
+    puts a request's candidates in context 0, and batch slices either.
+    """
+
     beh_ptr: np.ndarray  # (contexts * k + 1,) int: context c's kind-j items are CSR row c * k + j
     beh_ids: np.ndarray  # flat int item entity ids of those rows
     context: np.ndarray  # (n,) int, each row's behavior context
@@ -217,47 +221,22 @@ class Batch:
     cat_idx: np.ndarray  # (n, S) int, -1 where padded
     dense: np.ndarray  # (n, n_dense) standardized
     labels: np.ndarray  # (n,) 0 or 1
+    n_behavior_kinds: int  # k
 
+    @property
+    def n(self) -> int:
+        return len(self.context)
 
-class Dataset:
-    """Featurized samples, sliceable into batches by index.
-
-    Sample i's keywords are keyword row i and its behaviors of each kind are
-    behavior row i * k + kind, as in a Batch; see Featurizer.behavior_rows.
-    """
-
-    def __init__(self, featurizer: "Featurizer", samples):
-        f = featurizer
-        self.featurizer = f
-        self.n = len(samples)
-        # one CSR row per distinct query; queries[i] is sample i's row
-        index = {q: i for i, q in enumerate(dict.fromkeys(s.query for s in samples))}
-        q_ptr, q_ids = csr_lists([f.query_keyword_ids(q) for q in index])
-        queries = np.fromiter((index[s.query] for s in samples), dtype=np.int64, count=self.n)
-        rows = f.item_rows([s.candidate_item for s in samples])
-        self.kw_ptr, self.kw_ids = f.keyword_rows(q_ptr, q_ids, queries, rows)
-        self.n_query = np.diff(q_ptr)[queries]
-        self.cat_idx = f.category_slots([s.categories for s in samples])
-        self.dense = f.standardize(*dense_rows([s.dense for s in samples]), lambda i: f"sample {i}")
-        self.beh_ptr, self.beh_ids = f.behavior_rows([s.behaviors for s in samples], lambda i: f"sample {i}")
-        self.labels = np.array([s.label for s in samples], dtype=f.table.dtype)
-
-    def batch(self, idx: np.ndarray) -> Batch:
+    def batch(self, idx: np.ndarray) -> Dataset:
+        """Rows idx in that order, each its own context: row j takes row idx[j]'s behaviors."""
         idx = np.asarray(idx, dtype=np.int64)
-        k = self.featurizer.n_behavior_kinds
+        k = self.n_behavior_kinds
         kw_ptr, kw_positions = ragged_rows(self.kw_ptr, idx)
-        beh_ptr, beh_positions = ragged_rows(self.beh_ptr, (idx[:, None] * k + np.arange(k)).ravel())
-        return Batch(
-            n=len(idx),
-            beh_ptr=beh_ptr,
-            beh_ids=self.beh_ids[beh_positions],
-            context=np.arange(len(idx)),
-            kw_ptr=kw_ptr,
-            kw_ids=self.kw_ids[kw_positions],
-            n_query=self.n_query[idx],
-            cat_idx=self.cat_idx[idx],
-            dense=self.dense[idx],
-            labels=self.labels[idx],
+        beh_rows = (self.context[idx][:, None] * k + np.arange(k)).ravel()
+        beh_ptr, beh_positions = ragged_rows(self.beh_ptr, beh_rows)
+        return Dataset(
+            beh_ptr, self.beh_ids[beh_positions], np.arange(len(idx)), kw_ptr, self.kw_ids[kw_positions],
+            self.n_query[idx], self.cat_idx[idx], self.dense[idx], self.labels[idx], k,
         )
 
 
@@ -426,9 +405,24 @@ class Featurizer:
         self.dense_std = np.where(std > 1e-8, std, 1.0)
 
     def prepare(self, samples) -> Dataset:
+        """The samples as Dataset rows, sample i in row i and behavior context i."""
         if self.n_dense is None:
             raise SchemaError("fit_stats must be called before prepare")
-        return Dataset(self, samples)
+        n = len(samples)
+        # one CSR row per distinct query; queries[i] is sample i's row
+        index = {q: i for i, q in enumerate(dict.fromkeys(s.query for s in samples))}
+        q_ptr, q_ids = csr_lists([self.query_keyword_ids(q) for q in index])
+        queries = np.fromiter((index[s.query] for s in samples), dtype=np.int64, count=n)
+        rows = self.item_rows([s.candidate_item for s in samples])
+        kw_ptr, kw_ids = self.keyword_rows(q_ptr, q_ids, queries, rows)
+        cat_idx = self.category_slots([s.categories for s in samples])
+        dense = self.standardize(*dense_rows([s.dense for s in samples]), lambda i: f"sample {i}")
+        beh_ptr, beh_ids = self.behavior_rows([s.behaviors for s in samples], lambda i: f"sample {i}")
+        labels = np.array([s.label for s in samples], dtype=self.table.dtype)
+        return Dataset(
+            beh_ptr, beh_ids, np.arange(n), kw_ptr, kw_ids, np.diff(q_ptr)[queries], cat_idx, dense, labels,
+            self.n_behavior_kinds,
+        )
 
 
 def _xavier(rng: RngStream, shape: tuple[int, int], fan_in: int, fan_out: int) -> np.ndarray:
@@ -514,7 +508,7 @@ class KdcnModel:
 
     # ---- batched forward -------------------------------------------------
 
-    def _behavior_matrices(self, batch: Batch, table: np.ndarray, cache: dict) -> np.ndarray:
+    def _behavior_matrices(self, batch: Dataset, table: np.ndarray, cache: dict) -> np.ndarray:
         """(contexts, k_eff, d) per-kind behavior means, kinds on axis 1.
 
         k_eff is the larger of the kind count and the widest filter; the
@@ -556,7 +550,7 @@ class KdcnModel:
         cache["conv"] = (taps, per_width)
         return np.concatenate(pooled_parts, axis=1)
 
-    def _dialogue_forward(self, batch: Batch, table: np.ndarray, cache: dict) -> np.ndarray:
+    def _dialogue_forward(self, batch: Dataset, table: np.ndarray, cache: dict) -> np.ndarray:
         heads = self.cfg.attention_heads
         head_dim = self.dim // heads
         counts = batch.kw_ptr[1:] - batch.kw_ptr[:-1]
@@ -611,7 +605,7 @@ class KdcnModel:
         cache["attn"] = (slots, x, proj, buckets)
         return out.reshape(batch.n, self.d_dim)
 
-    def _assemble(self, batch: Batch, table: np.ndarray, cache: dict) -> np.ndarray:
+    def _assemble(self, batch: Dataset, table: np.ndarray, cache: dict) -> np.ndarray:
         cfg = self.cfg
         cat_table = self.store.value("cat_table")
         gathered = cat_table[np.maximum(batch.cat_idx, 0)]
@@ -626,7 +620,7 @@ class KdcnModel:
             parts.append(self._dialogue_forward(batch, table, cache))
         return np.concatenate(parts, axis=1)
 
-    def forward(self, batch: Batch):
+    def forward(self, batch: Dataset):
         """Full forward pass; returns (probabilities, cache)."""
         cfg = self.cfg
         table = self.entity_table()
@@ -653,12 +647,12 @@ class KdcnModel:
         cache["logit"] = logit
         return sigmoid(logit), cache
 
-    def predict_batch(self, batch: Batch) -> np.ndarray:
+    def predict_batch(self, batch: Dataset) -> np.ndarray:
         return self.forward(batch)[0]
 
     # ---- batched backward ------------------------------------------------
 
-    def loss_and_grads(self, batch: Batch) -> tuple[float, np.ndarray]:
+    def loss_and_grads(self, batch: Dataset) -> tuple[float, np.ndarray]:
         """Forward + backward; accumulates gradients into the store."""
         cfg = self.cfg
         store = self.store
@@ -694,7 +688,7 @@ class KdcnModel:
             raise TrainingError("non-finite loss")
         return loss, p
 
-    def _assemble_backward(self, batch: Batch, cache: dict, df: np.ndarray) -> None:
+    def _assemble_backward(self, batch: Dataset, cache: dict, df: np.ndarray) -> None:
         cfg = self.cfg
         store = self.store
         table = cache["table"]
@@ -898,13 +892,14 @@ def fit(
     return FitResult(model, featurizer, history)
 
 
-def score_dataset(model: KdcnModel, dataset: Dataset, batch_size: int = 1024) -> list[float]:
+SCORE_BATCH = 1024  # rows per forward pass in score_dataset
+
+
+def score_dataset(model: KdcnModel, dataset: Dataset) -> list[float]:
     """The model's click probabilities for every row of dataset, in row order."""
-    if batch_size < 1:
-        raise ConfigError(f"score_dataset batch_size must be >= 1, got {batch_size}")
     scores: list[float] = []
-    for start in range(0, dataset.n, batch_size):
-        idx = np.arange(start, min(start + batch_size, dataset.n))
+    for start in range(0, dataset.n, SCORE_BATCH):
+        idx = np.arange(start, min(start + SCORE_BATCH, dataset.n))
         scores.extend(model.predict_batch(dataset.batch(idx)).tolist())
     return scores
 
@@ -1113,11 +1108,10 @@ def rank_candidates(
     q_ptr, q_ids = np.array([0, len(query_ids)]), np.array(query_ids, dtype=np.int64)
     kw_ptr, kw_ids = featurizer.keyword_rows(q_ptr, q_ids, np.zeros(n, dtype=np.int64), rows)
     beh_ptr, beh_ids = featurizer.behavior_rows([behaviors], lambda _: "request behaviors")
-    batch = Batch(
-        n=n,
+    request = Dataset(
         beh_ptr=beh_ptr,
         beh_ids=beh_ids,
-        context=np.zeros(n, dtype=np.int64),
+        context=np.zeros(n, dtype=np.int64),  # every candidate row reads context 0
         kw_ptr=kw_ptr,
         kw_ids=kw_ids,
         n_query=np.full(n, len(query_ids), dtype=np.int64),
@@ -1128,8 +1122,9 @@ def rank_candidates(
             lambda i: f"item '{candidates[canonical[i]]}'",
         ),
         labels=np.zeros(n, dtype=model.dtype),
+        n_behavior_kinds=featurizer.n_behavior_kinds,
     )
-    scores = model.predict_batch(batch)
+    scores = model.predict_batch(request)
     # the rows are in canonical order, so a stable sort on the score alone
     # breaks ties by ascending id
     order = np.argsort(-scores, kind="stable")

@@ -34,7 +34,7 @@ import numpy as np
 from kdcn.datagen import BEHAVIOR_KINDS, ClickModel, Sample, SampleSplit, World, _pick, _pick_distinct, split_loaded
 from kdcn.errors import CapacityError, DimensionError, MetricError
 from kdcn.graph import Graph, TripleSet
-from kdcn.model import Batch, Featurizer, KdcnModel, extract_keywords, log_loss
+from kdcn.model import Dataset, Featurizer, KdcnModel, extract_keywords, log_loss
 from kdcn.numeric import ParamStore, relu, sigmoid
 from kdcn.pretrain import (
     PretrainCheckpoint,
@@ -690,7 +690,7 @@ def predict(f: np.ndarray, model: KdcnModel) -> float:
     return float(sigmoid(z @ model.store.value("logits_w").ravel()))
 
 
-def ranker_loss(model: KdcnModel, batch: Batch) -> float:
+def ranker_loss(model: KdcnModel, batch: Dataset) -> float:
     """The model's mean log loss on a batch (pure forward)."""
     p, _ = model.forward(batch)
     return log_loss(p, batch.labels)
@@ -732,8 +732,7 @@ def sample_features(featurizer: Featurizer, sample) -> tuple[np.ndarray, list, l
 
 
 def keyword_lists(batch) -> list[tuple[list[int], list[int]]]:
-    """Each row's (query ids, title ids), read from a Batch's or a Dataset's
-    ragged keywords one row at a time."""
+    """Each row's (query ids, title ids), read from a Dataset's ragged keywords one row at a time."""
     rows = []
     for lo, hi, n_query in zip(batch.kw_ptr[:-1], batch.kw_ptr[1:], batch.n_query):
         ids = batch.kw_ids[lo:hi].tolist()

@@ -121,7 +121,7 @@ def test_featurizer_with_assigned_stats_matches_fit_stats():
     model = km.KdcnModel.build(cfg, fitted, RngStream(6))
     idx = np.array([4, 0, 9, 9, 2])
     a, b = (f.prepare(split.train[:12]).batch(idx) for f in (fitted, assigned))
-    for f in dataclasses.fields(km.Batch):
+    for f in dataclasses.fields(km.Dataset):
         x, y = getattr(a, f.name), getattr(b, f.name)
         assert np.asarray(x).dtype == np.asarray(y).dtype and np.array_equal(x, y), f.name
     assert np.array_equal(model.predict_batch(a), model.predict_batch(b))

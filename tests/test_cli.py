@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kdcn import graph
 from kdcn.cli import CONFIG_KEYS, SECTIONS, _section_keys, load_config, main
-from kdcn.errors import KdcnError
+from kdcn.errors import KdcnError, ParseError
 from kdcn.model import MODEL_MAGIC, MODEL_VERSION, load_model_values
 from kdcn.pretrain import PretrainCheckpoint, load_checkpoint
 
@@ -42,6 +43,13 @@ attention_heads = 2
 max_query_keywords = 3
 max_title_keywords = 3
 """
+
+
+def tiny_config_with(lines: list[str]) -> str:
+    """TINY_CONFIG with lines added, each in place of the line that sets its key."""
+    keys = {line.partition("=")[0].strip() for line in lines}
+    kept = [line for line in TINY_CONFIG.splitlines() if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept + lines) + "\n"
 
 
 # a samples.jsonl record that train reads without error
@@ -100,6 +108,18 @@ class TestConfigFile:
         assert err.startswith(f"error: {path}: unknown config key(s) bogus0, bogus1, ")
         assert len(err) < len(str(path)) + 250, len(err)
 
+    def test_repeated_key_is_data_error_at_its_line(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text(TINY_CONFIG + "epochs = 1\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}:28: repeated config key 'epochs'") + "$"):
+            load_config(path)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:28: repeated config key 'epochs'\n"
+        # the value does not matter, and the key is matched after stripping
+        path.write_text("a = 1\n# a = 3\n\n a=1 # again\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}:4: repeated config key 'a'") + "$"):
+            load_config(path)
+
 
 class TestConfigKeys:
     def test_cast_is_the_field_type(self):
@@ -139,6 +159,14 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"usage error: {argv[-2]}"), err
 
+    @pytest.mark.parametrize("configs, named", [("dcn,dcn", "dcn"), ("kdcn,dcn,kdcn,lr_like,dcn", "dcn, kdcn")])
+    def test_repeated_eval_config_is_usage_error(self, tmp_path, capsys, configs, named):
+        # checked before any input is read: tmp_path holds no artifact
+        assert main(["eval", "--configs", configs, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"usage error: --configs names {named} more than once"], err
+        assert not (tmp_path / "report.csv").exists()
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert main(["pretrain", "--out", str(tmp_path)]) == 2
 
@@ -177,13 +205,21 @@ class TestExitCodes:
             ("train", ["n_cross = -1"], "TrainConfig.n_cross"),
             ("pretrain", ["negatives_per_positive = 0"], "PretrainConfig.negatives_per_positive must be >= 1"),
             ("pretrain", ["negatives_per_positive = -1"], "PretrainConfig.negatives_per_positive"),
+            ("gen-data", ["alpha = nan"], "WorldConfig.affinity_strength must be finite, got nan"),
+            ("gen-data", ["alpha = -inf"], "WorldConfig.affinity_strength must be finite"),
+            ("gen-data", ["noise_std = nan"], "WorldConfig.noise_std must be finite, got nan"),
+            ("gen-data", ["noise_std = inf"], "WorldConfig.noise_std must be finite"),
+            ("gen-data", ["noise_std = -0.5"], "WorldConfig.noise_std must be >= 0, got -0.5"),
+            ("gen-data", ["w_tag_match = nan"], "ClickModel.w_tag_match must be finite"),
+            ("gen-data", ["w_overlap = inf"], "ClickModel.w_overlap must be finite, got inf"),
+            ("gen-data", ["w_cluster = -inf"], "ClickModel.w_cluster must be finite"),
         ],
     )
     def test_bad_config_value_is_data_error(self, workdir, capsys, command, lines, named):
         out, cfg = workdir
         assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
         bad = out / "bad.txt"
-        bad.write_text(TINY_CONFIG + "\n".join(lines) + "\n")
+        bad.write_text(tiny_config_with(lines))
         capsys.readouterr()
         assert main([command, "--config", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -324,6 +360,22 @@ class TestRankInputErrors:
     def test_duplicate_candidates(self, trained, capsys):
         err = self.rank_errors(trained, capsys, "--candidates", "item1,item0,item1")
         assert "item1" in err[0] and "item0" not in err[0]
+
+    def test_default_candidates_are_entities_in_id_order(self, trained, capsys):
+        # an events file newer than the graph lists an item that ckge.vocab.tsv does not hold
+        lines = (trained / "events.jsonl").read_text().splitlines()
+        listing = next(json.loads(line) for line in lines if json.loads(line)["type"] == "item_listing")
+        newer = trained / "newer.jsonl"
+        newer.write_text("\n".join([*lines, json.dumps({**listing, "item": "ghost-item"})]) + "\n")
+        meta_path = trained / "kdcn.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["config"]["candidate_cap"] = 5
+        meta_path.write_text(json.dumps(meta))
+        argv = ["rank", "--out", str(trained), "--user", "user0", "--query", "kw0", "--events", str(newer)]
+        assert main(argv) == 0
+        printed = [line.split()[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        items = [e.name for e in graph.load_vocab(trained / "ckge.vocab.tsv") if e.kind == "item"]
+        assert len(items) > 5 and sorted(printed) == sorted(items[:5]), printed
 
     @pytest.mark.parametrize("after", [True, False])
     def test_samples_are_read_up_to_the_users_first(self, trained, capsys, after):

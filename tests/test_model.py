@@ -1128,13 +1128,6 @@ class TestRankCandidates:
         p = result.model.predict_batch(ds.batch(np.arange(0)))
         assert p.shape == (0,) and p.dtype == result.model.dtype
 
-    @pytest.mark.parametrize("batch_size", [0, -3])
-    def test_score_dataset_batch_size_below_one(self, batch_size):
-        world, split, result = self.build()
-        ds = result.featurizer.prepare(split.train[:5])
-        with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {batch_size}"):
-            km.score_dataset(result.model, ds, batch_size=batch_size)
-
     def test_unknown_item(self):
         world, split, result = self.build()
         with pytest.raises(KeyError):
@@ -1169,6 +1162,25 @@ class TestRankContext:
         assert len(batch.beh_ptr) == model.n_behavior_kinds + 1
         assert batch.beh_ids.tolist() == [result.featurizer.item_id(n) for b in s.behaviors for n in b]
         assert batch.context.shape == (len(cands),) and not batch.context.any()
+
+    def test_batch_of_a_request_scores_rows_as_the_request(self, monkeypatch):
+        world, split, result = TestRankCandidates().build()
+        s, model = split.train[0], result.model
+        seen = []
+        forward = km.KdcnModel.forward
+        monkeypatch.setattr(
+            km.KdcnModel, "forward", lambda self, batch: seen.append(batch) or forward(self, batch)
+        )
+        km.rank_candidates(s.behaviors, s.query, world.items[:7], model, result.featurizer)
+        (request,) = seen
+        assert request.beh_ptr[-1] > 0 and not request.context.any()
+        full = model.predict_batch(request)
+        for idx in ([3], [6, 0, 2], [1, 1, 5, 4], []):
+            part = request.batch(np.array(idx, dtype=np.int64))
+            # every row takes its own copy of the request's one context
+            assert part.context.tolist() == list(range(len(idx)))
+            assert part.beh_ids.tolist() == request.beh_ids.tolist() * len(idx)
+            np.testing.assert_allclose(model.predict_batch(part), full[idx], rtol=1e-5)
 
     @pytest.mark.parametrize("query", ["no such word", "kw1", "kw0 kw1 kw2 kw3 kw4 kw5"])
     def test_request_batch_equals_dataset_batch(self, monkeypatch, query):

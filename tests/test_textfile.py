@@ -178,8 +178,10 @@ def _file_bytes(header, lines, crlf, final_newline) -> bytes:
 def test_reader_fails_at_first_bad_line_or_reads_every_record(fuzz_dir, fmt, data):
     reader, header, valid, malformed, expect = FORMATS[fmt]
     lines = data.draw(st.lists(_line(valid, malformed), max_size=8))
-    if fmt == "vocab":  # a repeated (kind, name) is a bad line: each names one id
-        keys = [(item.kind, item.name) if kind == "valid" else None for kind, _, item in lines]
+    # a repeated config key, or a repeated vocab (kind, name), is a bad line
+    key_of = {"config": lambda item: item[0], "vocab": lambda item: (item.kind, item.name)}.get(fmt)
+    if key_of:
+        keys = [key_of(item) if kind == "valid" else None for kind, _, item in lines]
         lines = [
             ("bad", raw, None) if key is not None and key in keys[:i] else (kind, raw, item)
             for i, ((kind, raw, item), key) in enumerate(zip(lines, keys))
