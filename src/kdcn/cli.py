@@ -2,14 +2,14 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/format error. All subcommands
 take --seed, --config (flat key=value file) and --out (artifact directory);
-with a fixed seed every run writes byte-identical artifacts, except for the
-wall-time column of the evaluation report.
+with a fixed seed and BLAS thread count every run writes byte-identical
+artifacts, except for the wall-time column of the evaluation report.
 
 The config file's keys are the scalar fields of WorldConfig, ClickModel,
 PretrainConfig and TrainConfig (see SECTIONS, which renames four of them),
 plus n_samples, prune_min_count and loss_threshold; each field's default and
 type are the key's default and cast. A boolean takes 1/true/yes/on or
-0/false/no/off. An unknown or repeated key, or a value that does not parse
+0/false/no/off. An unknown, empty or repeated key, or a value that does not parse
 or is out of range, is a data error. `rank` takes every TrainConfig setting
 from kdcn.meta.json, so a config file that sets one of those keys to another
 value is a data error too.
@@ -79,6 +79,8 @@ def _config_pair(line: str) -> tuple[str, str] | None:
     key, eq, value = line.split("#", 1)[0].partition("=")
     if not eq and key.strip():
         raise ParseError("expected key=value")
+    if eq and not key.strip():
+        raise ParseError("empty config key")
     return (key.strip(), value.strip()) if eq else None
 
 

@@ -82,9 +82,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
-import struct
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from pathlib import Path
@@ -107,7 +105,9 @@ from .errors import (
 )
 from .graph import EntityRef, check_event, csr_lists, json_number
 from .metrics import auc
-from .numeric import ParamStore, adam_step, as_float, incidence, ragged_rows, relu, sigmoid
+from .numeric import (
+    ParamStore, adam_step, as_float, incidence, ragged_rows, read_slots, relu, sigmoid, write_slots
+)
 from .pretrain import PretrainCheckpoint
 from .rng import RngStream
 from .textfile import write_lines
@@ -228,14 +228,16 @@ class Dataset:
         return len(self.context)
 
     def batch(self, idx: np.ndarray) -> Dataset:
-        """Rows idx in that order, each its own context: row j takes row idx[j]'s behaviors."""
+        """Rows idx in that order, reading the contexts they use once each, in order of first use."""
         idx = np.asarray(idx, dtype=np.int64)
         k = self.n_behavior_kinds
         kw_ptr, kw_positions = ragged_rows(self.kw_ptr, idx)
-        beh_rows = (self.context[idx][:, None] * k + np.arange(k)).ravel()
+        used, first, inverse = np.unique(self.context[idx], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        beh_rows = (used[order][:, None] * k + np.arange(k)).ravel()
         beh_ptr, beh_positions = ragged_rows(self.beh_ptr, beh_rows)
         return Dataset(
-            beh_ptr, self.beh_ids[beh_positions], np.arange(len(idx)), kw_ptr, self.kw_ids[kw_positions],
+            beh_ptr, self.beh_ids[beh_positions], np.argsort(order)[inverse], kw_ptr, self.kw_ids[kw_positions],
             self.n_query[idx], self.cat_idx[idx], self.dense[idx], self.labels[idx], k,
         )
 
@@ -909,61 +911,14 @@ MODEL_VERSION = 1
 
 
 def save_model(model: KdcnModel, path) -> None:
-    """Write all parameter slots: magic, version, manifest, f32 LE payloads."""
-    store = model.store
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", MODEL_VERSION))
-        fh.write(struct.pack("<I", len(store.slots)))
-        for name, slot in store.slots.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<II", *slot.value.shape))
-        for slot in store.slots.values():
-            fh.write(slot.value.astype("<f4").tobytes())
+    """Write all parameter slots in numeric.write_slots's format."""
+    values = {name: slot.value for name, slot in model.store.slots.items()}
+    write_slots(path, MODEL_MAGIC, MODEL_VERSION, values)
 
 
 def load_model_values(path) -> dict[str, np.ndarray]:
     """Read a model file back into name -> float32 array, as stored."""
-    with open(path, "rb") as fh:
-
-        def read(n: int, what: str) -> bytes:
-            raw = fh.read(n)
-            if len(raw) != n:
-                raise FormatError(f"{path}: truncated {what}")
-            return raw
-
-        magic = fh.read(4)
-        if magic != MODEL_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", read(4, "header"))
-        if version != MODEL_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        (n_slots,) = struct.unpack("<I", read(4, "header"))
-        manifest = []
-        for _ in range(n_slots):
-            (name_len,) = struct.unpack("<H", read(2, "manifest"))
-            raw = read(name_len, "manifest")
-            try:
-                name = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise FormatError(f"{path}: slot name {raw!r} is not UTF-8") from None
-            rows, cols = struct.unpack("<II", read(8, "manifest"))
-            manifest.append((name, rows, cols))
-        # check the declared sizes before reading: a corrupt manifest can
-        # declare far more payload than any file holds
-        declared = sum(4 * rows * cols for _, rows, cols in manifest)
-        present = os.fstat(fh.fileno()).st_size - fh.tell()
-        if declared != present:
-            raise FormatError(
-                f"{path}: manifest declares {declared} payload bytes, file holds {present}"
-            )
-        values = {}
-        for name, rows, cols in manifest:
-            raw = read(4 * rows * cols, f"payload for slot '{name}'")
-            values[name] = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(rows, cols)
-    return values
+    return read_slots(path, MODEL_MAGIC, MODEL_VERSION, "kdcn train")
 
 
 def restore_model_values(model: KdcnModel, values: dict[str, np.ndarray]) -> None:

@@ -13,7 +13,8 @@ finite-difference test oracle (tests/oracles.py). incidence turns ragged
 (CSR) rows into a scipy operator, with the bounds check scipy omits, and
 ragged_rows selects rows of such a layout. Every sparse operator of the
 ranker and of pretraining is built by incidence, so this is the one kdcn
-module that imports scipy.
+module that imports scipy. write_slots and read_slots are the one binary
+format of ckge.bin and kdcn.bin, named float32 tables.
 
 Importing this module (and so any kdcn module) tunes glibc's allocator once
 through keep_freed_memory: blocks up to 32 MiB come from the heap instead of
@@ -28,13 +29,15 @@ process exits. No value computed anywhere changes.
 from __future__ import annotations
 
 import ctypes
+import os
 import platform
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionError, TrainingError
+from .errors import DimensionError, FormatError, TrainingError
 
 # mallopt parameters and values (glibc malloc.h); 32 MiB is the largest mmap
 # threshold glibc accepts on 64-bit. Setting the trim threshold alone would
@@ -203,3 +206,59 @@ def adam_step(
         slot.value -= g
     store.zero_grads()
 
+
+def write_slots(path, magic: bytes, version: int, slots: dict[str, np.ndarray]) -> None:
+    """Write named 2-D tables: magic, version u32 LE, slot count u32 LE, a
+    manifest of (name length u16 LE, UTF-8 name, rows u32 LE, cols u32 LE)
+    per slot, then each table as float32 LE in manifest order."""
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<II", version, len(slots)))
+        for name, arr in slots.items():
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)) + encoded + struct.pack("<II", *arr.shape))
+        for arr in slots.values():
+            fh.write(arr.astype("<f4").tobytes())
+
+
+def read_slots(path, magic: bytes, version: int, writer: str) -> dict[str, np.ndarray]:
+    """The tables write_slots wrote, name -> float32 array in manifest order.
+    Any other file is a FormatError naming path; one of another version says
+    to re-run writer, the command that writes it."""
+    with open(path, "rb") as fh:
+
+        def read(n: int, what: str) -> bytes:
+            raw = fh.read(n)
+            if len(raw) != n:
+                raise FormatError(f"{path}: truncated {what}")
+            return raw
+
+        found = fh.read(len(magic))
+        if found != magic:
+            raise FormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
+        (found_version,) = struct.unpack("<I", read(4, "header"))
+        if found_version != version:
+            raise FormatError(f"{path}: unsupported version {found_version}; re-run `{writer}`")
+        (n_slots,) = struct.unpack("<I", read(4, "header"))
+        manifest = []
+        for _ in range(n_slots):
+            (name_len,) = struct.unpack("<H", read(2, "manifest"))
+            raw = read(name_len, "manifest")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: slot name {raw!r} is not UTF-8") from None
+            rows, cols = struct.unpack("<II", read(8, "manifest"))
+            manifest.append((name, rows, cols))
+        # check the declared sizes before reading: a corrupt manifest can
+        # declare far more payload than any file holds
+        declared = sum(4 * rows * cols for _, rows, cols in manifest)
+        present = os.fstat(fh.fileno()).st_size - fh.tell()
+        if declared != present:
+            raise FormatError(
+                f"{path}: manifest declares {declared} payload bytes, file holds {present}"
+            )
+        values = {}
+        for name, rows, cols in manifest:
+            raw = read(4 * rows * cols, f"payload for slot '{name}'")
+            values[name] = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(rows, cols)
+    return values

@@ -44,7 +44,6 @@ forward-only loss are test oracles (tests/oracles.py).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,9 +56,10 @@ from .errors import (
     TrainingError,
     require_at_least,
     require_finite_positive,
+    shown,
 )
 from .graph import RELATIONS, Graph, Triple, TripleSet
-from .numeric import ParamStore, adam_step, incidence, ragged_rows, sigmoid
+from .numeric import ParamStore, adam_step, incidence, ragged_rows, read_slots, sigmoid, write_slots
 from .rng import RngStream
 
 
@@ -419,42 +419,24 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
 
 
 CHECKPOINT_MAGIC = b"CKGE"
-CHECKPOINT_VERSION = 1
-# header: magic(4) + version u32 + n_entities u64 + n_relations u64 + dim u32
-_HEADER = struct.Struct("<4sIQQI")
+CHECKPOINT_VERSION = 2
 
 
 def export_checkpoint(ckpt: PretrainCheckpoint, path) -> None:
-    """Write the checkpoint: fixed header, then f32 little-endian rows."""
-    n_e, dim = ckpt.entity_table.shape
-    n_r = ckpt.relation_table.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, n_e, n_r, dim))
-        fh.write(ckpt.entity_table.astype("<f4").tobytes())
-        fh.write(ckpt.relation_table.astype("<f4").tobytes())
+    """Write the slots entity_table and relation_table in numeric.write_slots's format."""
+    write_slots(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, vars(ckpt))
 
 
 def load_checkpoint(path) -> PretrainCheckpoint:
-    """Read a checkpoint back as the float32 tables it stores."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) < _HEADER.size:
-            raise FormatError(f"{path}: truncated header")
-        magic, version, n_e, n_r, dim = _HEADER.unpack(raw)
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        if dim == 0:
-            raise FormatError(f"{path}: dim must be >= 1, got 0")
-        payload = fh.read()
-    expected = 4 * dim * (n_e + n_r)
-    if len(payload) != expected:
-        raise FormatError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    flat = np.frombuffer(payload, dtype="<f4").astype(np.float32)
-    entity = flat[: n_e * dim].reshape(n_e, dim)
-    relation = flat[n_e * dim :].reshape(n_r, dim)
-    return PretrainCheckpoint(entity, relation)
+    """Read a checkpoint back as the float32 tables it stores: exactly the
+    slots entity_table and relation_table, of one width >= 1."""
+    values = read_slots(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "kdcn pretrain")
+    if list(values) != ["entity_table", "relation_table"]:
+        raise FormatError(f"{path}: expected slots entity_table, relation_table, got {shown(list(values))}")
+    widths = {arr.shape[1] for arr in values.values()}
+    if len(widths) != 1 or 0 in widths:
+        raise FormatError(f"{path}: both tables need one width (dim) >= 1, got {sorted(widths)}")
+    return PretrainCheckpoint(**values)
 
 
 # candidates scored together by hits_at_k, bounding its temporaries to 4096 * dim floats

@@ -13,7 +13,8 @@ from kdcn import graph
 from kdcn.cli import CONFIG_KEYS, SECTIONS, _section_keys, load_config, main
 from kdcn.errors import KdcnError, ParseError
 from kdcn.model import MODEL_MAGIC, MODEL_VERSION, load_model_values
-from kdcn.pretrain import PretrainCheckpoint, load_checkpoint
+from kdcn.numeric import write_slots
+from kdcn.pretrain import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, PretrainCheckpoint, load_checkpoint
 
 TINY_CONFIG = """
 # tiny world so the whole pipeline runs in seconds
@@ -62,16 +63,6 @@ GOOD_SAMPLE = {
 NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400"]
 
 
-def write_model_values(path: Path, values: dict) -> None:
-    """A kdcn.bin holding the given slots, in save_model's format."""
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(values)))
-        for name, arr in values.items():
-            fh.write(struct.pack("<H", len(name)) + name.encode() + struct.pack("<II", *arr.shape))
-        for arr in values.values():
-            fh.write(arr.astype("<f4").tobytes())
-
-
 @pytest.fixture()
 def workdir(tmp_path):
     cfg = tmp_path / "config.txt"
@@ -92,10 +83,12 @@ class TestConfigFile:
         path.write_text("a = 1\n# comment\nb=two # trailing\n\n")
         assert load_config(path) == {"a": "1", "b": "two"}
 
-    def test_bad_line_is_data_error(self, tmp_path):
+    def test_bad_line_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
-        path.write_text("not a pair\n")
-        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path)]) == 2
+        for text, error in (("not a pair\n", "1: expected key=value"), ("a = 1\n = 5\n", "2: empty config key")):
+            path.write_text(text)
+            assert main(["gen-data", "--config", str(path), "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == f"error: {path}:{error}\n"
 
     def test_unknown_keys_are_named_and_cut(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
@@ -419,11 +412,37 @@ class TestRankInputErrors:
             err = self.errors(capsys, "train", "--out", str(trained))
         assert "ckge.vocab.tsv" in err[0], err
 
+    def checkpoint_errors(self, out, capsys, ckpt) -> list[list[str]]:
+        """The one error line of train and of rank on the given ckge.bin."""
+        return [
+            self.errors(capsys, "train", "--out", str(out), "--checkpoint", str(ckpt)),
+            self.rank_errors(out, capsys, "--candidates", "item0", "--checkpoint", str(ckpt)),
+        ]
+
     def test_zero_width_checkpoint(self, trained, capsys):
         ckpt = trained / "zero.bin"
-        ckpt.write_bytes(struct.pack("<4sIQQI", b"CKGE", 1, 5, 9, 0))
-        err = self.errors(capsys, "train", "--out", str(trained), "--checkpoint", str(ckpt))
-        assert str(ckpt) in err[0] and "dim" in err[0], err
+        tables = {"entity_table": np.zeros((5, 0)), "relation_table": np.zeros((9, 0))}
+        write_slots(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, tables)
+        for err in self.checkpoint_errors(trained, capsys, ckpt):
+            assert str(ckpt) in err[0] and "dim" in err[0], err
+
+    def test_checkpoint_needs_its_two_tables_of_one_width(self, trained, capsys):
+        ckpt = trained / "slots.bin"
+        entity, relation = np.zeros((5, 4)), np.zeros((9, 4))
+        for tables, error in (
+            ({"entity_table": entity}, "expected slots"),
+            ({"entity_table": entity, "relation_table": relation, "extra": relation}, "expected slots"),
+            ({"entity_table": entity, "relation_table": np.zeros((9, 3))}, "both tables need one width"),
+        ):
+            write_slots(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, tables)
+            for err in self.checkpoint_errors(trained, capsys, ckpt):
+                assert f"{ckpt}: {error}" in err[0], err
+
+    def test_version_1_checkpoint_says_to_rerun_pretrain(self, trained, capsys):
+        ckpt = trained / "v1.bin"
+        ckpt.write_bytes(struct.pack("<4sIQQI", b"CKGE", 1, 5, 9, 4) + bytes(4 * 4 * (5 + 9)))
+        for err in self.checkpoint_errors(trained, capsys, ckpt):
+            assert str(ckpt) in err[0] and "re-run `kdcn pretrain`" in err[0], err
 
     @pytest.mark.parametrize(
         "key, value",
@@ -533,7 +552,7 @@ class TestRankInputErrors:
                 values[name] = np.concatenate([arr, np.zeros((extra, arr.shape[1]))])
             elif name == "deep_w0":
                 values[name] = np.concatenate([arr, np.zeros((arr.shape[0], extra))], axis=1)
-        write_model_values(path, values)
+        write_slots(path, MODEL_MAGIC, MODEL_VERSION, values)
         err = self.rank_errors(trained, capsys, "--candidates", "item0")
         assert "kdcn.bin" in err[0] and "'cross_w'" in err[0] and "retrained" in err[0], err
 
@@ -551,7 +570,7 @@ class TestRankInputErrors:
         for prefix in ("cross_w", "cross_b"):
             for i, column in enumerate(values.pop(prefix).T):
                 values[f"{prefix}{i}"] = column[:, None]
-        write_model_values(path, values)
+        write_slots(path, MODEL_MAGIC, MODEL_VERSION, values)
         err = self.rank_errors(trained, capsys, "--candidates", "item0")
         assert "kdcn.meta.json" in err[0] and "kdcn.bin" in err[0] and "retrained" in err[0], err
         assert "'cross_w0'" in err[0] and "'conv_taps2'" in err[0], err

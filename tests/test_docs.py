@@ -1,4 +1,4 @@
-"""README's code runs as written."""
+"""README's code runs as written, and its file formats are the ones the code writes."""
 
 import os
 import re
@@ -6,13 +6,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from kdcn.model import MODEL_MAGIC, MODEL_VERSION
+from kdcn.pretrain import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_section(heading: str) -> str:
+    """The text of the README section with this heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def readme_block(heading: str) -> str:
     """The first python code block under the README section with this heading."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    section = readme_section(heading)
     match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
     assert match, f"no python block under '## {heading}'"
     return match.group(1)
@@ -27,3 +37,12 @@ def test_library_use_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("EpochStats("), proc.stdout
+
+
+@pytest.mark.parametrize(
+    "name, magic, version",
+    [("ckge.bin", CHECKPOINT_MAGIC, CHECKPOINT_VERSION), ("kdcn.bin", MODEL_MAGIC, MODEL_VERSION)],
+)
+def test_file_formats_state_magic_and_version(name, magic, version):
+    entry = readme_section("File formats").split(f"\n* **{name}** — ", 1)[1].split("\n* ", 1)[0]
+    assert entry.startswith(f"magic `{magic.decode()}`, version u32 LE (={version}),"), entry

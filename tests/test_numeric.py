@@ -1,6 +1,8 @@
 import ast
 import platform
+import re
 import resource
+import struct
 import sys
 import warnings
 from pathlib import Path
@@ -10,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdcn.errors import DimensionError, TrainingError
+from kdcn.errors import DimensionError, FormatError, TrainingError
 from kdcn import numeric
-from kdcn.numeric import ParamStore, adam_step, incidence, sigmoid
+from kdcn.model import MODEL_MAGIC, MODEL_VERSION, load_model_values
+from kdcn.numeric import ParamStore, adam_step, incidence, sigmoid, write_slots
+from kdcn.pretrain import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
 from kdcn.rng import RngStream
 from oracles import adam_reference, conv_seq, finite_diff_check, matmul, softmax_rows, two_branch_sigmoid
 
@@ -75,6 +79,101 @@ def test_numeric_is_the_only_scipy_importer():
             if any(m.split(".")[0] == "scipy" for m in modules):
                 importers.add(path.name)
     assert importers == {"numeric.py"}
+
+
+# each binary file: (reader, magic, version, the command that writes it, slot shapes of a valid file)
+SLOT_FILES = {
+    "ckge.bin": (load_checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "kdcn pretrain",
+                 {"entity_table": (5, 4), "relation_table": (9, 4)}),
+    "kdcn.bin": (load_model_values, MODEL_MAGIC, MODEL_VERSION, "kdcn train",
+                 {"cat_table": (3, 2), "conv_b2": (4, 1), "logits_w": (6, 1)}),
+}
+
+
+def packed(magic: bytes, version: int, manifest, payload: bytes = b"") -> bytes:
+    """A slot file packed by hand: manifest holds (name bytes, rows, cols) per slot."""
+    raw = magic + struct.pack("<II", version, len(manifest))
+    for name, rows, cols in manifest:
+        raw += struct.pack("<H", len(name)) + name + struct.pack("<II", rows, cols)
+    return raw + payload
+
+
+class TestSlotFiles:
+    """The checks read_slots makes for both ckge.bin and kdcn.bin, through each file's reader."""
+
+    def valid(self, kind: str) -> dict[str, np.ndarray]:
+        rng = RngStream(21)
+        shapes = SLOT_FILES[kind][4]
+        return {name: rng.uniform(-1, 1, shape).astype(np.float32) for name, shape in shapes.items()}
+
+    @pytest.mark.parametrize("kind", SLOT_FILES)
+    def test_layout_and_round_trip(self, tmp_path, kind):
+        reader, magic, version, _, _ = SLOT_FILES[kind]
+        values, path = self.valid(kind), tmp_path / kind
+        write_slots(path, magic, version, values)
+        manifest = [(name.encode(), *arr.shape) for name, arr in values.items()]
+        payload = b"".join(arr.astype("<f4").tobytes() for arr in values.values())
+        assert path.read_bytes() == packed(magic, version, manifest, payload)
+        loaded = reader(path)
+        loaded = loaded if isinstance(loaded, dict) else vars(loaded)
+        assert list(loaded) == list(values)
+        for name, arr in values.items():
+            assert loaded[name].dtype == np.float32 and np.array_equal(loaded[name], arr), name
+
+    @pytest.mark.parametrize("kind", SLOT_FILES)
+    def test_truncation_is_format_error(self, tmp_path, kind):
+        reader, magic, version, _, _ = SLOT_FILES[kind]
+        values, path = self.valid(kind), tmp_path / kind
+        write_slots(path, magic, version, values)
+        data = path.read_bytes()
+        header = 12 + sum(2 + len(name.encode()) + 8 for name in values)
+        payload = len(data) - header
+        for cut in list(range(header + 1)) + [header + payload // 3, len(data) - 1]:
+            path.write_bytes(data[:cut])
+            with pytest.raises(FormatError, match=re.escape(str(path))):
+                reader(path)
+
+    @pytest.mark.parametrize("kind", SLOT_FILES)
+    def test_bad_magic(self, tmp_path, kind):
+        reader, magic, version, _, _ = SLOT_FILES[kind]
+        path = tmp_path / kind
+        # each file passed as the other, and junk
+        for other in [m for _, m, *_ in SLOT_FILES.values() if m != magic] + [b"JUNK"]:
+            write_slots(path, other, version, self.valid(kind))
+            with pytest.raises(FormatError, match=re.escape(f"{path}: bad magic {other!r}")):
+                reader(path)
+
+    @pytest.mark.parametrize("kind", SLOT_FILES)
+    def test_other_version_says_to_rewrite(self, tmp_path, kind):
+        reader, magic, version, writer, _ = SLOT_FILES[kind]
+        path = tmp_path / kind
+        files = [packed(magic, v, []) for v in (version - 1, version + 1)]
+        if kind == "ckge.bin":  # version 1: a header of counts and dim, then the two tables
+            files.append(struct.pack("<4sIQQI", magic, 1, 5, 9, 4) + bytes(4 * 4 * (5 + 9)))
+        for raw in files:
+            path.write_bytes(raw)
+            message = re.escape(f"{path}: unsupported version") + ".*" + re.escape(f"re-run `{writer}`")
+            with pytest.raises(FormatError, match=message):
+                reader(path)
+
+    @pytest.mark.parametrize("kind", SLOT_FILES)
+    def test_slot_name_must_be_utf8(self, tmp_path, kind):
+        reader, magic, version, _, _ = SLOT_FILES[kind]
+        path = tmp_path / kind
+        path.write_bytes(packed(magic, version, [(b"\xffw", 1, 1)], bytes(4)))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: slot name b'\\xffw' is not UTF-8")):
+            reader(path)
+
+    @pytest.mark.parametrize("rows, cols, floats", [(2**32 - 1, 2**32 - 1, 1), (2, 3, 5)])
+    @pytest.mark.parametrize("kind", SLOT_FILES)
+    def test_declared_payload_must_match_file(self, tmp_path, kind, rows, cols, floats):
+        reader, magic, version, _, _ = SLOT_FILES[kind]
+        path = tmp_path / kind
+        path.write_bytes(packed(magic, version, [(b"w", rows, cols)], bytes(4 * floats)))
+        if rows > 2:
+            assert path.stat().st_size == 27
+        with pytest.raises(FormatError, match=re.escape(f"{path}: manifest declares")):
+            reader(path)
 
 
 class TestSigmoid:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import kdcn.pretrain as pt
 from kdcn.datagen import WorldConfig, generate_world
 from kdcn.errors import CapacityError, ConfigError, DimensionError, FormatError, SamplingError
 from kdcn.graph import RELATIONS, Graph, Triple, TripleSet
-from kdcn.numeric import sigmoid
+from kdcn.numeric import sigmoid, write_slots
 from kdcn.rng import RngStream
 from oracles import (
     encode_stack,
@@ -645,24 +646,27 @@ class TestCheckpointFormat:
         assert np.array_equal(loaded.relation_table, ckpt.relation_table.astype(np.float32))
 
     def test_file_size_matches_layout(self, tmp_path):
-        # magic(4) + version u32 + n_e u64 + n_r u64 + dim u32 = 28 header bytes
+        # magic(4) + version u32 + slot count u32, then per slot a u16 name
+        # length, the name and rows, cols u32: 12 + 22 + 24 header bytes
         ckpt = self.make()
         path = tmp_path / "c.bin"
         pt.export_checkpoint(ckpt, path)
-        assert path.stat().st_size == 28 + 4 * 4 * (5 + 9)
+        assert path.stat().st_size == 58 + 4 * 4 * (5 + 9)
 
-    def test_bad_magic_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "shapes, error",
+        [
+            ({"entity_table": (5, 4)}, "expected slots"),
+            ({"entity_table": (5, 4), "relation_table": (9, 4), "gcn_w0": (4, 4)}, "expected slots"),
+            ({"relation_table": (9, 4), "entity_table": (5, 4)}, "expected slots"),
+            ({"entity_table": (5, 4), "relation_table": (9, 3)}, r"both tables need .*, got \[3, 4\]"),
+            ({"entity_table": (5, 0), "relation_table": (9, 0)}, r"both tables need .*, got \[0\]"),
+        ],
+        ids=["missing", "extra", "reordered", "two-widths", "width-0"],
+    )
+    def test_slots_must_be_the_two_tables(self, tmp_path, shapes, error):
         path = tmp_path / "c.bin"
-        pt.export_checkpoint(self.make(), path)
-        raw = bytearray(path.read_bytes())
-        raw[:4] = b"NOPE"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="magic"):
-            pt.load_checkpoint(path)
-
-    def test_truncated_rejected(self, tmp_path):
-        path = tmp_path / "c.bin"
-        pt.export_checkpoint(self.make(), path)
-        path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(FormatError):
+        values = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+        write_slots(path, pt.CHECKPOINT_MAGIC, pt.CHECKPOINT_VERSION, values)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {error}"):
             pt.load_checkpoint(path)
