@@ -7,17 +7,19 @@ artifacts, except for the wall-time column of the evaluation report.
 
 The config file's keys are the scalar fields of WorldConfig, ClickModel,
 PretrainConfig and TrainConfig (see SECTIONS, which renames four of them),
-plus n_samples, prune_min_count and loss_threshold; each field's default and
-type are the key's default and cast. A boolean takes 1/true/yes/on or
-0/false/no/off. An unknown, empty or repeated key, or a value that does not parse
-or is out of range, is a data error. `rank` takes every TrainConfig setting
-from kdcn.meta.json, so a config file that sets one of those keys to another
-value is a data error too.
+plus n_samples and loss_threshold; each field's default and type are the
+key's default and cast. A boolean takes 1/true/yes/on or 0/false/no/off.
+An unknown, empty or repeated key, or a value that does not parse or is out
+of range (a negative epoch count, a loss_threshold that is not finite), is
+a data error. `rank` takes every TrainConfig setting from kdcn.meta.json,
+so a config file that sets one of those keys to another value is a data
+error too.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from collections import Counter
@@ -54,7 +56,7 @@ SECTIONS = {
     "train": (model_mod.TrainConfig, {}),
 }
 # keys read outside any dataclass: key -> (cast, default)
-LOOSE_KEYS = {"n_samples": (int, 5000), "prune_min_count": (int, 1), "loss_threshold": (float, None)}
+LOOSE_KEYS = {"n_samples": (int, 5000), "loss_threshold": (float, None)}
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
@@ -149,7 +151,6 @@ def cmd_build_kg(args, cfg: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     events = graph.load_events(args.events or out / "events.jsonl")
     tset = graph.ingest_events(events)
-    tset = graph.prune_triples(tset, _get(cfg, "prune_min_count"))
     graph.save_triples(tset, out / "triples.tsv")
     graph.save_vocab(tset, out / "vocab.tsv")
     print(f"built graph: {tset.n_entities} entities, {len(tset)} triples")
@@ -229,9 +230,11 @@ def cmd_eval(args, cfg: dict) -> None:
         if repeated:
             raise UsageError(f"--configs names {', '.join(repeated)} more than once")
         names = sorted(requested)
-    split, ckpt, entities, item_meta = _load_train_inputs(args, out)
     base = _section(cfg, "train")
     threshold = _get(cfg, "loss_threshold")
+    if threshold is not None and not math.isfinite(threshold):
+        raise ConfigError(f"loss_threshold must be finite, got {threshold}")
+    split, ckpt, entities, item_meta = _load_train_inputs(args, out)
     rows = []
     for name in names:
         tcfg = model_mod.ablation_config(base, name)

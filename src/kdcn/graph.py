@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -265,30 +265,14 @@ def save_events(records, path) -> None:
     write_lines(path, (json.dumps(rec) for rec in records))
 
 
-def prune_triples(tset: TripleSet, min_count: int = 1) -> TripleSet:
-    """Drop triples whose tail attribute occurs fewer than min_count times.
-
-    With the default threshold of 1 this is the identity (every mentioned
-    entity appears at least once). Rebuilds ids densely.
-    """
-    if min_count <= 1:
-        return tset
-    tails = tset.array[:, 2]
-    keep = np.bincount(tails, minlength=tset.n_entities)[tails] >= min_count
-    out = TripleSet()
-    for tr in compress(tset.triples, keep):
-        out.add(tset.name_of(tr.head), RELATIONS[tr.relation], tset.name_of(tr.tail))
-    return out
-
-
 class Graph:
     """Undirected view of a TripleSet for structural aggregation, in CSR form.
 
     The neighbors of entity i are indices[indptr[i]:indptr[i+1]], sorted,
     from one sort of the edge keys u*n + v of both directions. No relation
     joins a kind to itself and no two join the same pair of kinds, so no
-    edge repeats and no entity is its own neighbor (self-loops are a
-    configurable step of normalization).
+    edge repeats and no entity is its own neighbor (pretrain.sample_layer_draws
+    adds each entity to its own operator row).
     """
 
     def __init__(self, tset: TripleSet):

@@ -143,8 +143,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.use_cross or self.use_deep):
             raise ConfigError("at least one of use_cross/use_deep must be on")
-        require_at_least(self, 0, "n_cross", "deep_layers", "n_cat_slots", "max_query_keywords",
-                         "max_title_keywords")
+        require_at_least(self, 0, "epochs", "n_cross", "deep_layers", "n_cat_slots",
+                         "max_query_keywords", "max_title_keywords")
         require_at_least(self, 1, "batch_size", "deep_width", "cat_dim", "conv_filters",
                          "attention_heads", "candidate_cap")
         require_finite_positive(self, "lr")

@@ -10,12 +10,12 @@ the whole loss is checkable against finite differences.
 Each encoder layer l is one sparse operator S_l over all entities: forward
 is sigmoid(S_l @ x @ W_l) and backward is S_l.T @ (...). sample_layer_draws
 builds S_l in both modes, through numeric.incidence; row i holds the
-entity's neighbors, capped at the fanout, and the entity itself when
-self-loops are on:
+entity's neighbors, capped at the fanout, then the entity itself (the
+renormalization trick of Kipf & Welling), so no row is empty:
   sampled - per batch and layer, each entity above the fanout draws one
             uniform key per neighbor and keeps the fanout smallest, all in
-            one array sort; each row is scaled by 1/count, and an isolated
-            entity falls back to itself. This is the scalable path.
+            one array sort; each row is scaled by 1/count. This is the
+            scalable path.
   full    - the fanout is the maximum degree, so nothing is drawn: one
             operator, shared by every layer and built once per pretrain
             call, normalized sym (1/sqrt(count_i * count_j)) or mean
@@ -72,13 +72,12 @@ class PretrainConfig:
     lr: float = 1e-4
     batch_size: int = 512
     epochs: int = 5
-    negatives_per_positive: int = 1
     mode: str = "full"  # or "sampled"
     aggregation: str = "sym"  # or "mean"; full mode only, sampled mode averages its draw
-    self_loops: bool = True
 
     def __post_init__(self):
-        require_at_least(self, 1, "dim", "layers", "fanout", "batch_size", "negatives_per_positive")
+        require_at_least(self, 0, "epochs")
+        require_at_least(self, 1, "dim", "layers", "fanout", "batch_size")
         require_finite_positive(self, "margin", "lr")
         if self.mode not in ("full", "sampled"):
             raise ConfigError(f"unknown mode '{self.mode}'")
@@ -111,14 +110,14 @@ def params_from(values: dict[str, np.ndarray]) -> ParamStore:
 def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream | None = None) -> list:
     """The per-layer operators S of one encoder pass, in either mode.
 
-    Row i holds the entity's neighbors, then the entity itself with
-    self-loops. Full mode keeps every neighbor (its fanout is the maximum
-    degree), never reads rng, and every layer shares its one operator,
-    weighted 1/sqrt(count_i * count_j) (sym) or 1/count_i (mean), counts
-    including the self-loop. Sampled mode keeps a uniform fanout-sized subset
-    of a larger neighborhood: per layer, one uniform key per neighbor, the
-    fanout smallest kept; it scales each row by 1/count, and an isolated
-    entity falls back to itself.
+    Row i holds the entity's neighbors, then the entity itself, so an
+    isolated entity's row holds just itself. Full mode keeps every neighbor
+    (its fanout is the maximum degree), never reads rng, and every layer
+    shares its one operator, weighted 1/sqrt(count_i * count_j) (sym) or
+    1/count_i (mean), counts including the entity itself. Sampled mode keeps
+    a uniform fanout-sized subset of a larger neighborhood: per layer, one
+    uniform key per neighbor, the fanout smallest kept; it scales each row
+    by 1/count.
     """
     full = cfg.mode == "full"
     if rng is None and not full:
@@ -126,13 +125,11 @@ def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream | None = No
     n, deg = g.n_entities, g.degrees
     fanout = g.max_degree() if full else cfg.fanout
     ids = np.arange(n, dtype=np.int64)
-    has_self = ((deg == 0) & (not full)) | cfg.self_loops
-    counts = np.minimum(deg, fanout) + has_self
+    counts = np.minimum(deg, fanout) + 1
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     sym = full and cfg.aggregation == "sym"
-    # an empty row (full mode, isolated, no self-loop) never reads its scale
-    scale = 1.0 / np.maximum(np.sqrt(counts) if sym else counts, 1)
+    scale = 1.0 / (np.sqrt(counts) if sym else counts)
     data = np.repeat(scale, counts)
 
     # row i keeps the first min(deg_i, fanout) of its CSR neighbors; for an
@@ -143,7 +140,7 @@ def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream | None = No
     position = np.arange(len(owner)) - g.indptr[owner]
     kept = np.flatnonzero(position < fanout)
     slots = indptr[owner[kept]] + position[kept]
-    self_slots = indptr[1:][has_self] - 1
+    self_slots = indptr[1:] - 1
 
     operators = []
     for _ in range(1 if full else cfg.layers):
@@ -152,7 +149,7 @@ def sample_layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream | None = No
         if len(drawn):
             order[drawn] = drawn[np.argsort(owner[drawn] + rng.random(len(drawn)))]
         indices[slots] = g.indices[order[kept]]
-        indices[self_slots] = ids[has_self]
+        indices[self_slots] = ids
         values = data * scale[indices] if sym else data
         operators.append(incidence(indices, values, n, indptr))
     return operators * cfg.layers if full else operators
@@ -258,9 +255,11 @@ def _known_keys(tset: TripleSet) -> np.ndarray:
     return np.append(keys, np.iinfo(np.int64).max)
 
 
-def corrupt_batch(
-    pos: np.ndarray, known: np.ndarray, n_entities: int, rng: RngStream, max_attempts: int = 100
-) -> np.ndarray:
+# rounds of corrupt_batch before a row still without a valid corruption raises
+_MAX_ATTEMPTS = 100
+
+
+def corrupt_batch(pos: np.ndarray, known: np.ndarray, n_entities: int, rng: RngStream) -> np.ndarray:
     """Corrupt the head or tail (p=0.5 each) of every row with a uniform entity.
 
     known holds the sorted keys of the known triples (_known_keys). Each
@@ -272,7 +271,7 @@ def corrupt_batch(
         raise SamplingError("cannot sample from an empty graph")
     neg = pos.copy()
     todo = np.arange(len(pos))
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         head = rng.random(len(todo)) < 0.5
         candidate = rng.integers(0, n_entities, len(todo))
         rows = pos[todo]
@@ -286,14 +285,14 @@ def corrupt_batch(
     first = Triple(*pos[todo[0]].tolist())
     raise SamplingError(
         f"no valid corruption found for {len(todo)} triple(s), e.g. {first}, "
-        f"after {max_attempts} attempts"
+        f"after {_MAX_ATTEMPTS} attempts"
     )
 
 
-def negative_sample(triple: Triple, g: Graph, rng: RngStream, max_attempts: int = 100) -> Triple:
+def negative_sample(triple: Triple, g: Graph, rng: RngStream) -> Triple:
     """Corrupt one triple's head or tail: the one-row case of corrupt_batch."""
     pos = np.array([triple], dtype=np.int64)
-    row = corrupt_batch(pos, _known_keys(g.triples), g.n_entities, rng, max_attempts)[0]
+    row = corrupt_batch(pos, _known_keys(g.triples), g.n_entities, rng)[0]
     return Triple(*row.tolist())
 
 
@@ -391,16 +390,15 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
     params = params_from({name: d.astype(np.float32) for name, d in drawn.items()})
     del drawn  # free the float64 draws before training
     triples = tset.array
-    npp = cfg.negatives_per_positive
     full = sample_layer_draws(g, cfg) if cfg.mode == "full" else None
     known = _known_keys(g.triples)
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         order = rng_shuffle.permutation(len(triples))
-        total, pairs = 0.0, 0
+        total = 0.0
         for bstart in range(0, len(order), cfg.batch_size):
             bidx = order[bstart : bstart + cfg.batch_size]
-            pos = np.repeat(triples[bidx], npp, axis=0)
+            pos = triples[bidx]
             neg = corrupt_batch(pos, known, g.n_entities, rng_negative)
             draws = full if full is not None else sample_layer_draws(g, cfg, rng_encode)
             loss = pretrain_loss_grads(params, g, cfg, pos, neg, draws)
@@ -409,9 +407,8 @@ def pretrain(tset: TripleSet, g: Graph, cfg: PretrainConfig, rng: RngStream) -> 
                     f"non-finite loss at epoch {epoch} batch {bstart // cfg.batch_size}"
                 )
             total += loss
-            pairs += len(pos)
             adam_step(params, cfg.lr)
-        losses.append(total / max(pairs, 1))
+        losses.append(total / max(len(triples), 1))
 
     entity_out = encode_entities(params, g, cfg, rng_encode, full)
     ckpt = PretrainCheckpoint(entity_out, params.value("relation_table").copy())

@@ -182,12 +182,13 @@ def widened_checkpoint(ckpt: PretrainCheckpoint) -> PretrainCheckpoint:
     return PretrainCheckpoint(ckpt.entity_table.astype(np.float64), ckpt.relation_table.astype(np.float64))
 
 
-def normalized_adjacency(g: Graph, self_loops: bool = True, kind: str = "sym") -> np.ndarray:
-    """Dense normalized adjacency for small graphs.
+def normalized_adjacency(g: Graph, kind: str = "sym") -> np.ndarray:
+    """Dense normalized adjacency with self-loops, for small graphs.
 
     kind="sym" gives the symmetric normalization D^-1/2 (A + I) D^-1/2;
     kind="mean" gives row normalization D^-1 (A + I), the dense counterpart
-    of mean-of-neighbors aggregation. Degree-zero rows stay all-zero.
+    of mean-of-neighbors aggregation. An isolated entity's row holds 1 at
+    the entity itself.
     """
     n = g.n_entities
     if n > DENSE_ADJACENCY_GUARD:
@@ -199,16 +200,12 @@ def normalized_adjacency(g: Graph, self_loops: bool = True, kind: str = "sym") -
     a = np.zeros((n, n), dtype=np.float64)
     for i, neigh in enumerate(g.adjacency):
         a[i, neigh] = 1.0
-    if self_loops:
-        np.fill_diagonal(a, 1.0)
+    np.fill_diagonal(a, 1.0)
     deg = a.sum(axis=1)
     if kind == "sym":
-        with np.errstate(divide="ignore"):
-            dinv = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
+        dinv = 1.0 / np.sqrt(deg)
         return dinv[:, None] * a * dinv[None, :]
-    with np.errstate(divide="ignore"):
-        dinv = np.where(deg > 0, 1.0 / deg, 0.0)
-    return dinv[:, None] * a
+    return a / deg[:, None]
 
 
 def sample_neighbors(g: Graph, entity: int, fanout: int, rng: RngStream) -> np.ndarray:
@@ -247,24 +244,20 @@ def layer_draws(g: Graph, cfg: PretrainConfig, rng: RngStream) -> list[np.ndarra
 
     Per entity the draw covers all neighbors when degree <= fanout, otherwise
     a uniform fanout-sized subset without replacement; the entity itself is
-    appended when self-loops are on (isolated entities fall back to just
-    themselves). Row i holds 1/count at each drawn id. Entities are visited
-    in id order, layer by layer.
+    appended, so an isolated entity's row holds just itself. Row i holds
+    1/count at each drawn id. Entities are visited in id order, layer by
+    layer.
     """
     operators = []
     for _ in range(cfg.layers):
         s = np.zeros((g.n_entities, g.n_entities))
         for i in range(g.n_entities):
             neigh = g.adjacency[i]
-            if len(neigh) == 0:
-                chosen = [i]
+            if len(neigh) <= cfg.fanout:
+                chosen = list(neigh)
             else:
-                if len(neigh) <= cfg.fanout:
-                    chosen = list(neigh)
-                else:
-                    chosen = list(rng.choice(neigh, size=cfg.fanout, replace=False))
-                if cfg.self_loops:
-                    chosen.append(i)
+                chosen = list(rng.choice(neigh, size=cfg.fanout, replace=False))
+            chosen.append(i)
             s[i, chosen] = 1.0 / len(chosen)
         operators.append(s)
     return operators

@@ -50,6 +50,14 @@ def test_every_span_resolves(span, module, path):
     assert callable(getattr(owner, attr))
 
 
+def test_bench_config_sets_only_known_keys(tmp_path):
+    # rank-serve's set-up runs gen-data .. train on README_CONFIG; a key kdcn
+    # no longer knows would fail that run with exit code 2
+    path = tmp_path / "config.txt"
+    path.write_text(workloads.README_CONFIG, encoding="utf-8")
+    assert set(cli.load_config(path)) - cli.CONFIG_KEYS == set()
+
+
 def test_loss_grads_takes_its_batch_by_position():
     # probes.BatchRecorder binds the wrapped call's positional arguments by name
     params = list(inspect.signature(pretrain.pretrain_loss_grads).parameters)

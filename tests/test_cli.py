@@ -101,6 +101,16 @@ class TestConfigFile:
         assert err.startswith(f"error: {path}: unknown config key(s) bogus0, bogus1, ")
         assert len(err) < len(str(path)) + 250, len(err)
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [("pretrain", "self_loops"), ("pretrain", "negatives_per_positive"), ("build-kg", "prune_min_count")],
+    )
+    def test_removed_pretraining_key_is_unknown(self, tmp_path, capsys, command, key):
+        path = tmp_path / "c.txt"
+        path.write_text(f"{key} = 1\n")
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: unknown config key(s) {key}\n"
+
     def test_repeated_key_is_data_error_at_its_line(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
         path.write_text(TINY_CONFIG + "epochs = 1\n")
@@ -185,7 +195,7 @@ class TestExitCodes:
             ("train", ["cat_dim = 0"], "cat_dim"),
             ("train", ["candidate_cap = 0"], "candidate_cap"),
             ("gen-data", ["n_users = 0"], "n_users"),
-            ("pretrain", ["self_loops = ture"], "'self_loops': 'ture'"),
+            ("train", ["use_dialogue = ture"], "'use_dialogue': 'ture'"),
             ("pretrain", ["margin = nan"], "PretrainConfig.margin"),
             ("pretrain", ["margin = inf"], "PretrainConfig.margin"),
             ("pretrain", ["pretrain_lr = -1"], "PretrainConfig.lr"),
@@ -196,8 +206,8 @@ class TestExitCodes:
             ("train", ["max_query_keywords = -1"], "TrainConfig.max_query_keywords"),
             ("train", ["max_title_keywords = -3"], "TrainConfig.max_title_keywords"),
             ("train", ["n_cross = -1"], "TrainConfig.n_cross"),
-            ("pretrain", ["negatives_per_positive = 0"], "PretrainConfig.negatives_per_positive must be >= 1"),
-            ("pretrain", ["negatives_per_positive = -1"], "PretrainConfig.negatives_per_positive"),
+            ("train", ["epochs = -1"], "TrainConfig.epochs must be >= 0, got -1"),
+            ("pretrain", ["pretrain_epochs = -1"], "PretrainConfig.epochs must be >= 0, got -1"),
             ("gen-data", ["alpha = nan"], "WorldConfig.affinity_strength must be finite, got nan"),
             ("gen-data", ["alpha = -inf"], "WorldConfig.affinity_strength must be finite"),
             ("gen-data", ["noise_std = nan"], "WorldConfig.noise_std must be finite, got nan"),
@@ -206,6 +216,8 @@ class TestExitCodes:
             ("gen-data", ["w_tag_match = nan"], "ClickModel.w_tag_match must be finite"),
             ("gen-data", ["w_overlap = inf"], "ClickModel.w_overlap must be finite, got inf"),
             ("gen-data", ["w_cluster = -inf"], "ClickModel.w_cluster must be finite"),
+            ("eval", ["loss_threshold = nan"], "loss_threshold must be finite, got nan"),
+            ("eval", ["loss_threshold = inf"], "loss_threshold must be finite, got inf"),
         ],
     )
     def test_bad_config_value_is_data_error(self, workdir, capsys, command, lines, named):

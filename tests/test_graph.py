@@ -15,7 +15,6 @@ from kdcn.graph import (
     ingest_events,
     load_triples,
     load_vocab,
-    prune_triples,
     save_triples,
     save_vocab,
 )
@@ -146,31 +145,22 @@ class TestNormalizedAdjacency:
     def test_two_nodes_one_edge_self_loops(self):
         g = two_node_graph()
         assert np.allclose(
-            normalized_adjacency(g, self_loops=True), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15
+            normalized_adjacency(g), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15
         )
 
     def test_single_node_self_loop(self):
         ts = TripleSet()
         ts.entity_id("user", "only", create=True)
-        assert np.array_equal(normalized_adjacency(Graph(ts), self_loops=True), [[1.0]])
-
-    def test_isolated_nodes_no_self_loops(self):
-        ts = TripleSet()
-        ts.entity_id("user", "a", create=True)
-        ts.entity_id("user", "b", create=True)
-        assert np.array_equal(
-            normalized_adjacency(Graph(ts), self_loops=False), np.zeros((2, 2))
-        )
+        assert np.array_equal(normalized_adjacency(Graph(ts)), [[1.0]])
 
     def test_symmetric_and_bounded(self):
         rng = RngStream(5)
         ts = TripleSet()
         for i in range(40):
             ts.add(f"u{int(rng.integers(0, 10))}", "user-has-tag", f"t{int(rng.integers(0, 8))}")
-        for self_loops in (True, False):
-            a = normalized_adjacency(Graph(ts), self_loops=self_loops)
-            assert np.abs(a - a.T).max() < 1e-12
-            assert a.min() >= 0.0 and a.max() <= 1.0
+        a = normalized_adjacency(Graph(ts))
+        assert np.abs(a - a.T).max() < 1e-12
+        assert a.min() >= 0.0 and a.max() <= 1.0
 
     def test_uniform_degree_entries(self):
         # a 4-cycle: every node has degree 2; with self-loops entries are 1/3
@@ -179,7 +169,7 @@ class TestNormalizedAdjacency:
         ts.add("u1", "user-has-tag", "t0")
         ts.add("u1", "user-has-tag", "t1")
         ts.add("u0", "user-has-tag", "t1")
-        a = normalized_adjacency(Graph(ts), self_loops=True)
+        a = normalized_adjacency(Graph(ts))
         nz = a[a > 0]
         assert np.allclose(nz, 1.0 / 3.0, atol=1e-12)
 
@@ -345,12 +335,3 @@ class TestGraphStructure:
         assert ts.array is first
         ts.add("u2", "user-has-tag", "t1")
         assert ts.array.tolist() == [[0, 0, 1], [2, 0, 1]]
-
-    def test_prune_drops_rare_entities(self):
-        ts = TripleSet()
-        ts.add("u1", "user-has-tag", "common")
-        ts.add("u2", "user-has-tag", "common")
-        ts.add("u3", "user-has-tag", "rare")
-        pruned = prune_triples(ts, min_count=2)
-        names = {pruned.name_of(t.tail) for t in pruned.triples}
-        assert names == {"common"}

@@ -73,7 +73,7 @@ class TestEncode:
         cfg = pt.PretrainConfig(dim=4, layers=1)
         params = init_params(g.n_entities, 9, cfg, RngStream(1))
         out = pt.encode_entities(params, g, cfg)
-        dense = normalized_adjacency(g, self_loops=True, kind="sym")
+        dense = normalized_adjacency(g, kind="sym")
         expected = gcn_layer(params.value("entity_table"), dense, params.value("gcn_w0"))
         assert np.abs(out - expected).max() < 1e-12
 
@@ -94,12 +94,11 @@ class TestEncode:
             w.tset.entity_id("user", f"lonely{i}", create=True)
         g = Graph(w.tset)
         for kind in ("sym", "mean"):
-            for self_loops in (True, False):
-                cfg = pt.PretrainConfig(dim=4, layers=2, aggregation=kind, self_loops=self_loops)
-                operators = pt.sample_layer_draws(g, cfg)
-                assert len(operators) == cfg.layers and operators[0] is operators[1]
-                dense = normalized_adjacency(g, self_loops=self_loops, kind=kind)
-                assert np.abs(operators[0].toarray() - dense).max() < 1e-14
+            cfg = pt.PretrainConfig(dim=4, layers=2, aggregation=kind)
+            operators = pt.sample_layer_draws(g, cfg)
+            assert len(operators) == cfg.layers and operators[0] is operators[1]
+            dense = normalized_adjacency(g, kind=kind)
+            assert np.abs(operators[0].toarray() - dense).max() < 1e-14
 
     def test_full_mode_consumes_no_randomness(self):
         class Untouchable:
@@ -154,20 +153,18 @@ class TestSampleLayerDraws:
     At or above the max degree nothing is drawn and the operators equal the
     reference exactly. Below it, the rows of entities above the fanout hold
     a different uniform subset, so they are checked for their pattern:
-    fanout distinct neighbors (plus the entity itself with self-loops), each
-    weighted 1/count.
+    fanout distinct neighbors plus the entity itself, each weighted 1/count.
     """
 
     @pytest.mark.parametrize("fanout", [3, 10, 12])  # below, at and above the max degree 10
-    @pytest.mark.parametrize("self_loops", [True, False])
     @pytest.mark.parametrize("isolated", [0, 3])
-    def test_matches_per_entity_reference(self, fanout, self_loops, isolated):
+    def test_matches_per_entity_reference(self, fanout, isolated):
         w = small_world(seed=2)
         for i in range(isolated):
             w.tset.entity_id("user", f"lonely{i}", create=True)
         g = Graph(w.tset)
         assert g.max_degree() == 10 and int((g.degrees == 0).sum()) == isolated
-        cfg = pt.PretrainConfig(dim=4, layers=2, mode="sampled", fanout=fanout, self_loops=self_loops)
+        cfg = pt.PretrainConfig(dim=4, layers=2, mode="sampled", fanout=fanout)
         rng_new, rng_ref = RngStream(21), RngStream(21)
         operators = pt.sample_layer_draws(g, cfg, rng_new)
         reference = layer_draws(g, cfg, rng_ref)
@@ -181,10 +178,44 @@ class TestSampleLayerDraws:
                 neighbors = chosen[chosen != i]
                 assert len(neighbors) == fanout == len(set(neighbors.tolist()))
                 assert set(neighbors.tolist()) <= set(g.adjacency[i].tolist())
-                assert len(chosen) == fanout + self_loops
+                assert len(chosen) == fanout + 1
                 assert np.all(s.data[s.indptr[i] : s.indptr[i + 1]] == 1.0 / len(chosen))
         if not big.any():  # neither side drew anything
             assert rng_new.integers(0, 2**62) == rng_ref.integers(0, 2**62)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=20),
+        isolated=st.integers(0, 3),
+        mode=st.sampled_from([("full", "sym"), ("full", "mean"), ("sampled", "mean")]),
+        offset=st.sampled_from([-1, 0, 1]),  # sampled fanout below, at or above the max degree
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_row_holds_its_entity_once(self, edges, isolated, mode, offset, seed):
+        ts = TripleSet()
+        for u, t in edges:
+            ts.add(f"u{u}", "user-has-tag", f"t{t}")
+        for i in range(isolated):
+            ts.entity_id("user", f"lonely{i}", create=True)
+        g = Graph(ts)
+        kind, aggregation = mode
+        fanout = max(g.max_degree() + offset, 1)
+        cfg = pt.PretrainConfig(dim=2, layers=2, mode=kind, aggregation=aggregation, fanout=fanout)
+        kept = g.degrees if kind == "full" else np.minimum(g.degrees, fanout)
+        for s in pt.sample_layer_draws(g, cfg, RngStream(seed)):
+            count = np.diff(s.indptr)
+            assert np.array_equal(count, kept + 1)
+            for i in range(g.n_entities):
+                cols = s.indices[s.indptr[i] : s.indptr[i + 1]]
+                weights = s.data[s.indptr[i] : s.indptr[i + 1]]
+                assert np.count_nonzero(cols == i) == 1
+                others = cols[cols != i].tolist()
+                assert len(set(others)) == len(others)
+                assert set(others) <= set(g.indices[g.indptr[i] : g.indptr[i + 1]].tolist())
+                if aggregation == "sym":
+                    assert np.allclose(weights, 1.0 / np.sqrt(count[i] * count[cols]), rtol=1e-14, atol=0)
+                else:
+                    assert np.all(weights == 1.0 / count[i])
 
     def test_inclusion_rate_is_fanout_over_degree(self):
         # an entity of degree 10 keeps each neighbor with probability 3/10
@@ -193,7 +224,7 @@ class TestSampleLayerDraws:
             ts.add("hub", "user-has-tag", f"tag{i}")
         g = Graph(ts)
         draws = 4000
-        cfg = pt.PretrainConfig(dim=2, layers=draws, mode="sampled", fanout=3, self_loops=False)
+        cfg = pt.PretrainConfig(dim=2, layers=draws, mode="sampled", fanout=3)
         hub = ts.entity_id("user", "hub")
         counts = np.zeros(g.n_entities)
         for s in pt.sample_layer_draws(g, cfg, RngStream(22)):
@@ -208,12 +239,9 @@ class TestRestrictedEncoder:
     """Encoding only a batch's rows equals the unrestricted encoder there."""
 
     MODES = {
-        "full-sym": dict(mode="full", aggregation="sym", self_loops=True),
-        "full-sym-no-loops": dict(mode="full", aggregation="sym", self_loops=False),
-        "full-mean": dict(mode="full", aggregation="mean", self_loops=True),
-        "full-mean-no-loops": dict(mode="full", aggregation="mean", self_loops=False),
-        "sampled": dict(mode="sampled", fanout=3, self_loops=True),
-        "sampled-no-loops": dict(mode="sampled", fanout=3, self_loops=False),
+        "full-sym": dict(mode="full", aggregation="sym"),
+        "full-mean": dict(mode="full", aggregation="mean"),
+        "sampled": dict(mode="sampled", fanout=3),
     }
 
     @pytest.mark.parametrize("mode", MODES)
