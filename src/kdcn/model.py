@@ -27,19 +27,25 @@ keyword embeddings, run over a head axis, and it returns the mean of the
 attention output over the query keywords and over the title keywords:
 2 * dim columns of f. Pooling is a design choice of this implementation;
 the paper does not fix the shape of the dialogue representation. A batch
-holds its keywords ragged, as CSR rows (see Dataset). The rows are bucketed
-by their keyword count L (sequence bucketing): taken in order of L, the
-keywords of each bucket are one contiguous block of the projections (one
-GEMM for the three stacked projections), which reshapes to
-(n_b, L, 3, heads, head_dim) without a copy, and the bucket runs a plain
+holds its keywords ragged, as CSR rows (see Dataset). Each distinct keyword
+of the batch is projected once: one GEMM of its U distinct embeddings by
+the three stacked projections gives proj_u, and inverse maps every keyword
+occurrence to its row. The rows are bucketed by their keyword count L
+(sequence bucketing): taken in order of L, the occurrences of each bucket
+are one contiguous block of inverse, the bucket gathers its
+(n_b, L, 3, heads, head_dim) projections from proj_u, and it runs a plain
 softmax over (n_b, heads, L, L) with no mask. A row without keywords
 belongs to no bucket and its block output stays zero. Because only
 the two means are needed, each bucket pools before the value product: with
 G holding 1/n_q at a row's n_q query keywords (which come first) and 1/n_t
 at its title keywords, it forms r = G @ attn, (n_b, heads, 2, L), and then
 r @ v. G is built once per batch for every keyword, and each bucket takes
-a view of its block. The backward works per bucket from the same rank-2
-form and writes the projection gradients straight into the bucket's block.
+a view of its block. The cache keeps no per-occurrence array: the backward
+gathers each bucket's projections again, works from the same rank-2 form
+and adds the bucket's projection gradients onto the distinct keywords with
+scatter_rows. The weight gradient is then one GEMM over the U distinct
+keywords, not over every occurrence, and its sum order does not depend on
+the BLAS thread count at the batch shapes tested.
 
 Each parameter slot is stored in the layout its GEMM reads, so no pass
 regroups one. cross_w and cross_b are (F, n_cross), one layer per column;
@@ -357,13 +363,16 @@ class Featurizer:
         """Keyword row i as one CSR pair (kw_ptr, kw_ids): query queries[i]'s
         keywords (row queries[i] of the CSR pair q_ptr, q_ids), then the
         title keywords of item row rows[i]."""
-        n_q = len(q_ptr) - 1
-        # one CSR of the queries followed by every item's title: row i is its
-        # segment queries[i] and then its segment n_q + rows[i]
-        ptr = np.concatenate([q_ptr, q_ptr[-1] + self.title_ptr[1:]])
-        segments = np.array([queries, n_q + rows]).T.ravel()
-        seg_ptr, positions = ragged_rows(ptr, segments)
-        return seg_ptr[::2], np.concatenate([q_ids, self.title_ids])[positions]
+        row_q_ptr, q_pos = ragged_rows(q_ptr, queries)
+        row_t_ptr, t_pos = ragged_rows(self.title_ptr, rows)
+        # row i starts after the query and title keywords of the rows before
+        # it, so its query keywords shift by the earlier rows' title count and
+        # its title keywords by the query count of rows up to i
+        kw_ptr = row_q_ptr + row_t_ptr
+        kw_ids = np.empty(kw_ptr[-1], dtype=np.int64)
+        kw_ids[np.arange(len(q_pos)) + np.repeat(row_t_ptr[:-1], np.diff(row_q_ptr))] = q_ids[q_pos]
+        kw_ids[np.arange(len(t_pos)) + np.repeat(row_q_ptr[1:], np.diff(row_t_ptr))] = self.title_ids[t_pos]
+        return kw_ptr, kw_ids
 
     def standardize(self, raw: np.ndarray, lengths: np.ndarray, label) -> np.ndarray:
         """(rows, n_dense) dense statistics, given as dense_rows gives them,
@@ -561,10 +570,13 @@ class KdcnModel:
         # holds the first keyword of each row in that order
         order = np.argsort(counts, kind="stable")
         offsets, slots = ragged_rows(batch.kw_ptr, order)
-        x = table[batch.kw_ids[slots]]
-        # one GEMM over all keywords; the matrices are row-blocked by head, so
-        # row j of proj holds keyword j's (3, heads, head_dim)
-        proj = (x @ self.store.value("attn_qkv").T).reshape(len(slots), 3, heads, head_dim)
+        # each distinct keyword is projected once: ids[inverse[j]] is the
+        # keyword at position j of that order
+        ids, inverse = np.unique(batch.kw_ids[slots], return_inverse=True)
+        x_u = table[ids]
+        # one GEMM; the matrices are row-blocked by head, so row u of proj_u
+        # holds distinct keyword u's (3, heads, head_dim)
+        proj_u = (x_u @ self.store.value("attn_qkv").T).reshape(len(ids), 3, heads, head_dim)
         # every keyword's two pooling weights, (R, 2) in this order: 1/n_q
         # and 0 at each of a row's n_q query keywords (which come first), 0
         # and 1/n_t at each of its n_t title keywords
@@ -587,7 +599,9 @@ class KdcnModel:
             if length == 0:
                 continue
             rows, block = order[lo:hi], slice(offsets[lo], offsets[hi])
-            q, k, v = proj[block].reshape(hi - lo, length, *proj.shape[1:]).transpose(2, 0, 3, 1, 4)
+            # gathered per bucket, not kept: the backward gathers them again
+            qkv = proj_u[inverse[block]].reshape(hi - lo, length, *proj_u.shape[1:])
+            q, k, v = qkv.transpose(2, 0, 3, 1, 4)
             # every key is real: a plain softmax over (n_b, heads, L, L)
             attn = q @ k.transpose(0, 1, 3, 2)
             # the row max as a running maximum over the L key columns: numpy's
@@ -603,8 +617,8 @@ class KdcnModel:
             g = weights[block].reshape(hi - lo, 1, length, 2).transpose(0, 1, 3, 2)
             r = g @ attn
             out[rows] = (r @ v).transpose(0, 2, 1, 3)
-            buckets.append((rows, block, q, k, v, attn, g, r))
-        cache["attn"] = (slots, x, proj, buckets)
+            buckets.append((rows, block, attn, g, r))
+        cache["attn"] = (ids, inverse, x_u, proj_u, buckets)
         return out.reshape(batch.n, self.d_dim)
 
     def _assemble(self, batch: Dataset, table: np.ndarray, cache: dict) -> np.ndarray:
@@ -731,27 +745,28 @@ class KdcnModel:
                 dtable += cache["pool"].T @ dmean.reshape(-1, self.dim)
 
         if cfg.use_dialogue:
-            slots, x, proj, buckets = cache["attn"]
+            ids, inverse, x_u, proj_u, buckets = cache["attn"]
             heads = cfg.attention_heads
-            dd = df[:, offset : offset + self.d_dim].reshape(batch.n, 2, heads, proj.shape[3])
-            dproj = np.empty_like(proj)
-            for rows, block, q, k, v, a, g, r in buckets:
+            dd = df[:, offset : offset + self.d_dim].reshape(batch.n, 2, heads, proj_u.shape[3])
+            dproj_u = np.zeros((len(ids), 3 * self.dim), dtype=self.dtype)
+            for rows, block, a, g, r in buckets:
+                qkv = proj_u[inverse[block]].reshape(len(rows), -1, *proj_u.shape[1:])
+                q, k, v = qkv.transpose(2, 0, 3, 1, 4)
                 ddb = dd[rows].transpose(0, 2, 1, 3)
                 # rank 2: d weights_ij = G_g(i),i * (dd_g(i) . v_j), then in
                 # place the softmax backward to d logits
                 dlog = g.transpose(0, 1, 3, 2) @ (ddb @ v.transpose(0, 1, 3, 2))
                 dlog -= np.einsum("nhij,nhij->nhi", dlog, a)[..., None]
                 dlog *= a
-                # written straight into the bucket's block of dproj
-                dqkv = dproj[block].reshape(len(rows), -1, *proj.shape[1:])
+                # the bucket's keyword gradients, added onto their distinct keywords
+                dqkv = np.empty_like(qkv)
                 np.matmul(dlog, k, out=dqkv[:, :, 0].transpose(0, 2, 1, 3))
                 np.matmul(dlog.transpose(0, 1, 3, 2), q, out=dqkv[:, :, 1].transpose(0, 2, 1, 3))
                 np.matmul(r.transpose(0, 1, 3, 2), ddb, out=dqkv[:, :, 2].transpose(0, 2, 1, 3))
-            dproj = dproj.reshape(len(slots), 3 * self.dim)
-            store.grad("attn_qkv")[...] += dproj.T @ x
+                dproj_u += scatter_rows(inverse[block], dqkv.reshape(-1, 3 * self.dim), len(ids))
+            store.grad("attn_qkv")[...] += dproj_u.T @ x_u
             if finetune:
-                ids = batch.kw_ids[slots]
-                dtable += scatter_rows(ids, dproj @ store.value("attn_qkv"), len(dtable))
+                dtable[ids] += dproj_u @ store.value("attn_qkv")
 
 
 def scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -894,14 +909,16 @@ def fit(
     return FitResult(model, featurizer, history)
 
 
-SCORE_BATCH = 1024  # rows per forward pass in score_dataset
-
-
 def score_dataset(model: KdcnModel, dataset: Dataset) -> list[float]:
-    """The model's click probabilities for every row of dataset, in row order."""
+    """The model's click probabilities for every row of dataset, in row order.
+
+    It scores batch_size rows per forward pass, the rows of a training step,
+    so scoring never holds more than a step does.
+    """
+    size = model.cfg.batch_size
     scores: list[float] = []
-    for start in range(0, dataset.n, SCORE_BATCH):
-        idx = np.arange(start, min(start + SCORE_BATCH, dataset.n))
+    for start in range(0, dataset.n, size):
+        idx = np.arange(start, min(start + size, dataset.n))
         scores.extend(model.predict_batch(dataset.batch(idx)).tolist())
     return scores
 

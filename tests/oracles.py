@@ -208,25 +208,6 @@ def normalized_adjacency(g: Graph, kind: str = "sym") -> np.ndarray:
     return a / deg[:, None]
 
 
-def sample_neighbors(g: Graph, entity: int, fanout: int, rng: RngStream) -> np.ndarray:
-    """Draw exactly fanout neighbor ids for one entity.
-
-    Degree >= fanout samples uniformly without replacement; a smaller positive
-    degree samples with replacement up to fanout; an isolated entity falls
-    back to itself repeated fanout times.
-    """
-    if not 0 <= entity < g.n_entities:
-        raise IndexError(f"entity {entity} out of range [0, {g.n_entities})")
-    if fanout < 1:
-        raise ValueError("fanout must be >= 1")
-    neigh = g.adjacency[entity]
-    if len(neigh) == 0:
-        return np.full(fanout, entity, dtype=np.int64)
-    if len(neigh) >= fanout:
-        return rng.choice(neigh, size=fanout, replace=False).astype(np.int64)
-    return rng.choice(neigh, size=fanout, replace=True).astype(np.int64)
-
-
 def gcn_layer(x: np.ndarray, a_norm: np.ndarray, w: np.ndarray) -> np.ndarray:
     """One propagation step: sigmoid(a_norm @ x @ w)."""
     n = a_norm.shape[0]

@@ -19,7 +19,7 @@ from kdcn.graph import (
     save_vocab,
 )
 from kdcn.rng import RngStream
-from oracles import neighbor_lists, normalized_adjacency, sample_neighbors
+from oracles import neighbor_lists, normalized_adjacency
 
 
 def two_node_graph():
@@ -179,49 +179,6 @@ class TestNormalizedAdjacency:
             ts.entity_id("user", f"u{i}", create=True)
         with pytest.raises(CapacityError):
             normalized_adjacency(Graph(ts))
-
-
-class TestSampleNeighbors:
-    def test_isolated_falls_back_to_self(self):
-        ts = TripleSet()
-        ts.entity_id("user", "a", create=True)
-        out = sample_neighbors(Graph(ts), 0, 3, RngStream(0))
-        assert np.array_equal(out, [0, 0, 0])
-
-    def test_exhaustive_when_degree_equals_fanout(self):
-        ts = TripleSet()
-        for t in ("a", "b", "c"):
-            ts.add("u", "user-has-tag", t)
-        g = Graph(ts)
-        out = sample_neighbors(g, 0, 3, RngStream(1))
-        assert sorted(out.tolist()) == [1, 2, 3]
-
-    def test_without_replacement_distinct(self):
-        ts = TripleSet()
-        for i in range(20):
-            ts.add("u", "user-has-tag", f"t{i}")
-        g = Graph(ts)
-        out = sample_neighbors(g, 0, 10, RngStream(2))
-        assert len(set(out.tolist())) == 10
-        assert all(x in g.adjacency[0] for x in out)
-
-    def test_fixed_seed_replays(self):
-        ts = TripleSet()
-        for i in range(20):
-            ts.add("u", "user-has-tag", f"t{i}")
-        g = Graph(ts)
-        a = sample_neighbors(g, 0, 10, RngStream(42))
-        b = sample_neighbors(g, 0, 10, RngStream(42))
-        assert np.array_equal(a, b)
-
-    def test_small_degree_fills_with_replacement(self):
-        g = two_node_graph()
-        out = sample_neighbors(g, 0, 5, RngStream(3))
-        assert len(out) == 5 and set(out.tolist()) == {1}
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            sample_neighbors(two_node_graph(), 7, 3, RngStream(0))
 
 
 class TestTriplesRoundTrip:

@@ -1,7 +1,11 @@
 import dataclasses
 import functools
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,19 +287,24 @@ class TestDialogueAttention:
     def test_real_keyword_projection_equals_padded_gather(self, heads):
         model, batch = dialogue_case(heads, False)
         _, cache = model.forward(batch)
-        slots, x, proj = cache["attn"][:3]
-        # slots: the position in kw_ids of each projected keyword
-        assert sorted(slots) == list(range(len(batch.kw_ids)))
+        ids, inverse, x_u, proj_u = cache["attn"][:4]
+        # each distinct keyword once, ascending
+        assert np.array_equal(ids, np.unique(batch.kw_ids))
+        assert np.array_equal(x_u, model.entity_table()[ids])
+        # inverse lists the keywords with rows taken in order of keyword count
+        order = np.argsort(np.diff(batch.kw_ptr), kind="stable")
+        slots = ragged_rows(batch.kw_ptr, order)[1]
+        assert np.array_equal(ids[inverse], batch.kw_ids[slots])
         q = model.cfg.max_query_keywords
-        ids, mask = padded_keywords(batch, q, q + model.cfg.max_title_keywords)
+        padded_ids, mask = padded_keywords(batch, q, q + model.cfg.max_title_keywords)
         # the real slots of the padded view, row-major, list the keywords in kw_ids' order
         padded_slots = np.flatnonzero(mask)[slots]
-        padded = model.entity_table()[ids] * mask[:, :, None]
-        assert np.array_equal(x, padded.reshape(-1, model.dim)[padded_slots])
-        assert proj.shape == (len(slots), 3, heads, model.dim // heads)
+        padded = model.entity_table()[padded_ids] * mask[:, :, None]
+        assert np.array_equal(x_u[inverse], padded.reshape(-1, model.dim)[padded_slots])
+        assert proj_u.shape == (len(ids), 3, heads, model.dim // heads)
         for i, w in enumerate(np.split(model.store.value("attn_qkv"), 3)):
             ref = (padded @ w.T).reshape(-1, heads, model.dim // heads)
-            assert close(proj[:, i], ref[padded_slots])
+            assert close(proj_u[inverse, i], ref[padded_slots])
 
     @pytest.mark.parametrize("finetune", [False, True])
     def test_edge_rows_match_finite_differences(self, finetune):
@@ -558,6 +567,17 @@ def ragged_case(draw):
     return lists, rows
 
 
+@st.composite
+def keyword_case(draw):
+    """Query and title keyword lists (empty ones too), and each row's query and title."""
+    q_lists = draw(st.lists(st.lists(st.integers(0, 99), max_size=5), min_size=1, max_size=6))
+    t_lists = draw(st.lists(st.lists(st.integers(0, 99), max_size=5), min_size=1, max_size=8))
+    n = draw(st.integers(0, 12))
+    queries = draw(st.lists(st.integers(0, len(q_lists) - 1), min_size=n, max_size=n))
+    rows = draw(st.lists(st.integers(0, len(t_lists) - 1), min_size=n, max_size=n))
+    return q_lists, t_lists, queries, rows
+
+
 class TestRagged:
     """csr_lists (with and without a lookup) and ragged_rows equal per-row Python slicing."""
 
@@ -579,6 +599,21 @@ class TestRagged:
         picked = [lists[r] for r in rows]
         assert out.tolist() == [sum(map(len, picked[:j])) for j in range(len(rows) + 1)]
         assert [ids[positions[out[j] : out[j + 1]]].tolist() for j in range(len(rows))] == picked
+
+    @settings(max_examples=200, deadline=None)
+    @given(keyword_case())
+    @example(([[], [5]], [[], [3, 1], []], [1, 0, 1], [2, 1, 1]))
+    @example(([[]], [[]], [], []))
+    def test_keyword_rows_join_query_and_title_per_row(self, case):
+        q_lists, t_lists, queries, rows = case
+        feat = km.Featurizer.__new__(km.Featurizer)
+        feat.title_ptr, feat.title_ids = csr_lists(t_lists)
+        kw_ptr, kw_ids = feat.keyword_rows(
+            *csr_lists(q_lists), np.array(queries, dtype=np.int64), np.array(rows, dtype=np.int64)
+        )
+        assert kw_ptr.dtype == kw_ids.dtype == np.int64 and kw_ptr[-1] == len(kw_ids)
+        joined = [q_lists[q] + t_lists[r] for q, r in zip(queries, rows)]
+        assert [kw_ids[kw_ptr[i] : kw_ptr[i + 1]].tolist() for i in range(len(rows))] == joined
 
 
 class TestDataset:
@@ -1421,3 +1456,61 @@ class TestModelFile:
         ds = feat.prepare(split.test)
         a = result.model.predict_batch(ds.batch(np.arange(ds.n)))
         assert np.array_equal(a, model.predict_batch(ds.batch(np.arange(ds.n))))
+
+
+# the uplift world of criteria 4 and 5, whose 512-row batches hold about 3,900 keywords
+UPLIFT_WORLD = dict(
+    n_users=300, n_items=400, n_categories=10, n_sellers=24, n_tags=12,
+    n_keywords=150, n_sessions=300, seed=202, affinity_strength=3.0, noise_std=0.5,
+)
+
+# fits one ckge.bin (argv[1]) frozen and fine-tuned, writes both kdcn.bin
+# files (argv[2] + "-frozen.bin", "-finetuned.bin") and prints the keyword
+# count of the first 512 training rows
+THREAD_FIT = f"""
+import sys
+import kdcn.model as km
+import kdcn.pretrain as pt
+from kdcn.datagen import ClickModel, WorldConfig, generate_samples, generate_world
+from kdcn.rng import RngStream
+
+world = generate_world(WorldConfig(**{UPLIFT_WORLD!r}))
+split = generate_samples(world, 6000, ClickModel(), RngStream(3).child("samples"))
+meta = km.item_meta_from_events(world.events)
+ckpt = pt.load_checkpoint(sys.argv[1])
+for name, finetune in (("frozen", False), ("finetuned", True)):
+    cfg = km.TrainConfig(epochs=2, lr=1e-3, batch_size=512, finetune_embeddings=finetune)
+    result = km.fit(split.train, split.valid, ckpt, cfg, RngStream(3), world.tset.entities, meta)
+    km.save_model(result.model, sys.argv[2] + "-" + name + ".bin")
+print(len(result.featurizer.prepare(split.train[:512]).kw_ids))
+"""
+
+
+class TestBlasThreads:
+    def test_kdcn_bin_is_the_same_at_one_and_two_threads(self, tmp_path):
+        # one checkpoint for both runs: pretraining at dim 64 is not yet thread-independent
+        world = generate_world(WorldConfig(**UPLIFT_WORLD))
+        rng = RngStream(3)
+        pt.export_checkpoint(
+            pt.PretrainCheckpoint(
+                rng.uniform(-0.5, 0.5, (world.tset.n_entities, 64)).astype(np.float32),
+                rng.uniform(-0.5, 0.5, (world.tset.n_relations, 64)).astype(np.float32),
+            ),
+            tmp_path / "ckge.bin",
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for threads in (1, 2):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", THREAD_FIT, str(tmp_path / "ckge.bin"), str(tmp_path / f"t{threads}")],
+                env=env, capture_output=True, text=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            # past the 2048 keywords at which a thread-split float32 product kept its bits
+            assert int(proc.stdout) > 3800
+        for name in ("frozen", "finetuned"):
+            one, two = (km.load_model_values(tmp_path / f"t{t}-{name}.bin") for t in (1, 2))
+            differ = [slot for slot in one if not np.array_equal(one[slot], two[slot])]
+            assert not differ, f"{name}: slots differ at 1 and 2 threads: {differ}"
+            assert (tmp_path / f"t1-{name}.bin").read_bytes() == (tmp_path / f"t2-{name}.bin").read_bytes()
