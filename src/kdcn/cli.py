@@ -258,6 +258,7 @@ def cmd_eval(args, cfg: dict) -> None:
                 f"{elapsed:.3f}",
             ]
         )
+        del result, test_set, scores  # the next fit reuses their memory
     _write_csv(
         out / "report.csv",
         ["config", "test_auc", "final_train_loss", "epochs_to_threshold", "wall_time_s"],

@@ -43,6 +43,7 @@ per-sample draw loop and the tag-topic mutual information are test oracles
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass, field, fields
 from itertools import pairwise
 from typing import Iterator, NamedTuple
@@ -50,7 +51,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ParseError, require_at_least, require_finite, shown
-from .graph import DENSE_VALUES, TripleSet, csr_lists, ingest_events, json_array, json_string
+from .graph import DENSE_VALUES, TripleSet, csr_lists, ingest_events, json_array, json_object, json_string
 from .rng import RngStream
 from .textfile import iter_lines, read_lines, write_lines
 
@@ -245,8 +246,12 @@ def generate_world(cfg: WorldConfig) -> World:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class Sample:
+    """One labeled CTR record. Its names, categories list and dense row may
+    be shared with other Samples (the world's, for generated ones; the file's,
+    for loaded ones: load_samples), so treat its lists as read-only."""
+
     user_id: str
     behaviors: list[list[str]]
     query: str
@@ -477,18 +482,41 @@ def save_samples(samples, path) -> None:
 
 def _sample(line: str) -> Sample:
     try:
-        return Sample.from_dict(json.loads(line.strip()))
+        return Sample.from_dict(json.loads(line.strip(), object_pairs_hook=json_object))
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
         raise ParseError(f"bad sample record ({exc})") from None
 
 
+class _SampleReader(dict):
+    """The line parser of one samples.jsonl read. It keeps each distinct name
+    (keyed by itself), categories list (by its tuple) and dense row (by its
+    float64 bytes, so -0.0 and 0.0 stay apart) once, and records share them."""
+
+    def __missing__(self, name: str) -> str:
+        self[name] = name
+        return name
+
+    def __call__(self, line: str) -> Sample:
+        s = _sample(line)
+        s.user_id, s.candidate_item = self[s.user_id], self[s.candidate_item]
+        for kind in s.behaviors:
+            kind[:] = map(self.__getitem__, kind)
+        s.categories = self.setdefault(tuple(s.categories), s.categories)
+        s.dense = self.setdefault(struct.pack(f"{len(s.dense)}d", *s.dense), s.dense)
+        return s
+
+
 def load_samples(path) -> list[Sample]:
-    return read_lines(path, _sample)
+    """The Samples of a samples.jsonl file (a bad line is a ParseError at
+    path:line). Equal names, categories lists and dense rows of the file
+    load as one shared object each, so treat the lists as read-only."""
+    return read_lines(path, _SampleReader())
 
 
 def iter_samples(path) -> Iterator[Sample]:
-    """load_samples' records one at a time, as the file is read."""
-    return iter_lines(path, _sample)
+    """load_samples' records one at a time, as the file is read, sharing
+    equal values over the records read so far."""
+    return iter_lines(path, _SampleReader())
 
 
 def split_loaded(samples: list[Sample]) -> SampleSplit:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -165,6 +166,15 @@ def json_number(x) -> bool:
     return (type(x) is float and math.isfinite(x)) or (type(x) is int and abs(x) <= sys.float_info.max)
 
 
+def json_object(pairs: list) -> dict:
+    """json's object_pairs_hook for every kdcn JSON reader: a repeated key is a ParseError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ParseError(f"repeated JSON key {shown(key)}")
+    return obj
+
+
 def json_string(x) -> bool:
     return isinstance(x, str)
 
@@ -246,7 +256,8 @@ def _ingest_event(rec: dict, tset: TripleSet) -> None:
 
 def _event(line: str) -> dict:
     try:
-        record = json.loads(line.strip())  # any Unicode whitespace around a record is ignored
+        # any Unicode whitespace around a record is ignored
+        record = json.loads(line.strip(), object_pairs_hook=json_object)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ParseError(f"invalid JSON ({exc})") from None
     if not isinstance(record, dict):

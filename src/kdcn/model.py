@@ -101,6 +101,7 @@ from .errors import (
     DimensionError,
     FormatError,
     IngestionError,
+    ParseError,
     SchemaError,
     TrainingError,
     UnknownNameError,
@@ -109,7 +110,7 @@ from .errors import (
     require_finite_positive,
     shown,
 )
-from .graph import EntityRef, check_event, csr_lists, json_number
+from .graph import EntityRef, check_event, csr_lists, json_number, json_object
 from .metrics import auc
 from .numeric import (
     ParamStore, adam_step, as_float, incidence, ragged_rows, read_slots, relu, sigmoid, write_slots
@@ -978,9 +979,11 @@ _JSON_FORMS = {
 def _load_meta(path) -> tuple[TrainConfig, dict]:
     """kdcn.meta.json as save_ranker writes it; anything else is a FormatError naming the file."""
     try:
-        meta = json.loads(Path(path).read_text(encoding="utf-8"))
+        meta = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=json_object)
     except ValueError as exc:  # UnicodeDecodeError included
         raise FormatError(f"{path}: not JSON ({exc})") from None
+    except ParseError as exc:  # a repeated key
+        raise FormatError(f"{path}: {exc}") from None
     if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
         raise FormatError(f"{path}: expected an object with a 'config' object")
     types = {f.name: type(f.default) for f in fields(TrainConfig)}

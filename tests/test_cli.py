@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdcn import graph
+from kdcn import cli, graph
 from kdcn.cli import CONFIG_KEYS, SECTIONS, _section_keys, load_config, main
 from kdcn.errors import KdcnError, ParseError
 from kdcn.model import MODEL_MAGIC, MODEL_VERSION, load_model_values
@@ -293,6 +294,25 @@ class TestPipeline:
         assert names == sorted(names) and len(names) >= 2
         for line in lines[1:]:
             assert 0.0 <= float(line.split(",")[1]) <= 1.0
+
+    def test_eval_releases_each_fit_before_the_next(self, trained_dir, tmp_path, monkeypatch):
+        # an ablation's model, gradients and Adam moments are freed before the next fit allocates its own
+        fitted = []
+
+        def fit(*args):
+            assert all(ref() is None for ref in fitted), "an earlier fit is still referenced"
+            result = real_fit(*args)
+            fitted.append(weakref.ref(result))
+            return result
+
+        real_fit = cli.model_mod.fit
+        monkeypatch.setattr(cli.model_mod, "fit", fit)
+        inputs = [f"--{name}={trained_dir / file}" for name, file in (
+            ("samples", "samples.jsonl"), ("events", "events.jsonl"), ("checkpoint", "ckge.bin"),
+            ("vocab", "ckge.vocab.tsv"), ("config", "config.txt"),
+        )]
+        assert main(["eval", "--out", str(tmp_path), "--configs", "kdcn,dcn,lr_like", *inputs]) == 0
+        assert len(fitted) == 3
 
     def test_rank_prints_single_row(self, workdir, capsys):
         out, cfg = workdir
@@ -692,6 +712,18 @@ class TestMalformedEvents:
         events.write_text(json.dumps(record) + "\n")
         err = self.errors(capsys, ["build-kg", "--out", str(tmp_path)])
         assert len(err[0]) < len(str(events)) + 250, (len(err[0]), err[0][:500])
+
+    def test_repeated_sample_key_is_data_error_at_its_line(self, trained_dir, tmp_path, capsys):
+        lines = (trained_dir / "samples.jsonl").read_text().splitlines()
+        lines[2] = lines[2][:-1] + ', "label": 0}'
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text("\n".join(lines) + "\n")
+        inputs = [f"--{name}={trained_dir / file}" for name, file in (
+            ("events", "events.jsonl"), ("checkpoint", "ckge.bin"), ("vocab", "ckge.vocab.tsv")
+        )]
+        err = self.errors(capsys, ["train", "--out", str(tmp_path), "--samples", str(samples), *inputs])
+        assert err == [f"error: {samples}:3: repeated JSON key 'label'"], err
+        assert not (tmp_path / "kdcn.bin").exists()
 
     def test_rank_refuses_a_non_finite_item_dense(self, trained_dir, tmp_path, capsys):
         # an item's NaN dense value would make every probability of the request NaN

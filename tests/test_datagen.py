@@ -1,8 +1,12 @@
+import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdcn import datagen
 from kdcn.datagen import (
@@ -13,11 +17,12 @@ from kdcn.datagen import (
     draw_samples,
     generate_samples,
     generate_world,
+    iter_samples,
     load_samples,
     save_samples,
     split_loaded,
 )
-from kdcn.errors import ConfigError
+from kdcn.errors import ConfigError, ParseError
 from kdcn.metrics import auc
 from kdcn.rng import RngStream
 from oracles import (
@@ -333,3 +338,68 @@ class TestSampleIO:
     def test_sample_dict_round_trip(self):
         s = Sample("u1", [["i1"], [], [], []], "kw1 kw2", "i1", ["cat0"], [1.0, 2.0], 1)
         assert Sample.from_dict(s.to_dict()) == s
+
+    def test_sample_has_slots_not_a_dict(self):
+        s = Sample("u1", [[], [], [], []], "kw1", "i1", ["cat0"], [1.0], 0)
+        assert not hasattr(s, "__dict__")
+
+    @pytest.mark.parametrize("reader", [load_samples, lambda path: list(iter_samples(path))])
+    def test_equal_values_of_one_file_load_as_one_object(self, tmp_path, reader):
+        path = tmp_path / "samples.jsonl"
+        first = Sample("u1", [["i2", "i3"], [], ["i2"], []], "kw1", "i1", ["cat0", "cat1"], [1.5, 2.0], 1)
+        second = Sample("u1", [["i1"], ["i3"], [], []], "kw2", "i1", ["cat0", "cat1"], [1.5, 2.0], 0)
+        save_samples([first, second], path)
+        a, b = reader(path)
+        assert [a, b] == [first, second]
+        assert a.user_id is b.user_id
+        assert a.candidate_item is b.candidate_item is b.behaviors[0][0]
+        assert a.behaviors[0][0] is a.behaviors[2][0]
+        assert a.behaviors[0][1] is b.behaviors[1][0]
+        assert a.categories is b.categories and a.dense is b.dense
+        other = reader(path)[0]  # each read keeps its own table
+        assert other.dense is not a.dense and other.categories is not a.categories
+
+    def test_dense_rows_are_shared_by_their_bits(self, tmp_path):
+        path = tmp_path / "samples.jsonl"
+        rows = [[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]]
+        save_samples([Sample("u", [[], [], [], []], "q", "i", ["c"], row, 0) for row in rows], path)
+        loaded = load_samples(path)
+        assert loaded[0].dense is loaded[2].dense and loaded[1].dense is loaded[3].dense
+        assert loaded[0].dense is not loaded[1].dense
+        assert [math.copysign(1.0, s.dense[0]) for s in loaded] == [1.0, -1.0, 1.0, -1.0]
+        again = tmp_path / "again.jsonl"
+        save_samples(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("key", ["user_id", "label"])
+    def test_repeated_key_is_parse_error_at_its_line(self, tmp_path, key):
+        good = json.dumps(Sample("u", [[], [], [], []], "q", "i", ["c"], [1.0], 0).to_dict())
+        path = tmp_path / "samples.jsonl"
+        path.write_text(good + "\n" + good[:-1] + f', "{key}": 1' + "}\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: repeated JSON key '{key}'$"):
+            load_samples(path)
+
+
+# few distinct names and dense values, so records repeat them
+_NAME = st.sampled_from(["a", "b", "c"])
+_SAMPLE = st.builds(
+    Sample,
+    _NAME,
+    st.lists(st.lists(_NAME, max_size=3), min_size=BEHAVIOR_KINDS, max_size=BEHAVIOR_KINDS),
+    st.text(max_size=3),
+    _NAME,
+    st.lists(_NAME, max_size=2),
+    st.lists(st.sampled_from([0.0, -0.0, 1.5, 3.0]), max_size=2),
+    st.sampled_from([0, 1]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(samples=st.lists(_SAMPLE, max_size=8))
+def test_shared_loads_equal_the_saved_samples(tmp_path_factory, samples):
+    path = tmp_path_factory.mktemp("shared") / "samples.jsonl"
+    save_samples(samples, path)
+    loaded = load_samples(path)
+    assert loaded == samples and list(iter_samples(path)) == loaded
+    save_samples(loaded, path.with_suffix(".again"))
+    assert path.with_suffix(".again").read_bytes() == path.read_bytes()

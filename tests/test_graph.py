@@ -13,6 +13,7 @@ from kdcn.graph import (
     Graph,
     TripleSet,
     ingest_events,
+    load_events,
     load_triples,
     load_vocab,
     save_triples,
@@ -129,6 +130,21 @@ class TestIngest:
         once = ingest_events(events[:1])
         twice = ingest_events(events)
         assert once == twice
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ('{"type": "user_profile", "user": "a", "user": "b", "tags": []}', "user"),
+            ('{"type": "item_listing", "item": "i", "category": "c", "seller": "s",'
+             ' "properties": [{"property": "color", "value": "red", "value": "blue"}]}', "value"),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_repeated_event_key_is_parse_error_at_its_line(self, tmp_path, line, key):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"type": "user_profile", "user": "u", "tags": []}\n' + line + "\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: repeated JSON key '{key}'$"):
+            load_events(path)
 
     def test_unknown_relation_rejected(self):
         ts = TripleSet()

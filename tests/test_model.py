@@ -1435,6 +1435,12 @@ class TestModelFile:
         b = clone.predict_batch(ds.batch(np.arange(ds.n)))
         assert np.array_equal(a, b)  # the model is float32, as the file stores it
 
+    def test_repeated_meta_key_names_the_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"config": {"lr": 0.1, "lr": 0.2}, "n_dense": 4}')
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: repeated JSON key 'lr'$"):
+            km._load_meta(path)
+
     def test_ranker_round_trip(self, tmp_path):
         world, ckpt, split, meta, cfg = small_setup(epochs=1, lr=0.01)
         result = km.fit(split.train, split.valid, ckpt, cfg, RngStream(15), world.tset.entities, meta)
